@@ -66,7 +66,7 @@ def test_f2_bench_runtime_json(benchmark, report):
     """
     payload = run_bench_runtime(
         num_targets=50, num_segments=10, epsilon=1e-2,
-        num_games=6, seed=2016, workers=2, speculation=3,
+        num_games=6, seed=2016, workers=2,
     )
     write_bench_json(payload, REPO_ROOT / "BENCH_runtime.json")
 
@@ -89,7 +89,6 @@ def test_f2_bench_runtime_json(benchmark, report):
     assert all(g["session_mode"] == "fresh" for g in payload["cold"]["per_game"])
     assert all(g["backend"] == "highs" for g in session["per_game"])
     assert session["session_patches"] > 0
-    assert session["speculative_probes"] > 0
     assert session["milp_solves"] <= payload["cold"]["milp_solves"]
     # A payload can never regress against itself.
     assert compare_bench(payload, payload, max_regression=1.25) == []

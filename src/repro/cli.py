@@ -31,10 +31,9 @@ into one table plus one merged telemetry tree::
 ``--resilience`` routes every oracle step through the highs -> bnb -> dp
 fallback ladder, ``--certify`` validates the machine-checkable solution
 certificate, and ``--inject-faults RATE`` exercises the ladder with
-seeded solver failures (see docs/RESILIENCE.md).  ``--session`` and
-``--speculation`` select the incremental MILP session mode and the k of
-speculative bisection (docs/PERFORMANCE.md); ``bench --compare REF
---max-regression F`` gates a run against a saved payload on
+seeded solver failures (see docs/RESILIENCE.md).  ``--session`` selects
+the incremental MILP session mode (docs/PERFORMANCE.md); ``bench
+--compare REF --max-regression F`` gates a run against a saved payload on
 hardware-independent metrics.
 
 Every invocation runs under a telemetry context (docs/OBSERVABILITY.md):
@@ -248,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--backend", type=str, default="highs",
                    choices=["highs", "bnb"],
                    help="MILP backend for every pass")
-    b.add_argument("--speculation", type=int, default=3, metavar="K",
-                   help="speculative probes per bisection round in the "
-                        "session pass (1 = classic bisection)")
     b.add_argument("--out", type=str, default="BENCH_runtime.json",
                    help="output JSON path")
     b.add_argument("--compare", type=str, default=None, metavar="REF",
@@ -297,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "incremental", "fresh"],
                    help="incremental MILP session mode (auto picks "
                         "incremental when eligible, see docs/PERFORMANCE.md)")
-    s.add_argument("--speculation", type=int, default=1, metavar="K",
-                   help="speculative probes per bisection round "
-                        "(1 = classic bisection)")
     s.add_argument("--resilience", action="store_true",
                    help="use the highs -> bnb -> dp fallback ladder")
     s.add_argument("--certify", action="store_true",
@@ -660,7 +653,6 @@ def _run_bench(args) -> str:
         workers=args.workers,
         warm_start=args.warm_start,
         backend=args.backend,
-        speculation=args.speculation,
     )
     path = write_bench_json(payload, args.out)
     text = format_bench(payload) + f"\nwritten to {path}"
@@ -749,7 +741,6 @@ def _run_solve(args) -> str:
         epsilon=args.epsilon,
         resilience=policy,
         session=args.session,
-        speculation=args.speculation,
     )
 
     with np.printoptions(precision=4, suppress=True):
@@ -765,12 +756,6 @@ def _run_solve(args) -> str:
             f"  patches={result.session_patches}"
             f"  fallbacks={result.session_fallbacks}",
         ]
-        if result.speculation > 1:
-            lines.append(
-                f"speculation       k={result.speculation}"
-                f"  probes={result.speculative_probes}"
-                f"  wasted={result.wasted_probes}"
-            )
     if result.resilience is not None:
         rep = result.resilience
         used = ", ".join(

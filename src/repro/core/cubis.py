@@ -35,7 +35,7 @@ from repro.solvers.binary_search import binary_search_max
 from repro.solvers.fleet import active_shape_cache
 from repro.solvers.milp_backend import relax_integrality, solve_milp
 from repro.solvers.piecewise import SegmentGrid
-from repro.solvers.session import MilpSession, SessionPool
+from repro.solvers.session import MilpSession
 from repro.resilience.events import SolveEventLog, StepEvent
 from repro.resilience.policy import (
     LadderExhaustedError,
@@ -136,9 +136,6 @@ class CubisResult:
         :class:`~repro.solvers.session.MilpSession` (in-place coefficient
         patches on one live model), ``"fresh"`` when every step rebuilt
         its model.
-    speculation:
-        The ``k`` of the k-ary binary search this solve ran with (1 =
-        classic bisection).
     session_patches:
         In-place sparse coefficient patches applied across all sessions
         (excludes the initial full builds).
@@ -146,11 +143,6 @@ class CubisResult:
         Steps whose session solve failed and was answered by a one-shot
         fresh-build fallback (each also emits a ``resilience.attempt``
         telemetry event).
-    speculative_probes:
-        Oracle calls issued by speculative k-ary rounds.
-    wasted_probes:
-        Speculative probes whose verdict was implied by the round's
-        bracket-defining pair.
     guess_probes:
         Warm-start guesses (certificate level + carried bracket ends)
         actually probed by the binary search — what a
@@ -180,11 +172,8 @@ class CubisResult:
     lp_solves: int = 0
     cache_hits: int = 0
     session_mode: str = "fresh"
-    speculation: int = 1
     session_patches: int = 0
     session_fallbacks: int = 0
-    speculative_probes: int = 0
-    wasted_probes: int = 0
     guess_probes: int = 0
 
     @property
@@ -310,17 +299,11 @@ def solve_cubis(
         through it — which is how the fleet solver
         (:mod:`repro.solvers.fleet`) carries one live model and its
         incumbent across a whole fleet of games.  A leased session
-        implies incremental mode (same requirements) and disables the
-        speculative session pool (probes run sequentially).
+        implies incremental mode (same requirements).
     speculation:
-        ``k`` of the k-ary binary search (default 1 = classic
-        bisection).  With ``k > 1`` each round probes ``k`` interior
-        candidates; on the ``"highs"`` session path the probes run
-        concurrently on a :class:`~repro.solvers.session.SessionPool`
-        of independent sessions (deterministic — the bracket depends
-        only on verdicts), while ``"bnb"``/``"dp"``/ladder paths probe
-        the same candidates sequentially.  See docs/PERFORMANCE.md for
-        when ``k > 1`` pays.
+        Must be 1: the search is plain bisection, one oracle call per
+        step (docs/PERFORMANCE.md explains why).  Accepted so callers and
+        service requests that spell this value out stay valid.
     dp_kernel:
         Override for the ``"dp"`` oracle's grid kernel (defaults to
         :func:`~repro.core.dp.maximize_separable_on_grid`).  The fleet
@@ -341,7 +324,10 @@ def solve_cubis(
         raise ValueError(f"execution_alpha must be >= 0, got {execution_alpha}")
     num_segments = check_int_at_least(num_segments, 1, "num_segments")
     max_iterations = check_int_at_least(max_iterations, 1, "max_iterations")
-    speculation = check_int_at_least(speculation, 1, "speculation")
+    if speculation != 1:
+        raise ValueError(
+            f"speculation must be 1 (plain bisection), got {speculation!r}"
+        )
     leased_session: MilpSession | None = None
     if isinstance(session, MilpSession):
         leased_session = session
@@ -362,7 +348,6 @@ def solve_cubis(
         memoise=bool(memoise),
         resilient=resilience is not None,
         session=session,
-        speculation=int(speculation),
     )
     with solve_span:
         grid = SegmentGrid(num_segments)
@@ -482,29 +467,21 @@ def solve_cubis(
                     equality_resources=equality_resources,
                     coverage_constraints=coverage_constraints,
                 )
-        # Speculative probes run concurrently only on the HiGHS session
-        # path — one independent session per in-flight candidate.  Other
-        # oracles still honour speculation > 1, probing the same k-ary
-        # candidates sequentially.  A leased session is retargeted at
-        # this game's skeleton and drives every step alone (no pool):
-        # its live model and — with carry_incumbent — its MIP start
-        # carry over from whatever it solved last.
-        session_pool: SessionPool | None = None
+        # A leased session is retargeted at this game's skeleton: its
+        # live model and — with carry_incumbent — its MIP start carry
+        # over from whatever it solved last.
         milp_session: MilpSession | None = None
-        session_counts_at_entry = (0, 0)
         if use_session:
             if leased_session is not None:
                 leased_session.retarget(skeleton)
                 milp_session = leased_session
-                session_counts_at_entry = (
-                    milp_session.patches_applied,
-                    milp_session.fresh_builds,
-                )
-            elif speculation > 1 and backend == "highs":
-                session_pool = SessionPool(skeleton, speculation, backend=backend)
-                milp_session = session_pool.sessions[0]
             else:
                 milp_session = MilpSession(skeleton, backend=backend)
+        # A leased session carries lifetime counters from earlier games;
+        # the result reports only this solve's delta.
+        patches_at_entry = (
+            milp_session.patches_applied if milp_session is not None else 0
+        )
         session_log = SolveEventLog() if use_session else None
         pool: list = []  # StrategyCertificate entries, oldest first
         # Run-level telemetry counters (docs/OBSERVABILITY.md).  They
@@ -517,8 +494,10 @@ def solve_cubis(
         hit_counter = meter.counter("repro_cubis_cache_hits_total")
         miss_counter = meter.counter("repro_cubis_cache_misses_total")
         fallback_counter = meter.counter("repro_session_fallbacks_total")
-        counts_at_entry = (milp_counter.value, lp_counter.value, hit_counter.value)
-        totals = {"session_fallbacks": 0}
+        counts_at_entry = (
+            milp_counter.value, lp_counter.value, hit_counter.value,
+            fallback_counter.value,
+        )
 
         def certificate_answer(c: float):
             # A cached strategy that certifies c answers the oracle for
@@ -537,8 +516,6 @@ def solve_cubis(
             return None
 
         def add_to_pool(cert) -> None:
-            if cert is None:
-                return
             pool.append(cert)
             if len(pool) > _CERTIFICATE_POOL_LIMIT:
                 del pool[0]
@@ -585,14 +562,19 @@ def solve_cubis(
                     message=f"session solve failed, retrying fresh build: {exc}",
                 ))
 
-            def solve_candidate(c: float, sess: MilpSession | None, stats: dict):
-                """One candidate's full solver path (no pool side effects).
-
-                Returns ``(feasible, strategy, certificate_or_None)``;
-                mutates ``stats`` *before* each solver action so callers
-                can flush exact counter increments even when this raises.
-                Thread-safe when each concurrent call owns its ``sess``.
-                """
+            def milp_oracle(c: float):
+                # Certificate pool -> LP screen -> session/fresh MILP ->
+                # fresh-build fallback; each counter ticks just before the
+                # action it counts, so a raise leaves exact totals behind.
+                hit = certificate_answer(c)
+                if hit is not None:
+                    hit_counter.inc()
+                    return hit
+                if use_certificates:
+                    # The pool was consulted (possibly empty) and could not
+                    # answer; everything below pays for a solver call.
+                    miss_counter.inc()
+                sess = step_session
                 model = sess.prepare(c) if sess is not None else build_fresh(c)
                 if lp_screen:
                     # LP-relaxation screen.  The relaxation's optimum bounds
@@ -603,14 +585,14 @@ def solve_cubis(
                     # feasibility.  Either way the verdict matches what the
                     # full MILP would have said; only the gap between the two
                     # bounds pays for branch and cut.
-                    stats["lp"] += 1
+                    lp_counter.inc()
                     relaxed = solve_milp(
                         relax_integrality(model.problem), backend=milp_backend
                     )
                     if relaxed.optimal:
                         g_upper = model.g_bar_from_objective(relaxed.objective)
                         if g_upper < -feasibility_tolerance:
-                            return False, None, None
+                            return False, None
                         candidate = np.clip(
                             model.strategy_from_solution(relaxed.x), 0.0, 1.0
                         )
@@ -623,8 +605,9 @@ def solve_cubis(
                                 except OracleStepError:
                                     screened = False  # fall through to the MILP
                             if screened:
-                                return True, candidate, cert
-                stats["milp"] += 1
+                                add_to_pool(cert)
+                                return True, candidate
+                milp_counter.inc()
                 t0 = time.perf_counter()
                 try:
                     result = (
@@ -647,11 +630,11 @@ def solve_cubis(
                     # (in-place state may be implicated) and answer this
                     # step with exactly one fresh-build solve; a second
                     # failure propagates like the non-session path.
-                    stats["fallback"] += 1
+                    fallback_counter.inc()
                     sess.invalidate()
                     note_session_fallback(c, exc, time.perf_counter() - t0)
                     model = build_fresh(c)
-                    stats["milp"] += 1
+                    milp_counter.inc()
                     result = solve_milp(model.problem, backend=milp_backend)
                     if not result.optimal:
                         raise OracleStepError(
@@ -669,36 +652,10 @@ def solve_cubis(
                         )
                     validate_step_solution(strategy, f"backend {label!r}")
                 feasible = g_bar >= -feasibility_tolerance
-                cert = (
-                    skeleton.certificate(strategy)
-                    if use_certificates and feasible
-                    else None
-                )
-                return feasible, strategy, cert
-
-            def milp_oracle(c: float):
-                hit = certificate_answer(c)
-                if hit is not None:
-                    hit_counter.inc()
-                    return hit
-                if use_certificates:
-                    # The pool was consulted (possibly empty) and could not
-                    # answer; everything below pays for a solver call.
-                    miss_counter.inc()
-                stats = {"lp": 0, "milp": 0, "fallback": 0}
-                try:
-                    feasible, strategy, cert = solve_candidate(
-                        c, step_session, stats
-                    )
-                finally:
-                    lp_counter.inc(stats["lp"])
-                    milp_counter.inc(stats["milp"])
-                    fallback_counter.inc(stats["fallback"])
-                    totals["session_fallbacks"] += stats["fallback"]
-                add_to_pool(cert)
+                if use_certificates and feasible:
+                    add_to_pool(skeleton.certificate(strategy))
                 return feasible, strategy
 
-            milp_oracle.solve_candidate = solve_candidate
             return milp_oracle
 
         budget_units = int(np.floor(game.num_resources * num_segments + 1e-9))
@@ -800,72 +757,6 @@ def solve_cubis(
             )
             return feasible, payload
 
-        probe_batch = None
-        if session_pool is not None:
-            solve_candidate = base_oracle.solve_candidate
-
-            def probe_batch(candidates):
-                # One speculative round.  Certificate answers are decided
-                # up front (against the pool as of round start) on the main
-                # thread; the remaining candidates fan out one-per-session.
-                # Everything order-sensitive — counters, certificate-pool
-                # appends, error propagation, bracket bookkeeping — happens
-                # back on this thread in ascending-candidate order, so the
-                # outcome is independent of worker completion order.
-                results: list = [None] * len(candidates)
-                pending: list[tuple[int, float]] = []
-                for i, c in enumerate(candidates):
-                    hit = certificate_answer(c)
-                    if hit is not None:
-                        hit_counter.inc()
-                        results[i] = hit
-                    else:
-                        if use_certificates:
-                            miss_counter.inc()
-                        pending.append((i, c))
-                if pending:
-                    stats_list = [
-                        {"lp": 0, "milp": 0, "fallback": 0} for _ in pending
-                    ]
-
-                    def work(sess, job):
-                        (_, c), stats = job
-                        try:
-                            return solve_candidate(c, sess, stats)
-                        except Exception as exc:  # re-raised in order below
-                            return exc
-                    outs = session_pool.map(work, list(zip(pending, stats_list)))
-                    for stats in stats_list:
-                        lp_counter.inc(stats["lp"])
-                        milp_counter.inc(stats["milp"])
-                        fallback_counter.inc(stats["fallback"])
-                        totals["session_fallbacks"] += stats["fallback"]
-                    for (i, c), out in zip(pending, outs):
-                        if isinstance(out, BaseException):
-                            if isinstance(out, (OracleStepError, LadderExhaustedError)):
-                                raise type(out)(
-                                    f"{out} (speculative probe, bracket "
-                                    f"[{state['lo']:.6g}, {state['hi']:.6g}])"
-                                ) from out
-                            raise out
-                        feasible, strategy, cert = out
-                        add_to_pool(cert)
-                        results[i] = (feasible, strategy)
-                for c, (feasible, _) in zip(candidates, results):
-                    state["step"] += 1
-                    if feasible:
-                        state["lo"] = max(state["lo"], c)
-                    else:
-                        state["hi"] = min(state["hi"], c)
-                state["round"] = state.get("round", 0) + 1
-                progress.publish(
-                    "solve",
-                    step=state["step"], round=state["round"],
-                    bracket_lo=state["lo"], bracket_hi=state["hi"],
-                    bracket_width=state["hi"] - state["lo"],
-                )
-                return results
-
         def certified_level(strategy) -> float:
             # The exact utility level a feasible step's strategy certifies —
             # lets the binary search jump its lower bound past intermediate
@@ -873,71 +764,48 @@ def solve_cubis(
             return skeleton.certificate(strategy).guaranteed_level(lo, hi)
 
         timer = Timer()
-        try:
-            with timer:
-                search = binary_search_max(
-                    step_oracle,
-                    lo,
-                    hi,
-                    tolerance=epsilon,
-                    max_iterations=max_iterations,
-                    initial_guesses=tuple(guesses),
-                    payload_bound=certified_level if use_certificates else None,
-                    speculation=speculation,
-                    probe_batch=probe_batch,
+        with timer:
+            search = binary_search_max(
+                step_oracle,
+                lo,
+                hi,
+                tolerance=epsilon,
+                max_iterations=max_iterations,
+                initial_guesses=tuple(guesses),
+                payload_bound=certified_level if use_certificates else None,
+            )
+            if search.payload is None:
+                raise RuntimeError(
+                    "CUBIS binary search found no feasible utility level; "
+                    "the bottom of the utility range should always be "
+                    "feasible — this indicates an inconsistent game or "
+                    "uncertainty model"
                 )
-                if search.payload is None:
-                    raise RuntimeError(
-                        "CUBIS binary search found no feasible utility level; "
-                        "the bottom of the utility range should always be "
-                        "feasible — this indicates an inconsistent game or "
-                        "uncertainty model"
-                    )
-                if coverage_constraints is None:
-                    strategy = game.strategy_space.project(
-                        np.asarray(search.payload)
-                    )
-                else:
-                    # Projection onto sum(x) = R could violate the side
-                    # constraints; keep the MILP's (feasible) strategy,
-                    # clipped to the box.
-                    strategy = np.clip(np.asarray(search.payload), 0.0, 1.0)
-                with telemetry.span("cubis.evaluate_worst_case"):
-                    worst = evaluate_worst_case(
-                        game, uncertainty, strategy,
-                        execution_alpha=execution_alpha,
-                    )
-        finally:
-            if session_pool is not None:
-                session_pool.close()
+            if coverage_constraints is None:
+                strategy = game.strategy_space.project(
+                    np.asarray(search.payload)
+                )
+            else:
+                # Projection onto sum(x) = R could violate the side
+                # constraints; keep the MILP's (feasible) strategy,
+                # clipped to the box.
+                strategy = np.clip(np.asarray(search.payload), 0.0, 1.0)
+            with telemetry.span("cubis.evaluate_worst_case"):
+                worst = evaluate_worst_case(
+                    game, uncertainty, strategy,
+                    execution_alpha=execution_alpha,
+                )
 
         milp_solves = int(milp_counter.value - counts_at_entry[0])
         lp_solves = int(lp_counter.value - counts_at_entry[1])
         cache_hits = int(hit_counter.value - counts_at_entry[2])
-        # Session + speculation accounting.  Counters are incremented once
-        # here with the solve's totals (worker threads never touch the
-        # caller's registry), so metric streams stay deterministic.
-        sessions = (
-            session_pool.sessions if session_pool is not None
-            else [milp_session] if milp_session is not None
-            else []
-        )
-        # A leased session carries lifetime counters from earlier games;
-        # report only this solve's delta.
+        session_fallbacks = int(fallback_counter.value - counts_at_entry[3])
         session_patches = (
-            sum(s.patches_applied for s in sessions)
-            - session_counts_at_entry[0]
+            milp_session.patches_applied - patches_at_entry
+            if milp_session is not None else 0
         )
-        session_fallbacks = int(totals["session_fallbacks"])
         if use_session:
             meter.counter("repro_session_patches").inc(session_patches)
-        if search.speculative_probes:
-            meter.counter("repro_speculative_probes").inc(
-                search.speculative_probes
-            )
-            meter.gauge("repro_speculative_wasted_probes").set(
-                search.wasted_probes
-            )
         session_mode = "incremental" if use_session else "fresh"
         solve_span.set(
             iterations=search.iterations,
@@ -947,8 +815,6 @@ def solve_cubis(
             cache_hits=cache_hits,
             session_mode=session_mode,
             session_patches=session_patches,
-            speculative_probes=search.speculative_probes,
-            wasted_probes=search.wasted_probes,
             worst_case_value=float(worst.value),
         )
         return CubisResult(
@@ -969,10 +835,7 @@ def solve_cubis(
             lp_solves=lp_solves,
             cache_hits=cache_hits,
             session_mode=session_mode,
-            speculation=int(speculation),
             session_patches=session_patches,
             session_fallbacks=session_fallbacks,
-            speculative_probes=search.speculative_probes,
-            wasted_probes=search.wasted_probes,
             guess_probes=search.guess_probes,
         )

@@ -9,10 +9,9 @@ Five measurements, one JSON payload:
   warm-started from its predecessor (``CubisResult.as_warm_start``): the
   production path.  The headline number is ``speedup = cold / warm``
   wall-clock on the solves themselves.
-* **session** — the same games with ``memoise=True``,
-  ``session="incremental"`` and speculative k-ary bisection
-  (``speculation=3`` by default), *without* cross-game warm-start
-  chaining, isolating the incremental-session contribution
+* **session** — the same games with ``memoise=True`` and
+  ``session="incremental"``, *without* cross-game warm-start chaining,
+  isolating the incremental-session contribution
   (``speedup_session = cold / session``).
 * **fleet** — the same games solved through
   :func:`repro.solvers.fleet.solve_fleet`: one MILP skeleton structure
@@ -78,7 +77,6 @@ def _solve_stats(result, seconds: float, *, backend: str) -> dict:
         "lp_solves": result.lp_solves,
         "cache_hits": result.cache_hits,
         "session_patches": result.session_patches,
-        "speculative_probes": result.speculative_probes,
         "lower_bound": result.lower_bound,
         "worst_case": result.worst_case_value,
         "backend": backend,
@@ -120,15 +118,13 @@ def run_bench_runtime(
     workers: int = 4,
     warm_start: bool = True,
     backend: str = "highs",
-    speculation: int = 3,
 ) -> dict:
     """Measure cold vs warm vs incremental-session solve time and check
     parallel determinism.
 
     Returns the ``BENCH_runtime.json`` payload as a dict.  ``warm_start=False``
     keeps memoisation on in the warm pass but drops the cross-game
-    warm-start chaining (isolating the two contributions).  ``speculation``
-    sets the k of the session pass's speculative bisection (1 disables it).
+    warm-start chaining (isolating the two contributions).
     """
     games = [
         random_interval_game(num_targets, seed=rng)
@@ -166,17 +162,17 @@ def run_bench_runtime(
                 carry = result.as_warm_start()
     warm_total = time.perf_counter() - t0
 
-    # Session pass: incremental MILP sessions + speculative bisection, no
-    # cross-game chaining, so speedup_session isolates the tentpole
-    # optimisation against the same cold baseline.
+    # Session pass: incremental MILP sessions, no cross-game chaining, so
+    # speedup_session isolates the session optimisation against the same
+    # cold baseline.
     session_games = []
     t0 = time.perf_counter()
-    with telemetry.span("bench.session_pass", games=num_games, speculation=speculation):
+    with telemetry.span("bench.session_pass", games=num_games):
         for game, uncertainty in zip(games, models):
             t1 = time.perf_counter()
             result = solve_cubis(
                 game, uncertainty, memoise=True, session="incremental",
-                speculation=speculation, **common,
+                **common,
             )
             session_games.append(
                 _solve_stats(result, time.perf_counter() - t1, backend=backend)
@@ -321,7 +317,7 @@ def run_bench_runtime(
     def totals(per_game: list[dict]) -> dict:
         keys = (
             "wall_clock_seconds", "oracle_calls", "milp_solves", "lp_solves",
-            "cache_hits", "session_patches", "speculative_probes",
+            "cache_hits", "session_patches",
         )
         out = {k: sum(g[k] for g in per_game) for k in keys}
         calls = out["oracle_calls"]
@@ -355,7 +351,6 @@ def run_bench_runtime(
             "workers": workers,
             "warm_start": warm_start,
             "backend": backend,
-            "speculation": speculation,
         },
         "cold": {**cold, "per_game": cold_games},
         "warm": {**warm, "per_game": warm_games},
@@ -528,9 +523,7 @@ def format_bench(payload: dict) -> str:
             3,
             f"  sess : {session['wall_clock_seconds']:.2f}s  "
             f"oracle={session['oracle_calls']}  milp={session['milp_solves']}  "
-            f"patches={session['session_patches']}  "
-            f"probes={session['speculative_probes']} "
-            f"(k={cfg.get('speculation', 1)})",
+            f"patches={session['session_patches']}",
         )
         lines.append(f"  speedup_session: {payload['speedup_session']:.2f}x")
     fleet = payload.get("fleet")

@@ -12,7 +12,7 @@ actually asks:
   root duration.
 * :func:`self_time_by_name` — wall/CPU self-time aggregated per span
   name: where did the time actually go, with ``wall >> cpu`` exposing
-  lock/queue waits in ``SessionPool``/``DpBatcher``.
+  lock/queue waits (e.g. in the fleet ``DpBatcher``).
 * :func:`flamegraph_lines` — collapsed-stack output (``a;b;c value``)
   compatible with flamegraph.pl and speedscope, weighted by self-time
   in integer microseconds.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.telemetry.spans import SpanRecord

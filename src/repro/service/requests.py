@@ -141,8 +141,10 @@ def _normalise_options(options: Mapping | None) -> dict:
         raise RequestError(f"num_segments must be >= 1, got {out['num_segments']}")
     if out["epsilon"] <= 0:
         raise RequestError(f"epsilon must be > 0, got {out['epsilon']}")
-    if out["speculation"] < 1:
-        raise RequestError(f"speculation must be >= 1, got {out['speculation']}")
+    if out["speculation"] != 1:
+        # Only the default survives (k-ary bisection was removed); the key
+        # stays so existing request bodies and their hashes are unchanged.
+        raise RequestError(f"speculation must be 1, got {out['speculation']}")
     if out["execution_alpha"] < 0:
         raise RequestError(
             f"execution_alpha must be >= 0, got {out['execution_alpha']}"

@@ -7,7 +7,7 @@ from repro.solvers.lp import LPResult, solve_lp
 from repro.solvers.milp_backend import MILPProblem, MILPResult, solve_milp
 from repro.solvers.nonconvex import MultiStartResult, maximize_multistart
 from repro.solvers.piecewise import SegmentGrid
-from repro.solvers.session import MilpSession, SessionPool
+from repro.solvers.session import MilpSession
 
 __all__ = [
     "BinarySearchResult",
@@ -18,7 +18,6 @@ __all__ = [
     "MilpSession",
     "MultiStartResult",
     "SegmentGrid",
-    "SessionPool",
     "VariableLayout",
     "binary_search_max",
     "maximize_multistart",

@@ -20,37 +20,15 @@ Two warm-start hooks cut oracle calls on repeated, related searches:
   strategy certifies).  When it exceeds the probed candidate, the lower
   bound jumps there directly, skipping the midpoints in between.
 
-``speculation=k`` (k > 1) switches bisection to **speculative k-ary
-rounds**: each round probes the ``k`` interior points that split the
-bracket into ``k + 1`` equal parts, shrinking the bracket by
-``(k + 1)x`` per round instead of ``2x`` — ``log_{k+1}`` rounds instead
-of ``log_2``.  The probes of a round are independent, so a caller can
-answer them concurrently through the ``probe_batch`` hook (CUBIS drives
-a :class:`~repro.solvers.session.SessionPool` of incremental MILP
-sessions); without the hook they run sequentially, which costs extra
-oracle calls over plain bisection (see docs/PERFORMANCE.md for when to
-prefer ``k=1``).  Speculation is deterministic by construction: the
-accepted bracket depends only on the candidates' feasibility verdicts —
-candidates are fixed before the round starts, verdicts are consumed in
-ascending-candidate order, and completion order never enters.  With a
-monotone oracle the verdicts split the round's candidates into a
-feasible prefix and an infeasible suffix; every probe that is neither
-the largest feasible nor the smallest infeasible candidate was
-*wasted* (its verdict implied by those two), and the result reports
-that count.
-
 Every oracle call is traced as a ``binary_search.step`` span carrying
-the candidate ``c`` and the verdict (see docs/OBSERVABILITY.md); each
-speculative round additionally opens a ``binary_search.round`` span,
-and batched probes are recorded as ``binary_search.step`` events on the
-orchestrating thread.  With no active telemetry context the spans are
-no-ops.
+the candidate ``c`` and the verdict (see docs/OBSERVABILITY.md).  With
+no active telemetry context the spans are no-ops.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro import telemetry
@@ -81,14 +59,6 @@ class BinarySearchResult:
         True iff the final gap is within the requested tolerance.  False
         when ``max_iterations`` was exhausted first (a warning is emitted)
         or when nothing in the interval was proven feasible.
-    speculative_rounds, speculative_probes:
-        Number of k-ary rounds run and oracle calls they issued (both 0
-        with ``speculation=1``; endpoint/guess probes are never
-        speculative).
-    wasted_probes:
-        Speculative probes whose verdict was implied by the round's
-        bracket-defining pair — the price paid for the shorter critical
-        path.
     guess_probes:
         ``initial_guesses`` entries actually probed (guesses outside the
         open bracket are skipped and not counted).  Lets warm-start
@@ -103,9 +73,6 @@ class BinarySearchResult:
     iterations: int
     trace: tuple
     converged: bool = True
-    speculative_rounds: int = 0
-    speculative_probes: int = 0
-    wasted_probes: int = 0
     guess_probes: int = 0
 
     @property
@@ -124,8 +91,6 @@ def binary_search_max(
     check_endpoints: bool = True,
     initial_guesses: Sequence[float] = (),
     payload_bound: Callable[[Any], float] | None = None,
-    speculation: int = 1,
-    probe_batch: Callable[[list[float]], Sequence[tuple[bool, Any]]] | None = None,
 ) -> BinarySearchResult:
     """Find the largest ``c`` in ``[lo, hi]`` for which ``oracle(c)`` is
     feasible, assuming downward-closed feasibility.
@@ -158,29 +123,11 @@ def binary_search_max(
         candidate.  The callable must only return values its payload
         genuinely certifies — the bound is trusted without a further
         oracle call.
-    speculation:
-        ``k`` — interior candidates probed per bisection round.  The
-        default 1 is classic bisection; ``k > 1`` splits the bracket
-        into ``k + 1`` equal parts per round (``log_{k+1}`` rounds) at
-        the cost of probes whose verdicts turn out implied.  The
-        accepted bracket depends only on the verdicts, never on the
-        order answers arrive, so speculative runs are deterministic.
-    probe_batch:
-        Optional concurrent executor for a speculative round: receives
-        the round's candidates (ascending) and must return one
-        ``(feasible, payload)`` per candidate *in the same order*.
-        Without it, speculative probes run sequentially through
-        ``oracle``.  Ignored when ``speculation == 1``.  Batched probes
-        are recorded as ``binary_search.step`` telemetry events by this
-        function — the batch callable should not emit its own.
     """
     if hi < lo:
         raise ValueError(f"binary search requires lo <= hi, got [{lo}, {hi}]")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    if int(speculation) != speculation or speculation < 1:
-        raise ValueError(f"speculation must be an integer >= 1, got {speculation}")
-    speculation = int(speculation)
     trace: list[tuple[float, bool]] = []
     payload = None
     iterations = 0
@@ -241,75 +188,23 @@ def binary_search_max(
         else:
             hi = guess
 
-    speculative_rounds = 0
-    speculative_probes = 0
-    wasted_probes = 0
-    if speculation == 1:
-        while hi - lo > tolerance and iterations < max_iterations:
-            mid = 0.5 * (lo + hi)
-            feasible, mid_payload = probe(mid)
-            trace.append((mid, feasible))
-            iterations += 1
-            if feasible:
-                payload = mid_payload
-                proven_feasible = True
-                lo = raise_lower(mid, mid_payload)
-            else:
-                hi = mid
-    else:
-        while hi - lo > tolerance and iterations < max_iterations:
-            k = min(speculation, max_iterations - iterations)
-            width = hi - lo
-            candidates = [lo + width * (j + 1) / (k + 1) for j in range(k)]
-            with telemetry.span(
-                "binary_search.round", k=k, lo=float(lo), hi=float(hi)
-            ):
-                if probe_batch is None:
-                    verdicts = [probe(c) for c in candidates]
-                else:
-                    verdicts = list(probe_batch(list(candidates)))
-                    if len(verdicts) != len(candidates):
-                        raise ValueError(
-                            f"probe_batch returned {len(verdicts)} verdicts "
-                            f"for {len(candidates)} candidates"
-                        )
-                    for c, (feasible, _) in zip(candidates, verdicts):
-                        telemetry.event(
-                            "binary_search.step",
-                            c=float(c),
-                            feasible=bool(feasible),
-                            speculative=True,
-                        )
-            speculative_rounds += 1
-            speculative_probes += k
-            iterations += k
-            for c, (feasible, _) in zip(candidates, verdicts):
-                trace.append((c, feasible))
-            feasible_hits = [
-                (c, p) for c, (f, p) in zip(candidates, verdicts) if f
-            ]
-            infeasible_cs = [c for c, (f, _) in zip(candidates, verdicts) if not f]
-            # The bracket is pinned by at most two probes — the largest
-            # feasible and the smallest infeasible candidate; every other
-            # verdict was implied by monotonicity.
-            wasted_probes += k - (bool(feasible_hits) + bool(infeasible_cs))
-            if infeasible_cs:
-                hi = min(infeasible_cs)
-            if feasible_hits:
-                best_c, best_payload = feasible_hits[-1]
-                payload = best_payload
-                proven_feasible = True
-                # The outer min only binds for a non-monotone oracle (a
-                # feasible candidate above an infeasible one): the proven
-                # infeasible cap wins and the bracket stays consistent.
-                lo = min(raise_lower(best_c, best_payload), hi)
+    while hi - lo > tolerance and iterations < max_iterations:
+        mid = 0.5 * (lo + hi)
+        feasible, mid_payload = probe(mid)
+        trace.append((mid, feasible))
+        iterations += 1
+        if feasible:
+            payload = mid_payload
+            proven_feasible = True
+            lo = raise_lower(mid, mid_payload)
+        else:
+            hi = mid
     if not proven_feasible:
         # Nothing in the interval was ever proven feasible (possible only
         # without endpoint checks): mirror the check_endpoints=True
         # contract rather than reporting the unproven `lo` as feasible.
         return BinarySearchResult(
             -float("inf"), hi, None, iterations, tuple(trace), False,
-            speculative_rounds, speculative_probes, wasted_probes,
             guess_probes,
         )
     converged = hi - lo <= tolerance
@@ -322,7 +217,5 @@ def binary_search_max(
             stacklevel=2,
         )
     return BinarySearchResult(
-        lo, hi, payload, iterations, tuple(trace), converged,
-        speculative_rounds, speculative_probes, wasted_probes,
-        guess_probes,
+        lo, hi, payload, iterations, tuple(trace), converged, guess_probes,
     )

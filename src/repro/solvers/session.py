@@ -34,29 +34,14 @@ boundary* with one cross-skeleton sparse patch
 (:meth:`~repro.core.milp.CubisMilpSkeleton.diff_from`) instead of a
 rebuild — the mechanism the fleet solver (:mod:`repro.solvers.fleet`)
 leases sessions through.
-
-:class:`SessionPool` drives ``k`` independent sessions from a thread
-pool for the speculative k-ary bisection mode
-(``binary_search_max(speculation=k)``): each batch assigns at most one
-task per session and results are collected in submission order.  Worker
-threads run with *tracing* disabled (the tracer's span stack is not
-thread-safe and contextvars do not propagate to pool threads), but each
-task records metrics — notably the ``repro_oracle_seconds`` histogram
-samples of its probe solves — into a private registry that is folded
-into the caller's registry in submission order once the chunk drains,
-so traced speculative solves report the same oracle-time totals as
-sequential ones and the metric stream stays deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
-
 from repro import telemetry
 from repro.solvers.milp_backend import MILPResult, solve_milp
 
-__all__ = ["MilpSession", "SessionPool"]
+__all__ = ["MilpSession"]
 
 
 class MilpSession:
@@ -258,123 +243,3 @@ class MilpSession:
             "retargets": int(self.retargets),
         }
 
-
-class SessionPool:
-    """``k`` independent :class:`MilpSession`\\ s behind a thread pool.
-
-    Drives the speculative probes of ``binary_search_max``: one session
-    per concurrent candidate, so no live model is ever shared between
-    threads.  :meth:`map` preserves submission order in its result list
-    — completion order never influences the caller, which is what keeps
-    speculative bisection deterministic.
-    """
-
-    def __init__(
-        self, skeleton, size: int, *, backend="highs", warm_start: bool = True
-    ) -> None:
-        if size < 1:
-            raise ValueError(f"session pool size must be >= 1, got {size}")
-        self.sessions = [
-            MilpSession(skeleton, backend=backend, warm_start=warm_start)
-            for _ in range(size)
-        ]
-        self._executor: ThreadPoolExecutor | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.sessions)
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=len(self.sessions),
-                thread_name_prefix="repro-speculate",
-            )
-        return self._executor
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Run ``fn(session, item)`` for each item; results in item order.
-
-        Items are processed in chunks of at most ``size`` so each chunk
-        assigns every task a *distinct* session (sessions are not
-        thread-safe).  Each task runs under its own fresh
-        ``Telemetry(enabled=False)`` context: spans stay no-ops (the
-        tracer's span stack is not thread-safe and never sees worker
-        threads), but metric writes — the ``repro_oracle_seconds``
-        histogram samples of speculative probe solves — land in the
-        task's private registry, and those registries are folded into
-        the caller's registry in submission order once the chunk has
-        drained.  Dropping them (the old behaviour) under-reported
-        oracle time on traced speculative solves versus
-        ``speculation=1``; merging in submission order keeps the metric
-        stream deterministic.  A task that raises still contributes the
-        metrics it recorded before failing; the first exception
-        propagates after its chunk has drained and merged.
-        """
-        items = list(items)
-        executor = self._ensure_executor()
-        parent = telemetry.current()
-
-        def run(session, item):
-            worker = telemetry.Telemetry(enabled=False)
-            with telemetry.use(worker):
-                try:
-                    result = fn(session, item)
-                except BaseException as exc:  # noqa: BLE001 — re-raised below
-                    return worker.metrics, None, exc
-            return worker.metrics, result, None
-
-        results: list = []
-        for start in range(0, len(items), len(self.sessions)):
-            chunk = items[start:start + len(self.sessions)]
-            # The chunk span lives on the *caller* thread: its wall time
-            # covers the submit-and-drain, while its cpu_time is only
-            # what this thread computed — the gap is queue/lock waiting
-            # on the worker sessions, which `repro trace report`
-            # surfaces as wall >> cpu on `session.pool_chunk`.
-            with parent.span("session.pool_chunk", items=len(chunk),
-                             sessions=len(self.sessions)):
-                futures = [
-                    executor.submit(run, session, item)
-                    for session, item in zip(self.sessions, chunk)
-                ]
-                # Collect in submission order; re-raise the first failure
-                # only after every future in the chunk has finished and
-                # its metrics have been merged.
-                errors = []
-                for future in futures:
-                    try:
-                        metrics, result, exc = future.result()
-                    except BaseException as raised:  # noqa: BLE001 — re-raised below
-                        errors.append(raised)
-                        continue
-                    parent.metrics.merge(metrics)
-                    if exc is not None:
-                        errors.append(exc)
-                    else:
-                        results.append(result)
-                if errors:
-                    raise errors[0]
-        return results
-
-    def stats(self) -> dict:
-        """Element-wise sum of every session's lifetime counters."""
-        totals = {"fresh_builds": 0, "patches_applied": 0, "solves": 0,
-                  "fallbacks": 0, "retargets": 0}
-        for session in self.sessions:
-            for key, value in session.stats().items():
-                totals[key] += value
-        return totals
-
-    def close(self) -> None:
-        """Shut the executor down (idempotent); sessions stay usable
-        sequentially."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "SessionPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

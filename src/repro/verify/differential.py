@@ -2,10 +2,10 @@
 
 Runs one :class:`~repro.game.ssg.IntervalSecurityGame` instance through
 every independent solver path — the HiGHS MILP ladder, the pure-Python
-branch-and-bound MILP, the incremental-session MILP with speculative
-bisection, the structure-sharing fleet solver, the standing-solve drift
-re-entry (``milp-resolve``), the grid-restricted DP oracle, and the
-SLSQP multi-start comparator — and checks that they tell one consistent
+branch-and-bound MILP, the incremental-session MILP, the
+structure-sharing fleet solver, the standing-solve drift re-entry
+(``milp-resolve``), the grid-restricted DP oracle, and the SLSQP
+multi-start comparator — and checks that they tell one consistent
 story:
 
 1. **Per path**: the path completes, returns a feasible strategy, and
@@ -48,10 +48,10 @@ from repro.verify.report import ConformanceCheck
 __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 
 #: The solver paths the differential checker knows, in execution order.
-#: ``milp-session`` is the incremental-session + speculative-bisection
-#: pipeline (docs/PERFORMANCE.md) run as its own differential arm: it must
-#: agree with the fresh-build ``milp-highs`` path within the Theorem 1
-#: tolerance, which pins the patch/speculation machinery to the reference
+#: ``milp-session`` is the incremental-session pipeline
+#: (docs/PERFORMANCE.md) run as its own differential arm: it must agree
+#: with the fresh-build ``milp-highs`` path within the Theorem 1
+#: tolerance, which pins the in-place patch machinery to the reference
 #: semantics on every battery run.
 #: ``milp-fleet`` routes the instance through a single-game
 #: :func:`repro.solvers.fleet.solve_fleet` (shared-structure skeleton
@@ -225,8 +225,7 @@ def run_paths(
         "milp-highs": (lambda: cubis(backend="highs"), slack),
         "milp-bnb": (lambda: cubis(backend="bnb"), slack),
         "milp-session": (
-            lambda: cubis(backend="highs", session="incremental", speculation=3),
-            slack,
+            lambda: cubis(backend="highs", session="incremental"), slack,
         ),
         "milp-fleet": (fleet, slack),
         "milp-resolve": (resolve_path, slack),

@@ -26,8 +26,7 @@ Fixture layout (``schema_version`` 1)::
       "instance": {"kind": "table1"} | {"kind": "random", "num_targets": 5, "seed": 3, ...},
       "uncertainty": {"kind": "suqr", "w1": [-6, -2], "w2": [0.5, 1], "w3": [0.4, 0.9],
                        "convention": "endpoint"},
-      "solve": {"num_segments": 25, "epsilon": 1e-4,
-                 "session": "incremental", "speculation": 3},
+      "solve": {"num_segments": 25, "epsilon": 1e-4, "session": "incremental"},
       "expected": {"robust_strategy": {"value": [...], "atol": 0.02}, ...},
       "provenance": {"git_sha": "...", "regenerate_reason": null}
     }
@@ -50,11 +49,11 @@ lifetime counters (re-solves, warm hits, bracket reuses, patches) are
 recorded into provenance on regeneration, so a pinned fixture also
 documents how much of the incremental machinery the sequence exercised.
 
-The ``solve`` object accepts the optional keys ``session`` and
-``speculation`` (forwarded to :func:`~repro.core.cubis.solve_cubis` for
-the robust quantities), so a fixture can pin the incremental-session
-pipeline's answer specifically; the session mode the solve actually ran
-with is recorded into provenance on regeneration.
+The ``solve`` object accepts the optional key ``session`` (forwarded to
+:func:`~repro.core.cubis.solve_cubis` for the robust quantities), so a
+fixture can pin the incremental-session pipeline's answer
+specifically; the session mode the solve actually ran with is recorded
+into provenance on regeneration.
 """
 
 from __future__ import annotations
@@ -211,14 +210,6 @@ def validate_fixture(data: dict, *, where: str = "fixture") -> GoldenFixture:
                 f"{where}.solve: 'session' must be 'auto', 'incremental' or "
                 f"'fresh', got {session!r}"
             )
-    if "speculation" in solve:
-        speculation = solve["speculation"]
-        if not isinstance(speculation, int) or isinstance(speculation, bool) \
-                or speculation < 1:
-            raise GoldenSchemaError(
-                f"{where}.solve: 'speculation' must be an integer >= 1, "
-                f"got {speculation!r}"
-            )
 
     drift = data.get("drift")
     if drift is not None:
@@ -323,13 +314,12 @@ def measure_fixture(fixture: GoldenFixture) -> dict:
     game, uncertainty = build_instance(fixture)
     num_segments = int(fixture.solve["num_segments"])
     epsilon = float(fixture.solve["epsilon"])
-    # Optional session keys select the incremental pipeline for the robust
-    # solve (the midpoint baseline has no session machinery).
-    session_kwargs = {
-        key: fixture.solve[key]
-        for key in ("session", "speculation")
-        if key in fixture.solve
-    }
+    # The optional session key selects the incremental pipeline for the
+    # robust solve (the midpoint baseline has no session machinery).
+    session_kwargs = (
+        {"session": fixture.solve["session"]} if "session" in fixture.solve
+        else {}
+    )
     measured: dict = {}
     keys = set(fixture.expected)
     if keys & {"robust_strategy", "robust_worst_case"}:

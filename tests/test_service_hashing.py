@@ -86,10 +86,10 @@ class TestInvariance:
 
     def test_numeric_spelling_invariant(self):
         body = _body(options={"num_segments": 8, "epsilon": 0.5,
-                              "speculation": 2})
+                              "execution_alpha": 0.0})
         respelled = _respell_numbers(json.loads(json.dumps(body)))
         # The JSON *texts* genuinely differ (dict equality would say
-        # equal: Python's 2 == 2.0) — that is exactly the ambiguity the
+        # equal: Python's 8 == 8.0) — that is exactly the ambiguity the
         # hash must absorb.
         assert json.dumps(body, sort_keys=True) != \
             json.dumps(respelled, sort_keys=True)
@@ -181,7 +181,7 @@ class TestDistinctness:
         ("num_segments", 12), ("epsilon", 0.1), ("backend", "bnb"),
         ("oracle", "dp"), ("equality_resources", True),
         ("execution_alpha", 0.05), ("session", "fresh"),
-        ("speculation", 2), ("resilience", False),
+        ("resilience", False),
     ])
     def test_every_option_is_hash_significant(self, option, other):
         default = {name: spec[1] for name, spec in SOLVE_OPTION_SPEC.items()}
@@ -237,6 +237,17 @@ class TestValidation:
         canonical = canonicalize_request(
             _body(options={"session": "incremental", "resilience": False}))
         assert canonical["options"]["session"] == "incremental"
+
+    def test_speculation_key_kept_but_only_default_accepted(self):
+        # The default body's hash is pinned to the value it had while
+        # k-ary bisection still existed: dropping the feature must not
+        # re-key any cached or in-flight request.
+        pinned = "e27cf99b0b7a6affa810d99088a26a9638885f886d5e1aa4c063542ab704d949"
+        assert request_hash(canonicalize_request(_body())) == pinned
+        spelled = canonicalize_request(_body(options={"speculation": 1}))
+        assert request_hash(spelled) == pinned
+        with pytest.raises(RequestError, match="speculation must be 1"):
+            canonicalize_request(_body(options={"speculation": 2}))
 
     def test_missing_game_rejected(self):
         with pytest.raises(RequestError, match="'game'"):

@@ -296,125 +296,3 @@ class TestWarmStartHooks:
             payload_bound=lambda payload: -100.0,
         )
         assert res.lower == pytest.approx(0.6, abs=1e-4)
-
-
-class TestSpeculativeBisection:
-    """k-ary speculative rounds: same answer as classic bisection, fewer
-    rounds, deterministic bracket rule, faithful waste accounting."""
-
-    def test_same_answer_as_classic(self):
-        classic = binary_search_max(threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-6)
-        for k in (2, 3, 5):
-            spec = binary_search_max(
-                threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-6, speculation=k
-            )
-            assert spec.converged
-            assert spec.lower <= 0.37 + 1e-12
-            assert spec.upper >= 0.37 - 1e-12
-            assert spec.gap <= 1e-6
-            assert abs(spec.lower - classic.lower) <= 1e-6
-
-    def test_fewer_rounds_more_probes(self):
-        classic = binary_search_max(threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-6)
-        spec = binary_search_max(
-            threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-6, speculation=3
-        )
-        # (k+1)x bracket shrink per round: far fewer rounds than classic
-        # steps, at the cost of extra total probes.
-        classic_steps = classic.iterations - 2  # minus endpoint checks
-        assert spec.speculative_rounds < classic_steps
-        assert spec.speculative_probes >= classic_steps
-        assert spec.iterations == len(spec.trace)
-
-    def test_classic_mode_reports_zero_speculation(self):
-        res = binary_search_max(threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-3)
-        assert res.speculative_rounds == 0
-        assert res.speculative_probes == 0
-        assert res.wasted_probes == 0
-
-    def test_wasted_probe_accounting(self):
-        """Each round wastes exactly k minus the bracket-defining pair."""
-        res = binary_search_max(
-            threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-4, speculation=4
-        )
-        assert 0 <= res.wasted_probes <= res.speculative_probes
-        # With both verdicts present in a round, waste is k - 2.
-        assert res.wasted_probes >= res.speculative_rounds * (4 - 2) - 4
-
-    def test_probe_batch_equals_sequential(self):
-        """Routing rounds through probe_batch must reproduce the
-        sequential trace bit for bit (determinism by verdict order)."""
-        seq = binary_search_max(
-            threshold_oracle(0.61), 0.0, 1.0, tolerance=1e-5, speculation=3
-        )
-        batched = binary_search_max(
-            threshold_oracle(0.61), 0.0, 1.0, tolerance=1e-5, speculation=3,
-            probe_batch=lambda cs: [threshold_oracle(0.61)(c) for c in cs],
-        )
-        assert batched.trace == seq.trace
-        assert batched.lower == seq.lower
-        assert batched.upper == seq.upper
-        assert batched.wasted_probes == seq.wasted_probes
-
-    def test_out_of_order_batch_completion_is_irrelevant(self):
-        """The bracket depends only on verdicts: a batch that computes
-        answers in reverse order returns the same result."""
-
-        def reversed_batch(cs):
-            answers = {c: threshold_oracle(0.61)(c) for c in reversed(cs)}
-            return [answers[c] for c in cs]
-
-        forward = binary_search_max(
-            threshold_oracle(0.61), 0.0, 1.0, tolerance=1e-5, speculation=3,
-            probe_batch=lambda cs: [threshold_oracle(0.61)(c) for c in cs],
-        )
-        backward = binary_search_max(
-            threshold_oracle(0.61), 0.0, 1.0, tolerance=1e-5, speculation=3,
-            probe_batch=reversed_batch,
-        )
-        assert forward.trace == backward.trace
-        assert forward.lower == backward.lower
-
-    def test_nothing_feasible_contract_speculative(self):
-        res = binary_search_max(
-            threshold_oracle(-5.0), 0.0, 1.0,
-            tolerance=1e-3, speculation=3, check_endpoints=False,
-        )
-        assert res.lower == -float("inf")
-        assert res.payload is None
-        assert not res.converged
-
-    def test_round_spans_and_step_events(self):
-        tele = telemetry.Telemetry()
-        with telemetry.use(tele):
-            res = binary_search_max(
-                threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-3, speculation=3,
-                probe_batch=lambda cs: [threshold_oracle(0.37)(c) for c in cs],
-            )
-        rounds = [s for s in tele.spans if s.name == "binary_search.round"]
-        assert len(rounds) == res.speculative_rounds
-        steps = [s for s in tele.spans if s.name == "binary_search.step"]
-        speculative = [s for s in steps if s.attributes.get("speculative")]
-        assert len(speculative) == res.speculative_probes
-
-    def test_batch_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="probe_batch returned"):
-            binary_search_max(
-                threshold_oracle(0.37), 0.0, 1.0, tolerance=1e-3, speculation=3,
-                probe_batch=lambda cs: [(False, None)],
-            )
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
-    def test_invalid_speculation_rejected(self, bad):
-        with pytest.raises(ValueError, match="speculation"):
-            binary_search_max(
-                threshold_oracle(0.37), 0.0, 1.0, speculation=bad
-            )
-
-    def test_max_iterations_respected(self):
-        with pytest.warns(RuntimeWarning, match="exhausted"):
-            res = binary_search_max(
-                threshold_oracle(0.5), 0.0, 1.0,
-                tolerance=1e-12, max_iterations=7, speculation=3,
-            )
-        assert res.iterations <= 7

@@ -1,4 +1,4 @@
-"""Unit tests for repro.solvers.session (MilpSession / SessionPool)."""
+"""Unit tests for repro.solvers.session (MilpSession)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro import telemetry
 from repro.core.milp import CubisMilpSkeleton, build_cubis_milp
 from repro.solvers.milp_backend import solve_milp
-from repro.solvers.session import MilpSession, SessionPool
+from repro.solvers.session import MilpSession
 from tests.test_core_milp import assert_models_identical, small_data
 
 
@@ -218,125 +218,3 @@ class TestRetarget:
         session = MilpSession(None)
         with pytest.raises(RuntimeError, match="retarget"):
             session.prepare(0.5)
-
-
-class TestSessionPool:
-    def test_size_validation(self):
-        skeleton, _ = make_skeleton()
-        with pytest.raises(ValueError, match="size"):
-            SessionPool(skeleton, 0)
-
-    def test_map_preserves_item_order(self):
-        skeleton, _ = make_skeleton()
-        with SessionPool(skeleton, 3) as pool:
-            out = pool.map(lambda session, item: item * 10, [3, 1, 2, 5, 4])
-        assert out == [30, 10, 20, 50, 40]
-
-    def test_map_assigns_distinct_sessions_per_chunk(self):
-        skeleton, _ = make_skeleton()
-        with SessionPool(skeleton, 3) as pool:
-            seen = pool.map(lambda session, item: id(session), [0, 1, 2])
-        assert len(set(seen)) == 3
-
-    def test_chunking_reuses_sessions_beyond_size(self):
-        skeleton, _ = make_skeleton()
-        with SessionPool(skeleton, 2) as pool:
-            out = pool.map(lambda session, item: item + 1, list(range(7)))
-        assert out == list(range(1, 8))
-
-    def test_concurrent_session_solves_match_sequential(self):
-        skeleton, (ud, lo, hi, grid) = make_skeleton()
-        cs = [-1.5, 0.0, 1.0]
-
-        def solve_at(session, c):
-            session.prepare(c)
-            return session.solve().objective
-
-        with SessionPool(skeleton, 3) as pool:
-            concurrent = pool.map(solve_at, cs)
-        sequential = [
-            solve_milp(build_cubis_milp(ud, lo, hi, 1.0, c, grid).problem).objective
-            for c in cs
-        ]
-        assert concurrent == pytest.approx(sequential, abs=1e-9)
-
-    def test_worker_telemetry_is_disabled(self):
-        skeleton, _ = make_skeleton()
-        tele = telemetry.Telemetry()
-        with telemetry.use(tele):
-            with SessionPool(skeleton, 2) as pool:
-                enabled = pool.map(
-                    lambda session, item: telemetry.current().enabled, [0, 1]
-                )
-        assert enabled == [False, False]
-        assert not [s for s in tele.spans if s.name == "milp.patch"]
-
-    def test_error_propagates_after_chunk_drains(self):
-        skeleton, _ = make_skeleton()
-        done = []
-
-        def work(session, item):
-            if item == 1:
-                raise RuntimeError("boom on item 1")
-            done.append(item)
-            return item
-
-        with SessionPool(skeleton, 3) as pool:
-            with pytest.raises(RuntimeError, match="boom on item 1"):
-                pool.map(work, [0, 1, 2])
-        # The chunk's other tasks were allowed to finish.
-        assert set(done) == {0, 2}
-
-    def test_close_is_idempotent_and_sessions_stay_usable(self):
-        skeleton, _ = make_skeleton()
-        pool = SessionPool(skeleton, 2)
-        pool.map(lambda session, item: item, [1, 2])
-        pool.close()
-        pool.close()
-        session = pool.sessions[0]
-        model = session.prepare(0.5)
-        assert model.c == 0.5
-
-    def test_stats_sums_sessions(self):
-        skeleton, _ = make_skeleton()
-        with SessionPool(skeleton, 2) as pool:
-            pool.map(lambda session, item: session.prepare(item) and None, [0.1, 0.2])
-        stats = pool.stats()
-        assert stats["fresh_builds"] == 2
-        assert stats["solves"] == 0
-
-    def test_worker_metrics_merge_into_parent_registry(self):
-        # Regression: map() used to run each task under a throwaway
-        # disabled context whose MetricsRegistry was discarded with it,
-        # so the workers' repro_oracle_seconds observations (one per
-        # speculative probe solve) never reached the caller's registry.
-        skeleton, _ = make_skeleton()
-        tele = telemetry.Telemetry()
-
-        def solve_at(session, c):
-            session.prepare(c)
-            return session.solve().objective
-
-        with telemetry.use(tele):
-            with SessionPool(skeleton, 3) as pool:
-                pool.map(solve_at, [-1.0, 0.0, 1.0])
-        hist = tele.metrics.histogram("repro_oracle_seconds", kind="milp:highs")
-        assert hist.count == 3
-
-    def test_failing_task_still_contributes_metrics(self):
-        skeleton, _ = make_skeleton()
-        tele = telemetry.Telemetry()
-
-        def work(session, c):
-            session.prepare(c)
-            session.solve()
-            if c == 0.0:
-                raise RuntimeError("boom after solving")
-            return c
-
-        with telemetry.use(tele):
-            with SessionPool(skeleton, 2) as pool:
-                with pytest.raises(RuntimeError, match="boom"):
-                    pool.map(work, [-1.0, 0.0])
-        hist = tele.metrics.histogram("repro_oracle_seconds", kind="milp:highs")
-        assert hist.count == 2
