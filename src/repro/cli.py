@@ -31,8 +31,7 @@ into one table plus one merged telemetry tree::
 ``--resilience`` routes every oracle step through the highs -> bnb -> dp
 fallback ladder, ``--certify`` validates the machine-checkable solution
 certificate, and ``--inject-faults RATE`` exercises the ladder with
-seeded solver failures (see docs/RESILIENCE.md).  ``--session`` selects
-the incremental MILP session mode (docs/PERFORMANCE.md); ``bench
+seeded solver failures (see docs/RESILIENCE.md); ``bench
 --compare REF --max-regression F`` gates a run against a saved payload on
 hardware-independent metrics.
 
@@ -289,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=float, default=1e-3,
                    help="binary-search tolerance")
     s.add_argument("--seed", type=int, default=2016, help="game seed")
-    s.add_argument("--session", type=str, default="auto",
-                   choices=["auto", "incremental", "fresh"],
-                   help="incremental MILP session mode (auto picks "
-                        "incremental when eligible, see docs/PERFORMANCE.md)")
     s.add_argument("--resilience", action="store_true",
                    help="use the highs -> bnb -> dp fallback ladder")
     s.add_argument("--certify", action="store_true",
@@ -328,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--paths", type=str, nargs="+", default=None,
                    metavar="PATH",
                    help="solver paths to cross-check "
-                        "(default: milp-highs milp-bnb milp-session "
+                        "(default: milp-highs milp-bnb milp-reference "
                         "milp-fleet milp-resolve dp exact)")
     v.add_argument("--inject-faults", type=float, default=0.0, metavar="RATE",
                    help="corrupt the MILP path with seeded faults at this "
@@ -740,7 +735,6 @@ def _run_solve(args) -> str:
         num_segments=args.segments,
         epsilon=args.epsilon,
         resilience=policy,
-        session=args.session,
     )
 
     with np.printoptions(precision=4, suppress=True):

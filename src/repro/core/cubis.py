@@ -205,7 +205,7 @@ def solve_cubis(
     resilience: ResiliencePolicy | None = None,
     memoise: bool = True,
     warm_start: WarmStart | None = None,
-    session: str | MilpSession = "auto",
+    session: str | MilpSession | None = None,
     speculation: int = 1,
     dp_kernel=None,
 ) -> CubisResult:
@@ -262,17 +262,20 @@ def solve_cubis(
         ``backend`` / ``oracle`` arguments are ignored in favour of the
         policy's rungs.
     memoise:
-        Enable the per-solve performance layer (default on): the MILP
-        skeleton is assembled once and re-coefficiented per step, and
-        feasible strategies are cached as certificates that answer later
-        oracle steps without a MILP solve (see docs/PERFORMANCE.md).
+        The only switch between the two MILP pipelines (default on).
+        ``memoise=True`` with the ``"milp"`` oracle and no resilience
+        policy runs every step through the certificate pool, the
+        LP-relaxation screen (named backends), a persistent
+        :class:`~repro.solvers.session.MilpSession` and, if the session
+        solve fails, one fresh-build fallback (see docs/PERFORMANCE.md).
         Feasibility *verdicts* are unchanged — a certificate only fires
         when the MILP would also have reported feasible — but the
         certifying strategy may replace the MILP maximiser as the step's
-        witness.  ``memoise=False`` restores the cold, rebuild-every-step
-        path (the benchmark baseline).  Certificate short-circuits apply
-        to the ``"milp"`` oracle without a resilience policy; the ``"dp"``
-        oracle and ladder runs keep their exact step-by-step semantics.
+        witness.  ``memoise=False`` rebuilds the MILP from scratch every
+        step: the reference path and the benchmark baseline.  The
+        ``"dp"`` oracle and resilience-ladder runs keep their exact
+        step-by-step semantics either way (``memoise`` then only decides
+        whether ladder MILP rungs patch one assembled skeleton).
     warm_start:
         Optional :class:`WarmStart` from a neighbouring solve (same game
         with a different ``K``/``epsilon``, or a similar game in a sweep).
@@ -280,26 +283,17 @@ def solve_cubis(
         strategies join the certificate pool, so a stale warm start
         degrades gracefully to at most two extra oracle calls.
     session:
-        Incremental MILP session mode: ``"incremental"`` keeps one live
-        model per session and applies each step's ``c``-update as an
-        in-place sparse coefficient patch (bit-identical to a fresh
-        build — see :class:`~repro.solvers.session.MilpSession`), with
-        the previous optimum carried as a MIP start; ``"fresh"`` rebuilds
-        per step; ``"auto"`` (default) picks ``"incremental"`` whenever
-        it applies (``memoise=True``, ``"milp"`` oracle with a named
-        backend, no resilience policy).  ``"incremental"`` additionally
-        accepts callable backends and ``memoise=False`` (the skeleton is
-        still assembled — sessions require it); it raises for the
-        ``"dp"`` oracle or a resilience policy.  A session solve that
-        errors falls back to one fresh-build solve for that step and
-        invalidates the live model.  A live
-        :class:`~repro.solvers.session.MilpSession` instance may be
-        passed instead of a mode string: the solve *leases* it —
-        retargets it at this game's skeleton and drives every step
-        through it — which is how the fleet solver
-        (:mod:`repro.solvers.fleet`) carries one live model and its
-        incumbent across a whole fleet of games.  A leased session
-        implies incremental mode (same requirements).
+        ``None`` (default) lets ``memoise`` decide.  A live
+        :class:`~repro.solvers.session.MilpSession` is *leased* instead
+        of creating one: the solve retargets it at this game's skeleton
+        and drives every MILP step through it, which is how the fleet
+        solver (:mod:`repro.solvers.fleet`) and standing re-solves
+        (:mod:`repro.solvers.resolve`) carry one live model across
+        games.  The strings ``"incremental"`` and ``"fresh"`` are
+        accepted as explicit spellings of the two pipelines and must
+        agree with them: ``"incremental"`` (like a leased session)
+        requires ``memoise=True``, the ``"milp"`` oracle and no
+        resilience policy; ``"fresh"`` requires ``memoise=False``.
     speculation:
         Must be 1: the search is plain bisection, one oracle call per
         step (docs/PERFORMANCE.md explains why).  Accepted so callers and
@@ -328,14 +322,23 @@ def solve_cubis(
         raise ValueError(
             f"speculation must be 1 (plain bisection), got {speculation!r}"
         )
-    leased_session: MilpSession | None = None
-    if isinstance(session, MilpSession):
-        leased_session = session
-        session = "incremental"
-    elif session not in ("auto", "incremental", "fresh"):
+    # memoise alone picks the MILP pipeline: certificate pool -> LP
+    # screen -> session -> fresh-build fallback, or a fresh build per
+    # step.  The dp oracle and the resilience ladder own their semantics.
+    pipeline = memoise and oracle == "milp" and resilience is None
+    session_mode = "incremental" if pipeline else "fresh"
+    leased_session = session if isinstance(session, MilpSession) else None
+    if leased_session is None and session not in (None, "incremental", "fresh"):
         raise ValueError(
-            "session must be 'auto', 'incremental', 'fresh' or a "
-            f"MilpSession instance, got {session!r}"
+            "session must be None, 'incremental', 'fresh' or a MilpSession "
+            f"instance, got {session!r}"
+        )
+    if session == "fresh" and memoise:
+        raise ValueError("session='fresh' requires memoise=False")
+    if (session == "incremental" or leased_session is not None) and not pipeline:
+        raise ValueError(
+            "session='incremental' (or a leased MilpSession) requires "
+            "memoise=True, oracle='milp' and no resilience policy"
         )
     solve_span = telemetry.span(
         "cubis.solve",
@@ -347,7 +350,7 @@ def solve_cubis(
         else getattr(backend, "__name__", type(backend).__name__),
         memoise=bool(memoise),
         resilient=resilience is not None,
-        session=session,
+        session=session_mode,
     )
     with solve_span:
         grid = SegmentGrid(num_segments)
@@ -411,37 +414,20 @@ def solve_cubis(
                 raise OracleStepError(f"{label} violated the side constraints")
 
         # --- performance layer -------------------------------------------- #
-        # memoise=True assembles the MILP structure once (patched per step)
-        # and keeps a pool of feasible-strategy certificates that answer
-        # oracle steps in O(T) when a cached strategy still certifies the
-        # candidate.  Certificate short-circuits are restricted to the plain
-        # MILP oracle: the dp oracle and the resilience ladder keep their
-        # exact per-step semantics (see docs/PERFORMANCE.md).
-        use_certificates = memoise and resilience is None and oracle == "milp"
+        # The pipeline assembles the MILP structure once, patches it per
+        # step through one live MilpSession, and keeps a pool of
+        # feasible-strategy certificates that answer oracle steps in O(T)
+        # when a cached strategy still certifies the candidate.  Memoised
+        # ladder runs patch the assembled skeleton too, but keep exact
+        # per-step semantics: no pool, no screen, no session
+        # (see docs/PERFORMANCE.md).
         needs_milp = (
             any(r.oracle == "milp" for r in resilience.rungs)
             if resilience is not None
             else oracle == "milp"
         )
-        # Session resolution: "incremental" keeps one live MILP model and
-        # patches it in place per step.  It needs the plain MILP oracle
-        # (the dp oracle has no model; the resilience ladder owns its own
-        # failure semantics); "auto" additionally requires memoise and a
-        # named backend, so the default path for callable backends (fault
-        # injectors, custom solvers) and the memoise=False cold baseline
-        # stay exactly as they were.
-        can_session = oracle == "milp" and resilience is None
-        if session == "incremental" and not can_session:
-            raise ValueError(
-                "session='incremental' requires oracle='milp' and no "
-                "resilience policy"
-            )
-        use_session = session == "incremental" or (
-            session == "auto" and can_session and memoise
-            and isinstance(backend, str)
-        )
         skeleton = None
-        if (memoise or use_session) and needs_milp:
+        if memoise and needs_milp:
             # An active shape cache (run_grid(fleet=True), solve_fleet)
             # leases a structure-sharing skeleton instead of assembling
             # one; rebinding is bit-identical to a fresh build, so this
@@ -471,18 +457,14 @@ def solve_cubis(
         # live model and — with carry_incumbent — its MIP start carry
         # over from whatever it solved last.
         milp_session: MilpSession | None = None
-        if use_session:
-            if leased_session is not None:
-                leased_session.retarget(skeleton)
-                milp_session = leased_session
-            else:
-                milp_session = MilpSession(skeleton, backend=backend)
+        if pipeline:
+            milp_session = leased_session or MilpSession(skeleton, backend=backend)
+            milp_session.retarget(skeleton)
         # A leased session carries lifetime counters from earlier games;
         # the result reports only this solve's delta.
         patches_at_entry = (
             milp_session.patches_applied if milp_session is not None else 0
         )
-        session_log = SolveEventLog() if use_session else None
         pool: list = []  # StrategyCertificate entries, oldest first
         # Run-level telemetry counters (docs/OBSERVABILITY.md).  They
         # accumulate across every solve sharing the active context (a sweep,
@@ -504,8 +486,6 @@ def solve_cubis(
             # free: the MILP maximum can only be higher, so the verdict is
             # the one the solver would have returned.  Returns None when
             # the pool cannot answer.
-            if not (use_certificates and pool):
-                return None
             best, best_g = None, -float("inf")
             for cert in pool:
                 g = cert.g_bar(c)
@@ -520,12 +500,14 @@ def solve_cubis(
             if len(pool) > _CERTIFICATE_POOL_LIMIT:
                 del pool[0]
 
-        def make_milp_oracle(milp_backend, *, validate: bool = True,
-                             step_session: MilpSession | None = None):
+        def make_milp_oracle(milp_backend, *, validate: bool = True):
+            # The pipeline runs through milp_session; without one (memoise
+            # off, ladder rungs) every step builds and solves a fresh model.
             label = milp_backend if isinstance(milp_backend, str) else getattr(
                 milp_backend, "__name__", type(milp_backend).__name__
             )
-            lp_screen = use_certificates and isinstance(milp_backend, str)
+            lp_screen = milp_session is not None and isinstance(milp_backend, str)
+            session_log = SolveEventLog()
 
             def build_fresh(c: float):
                 return (
@@ -554,7 +536,7 @@ def solve_cubis(
                     c=float(c),
                     rung=0,
                     oracle="milp",
-                    backend=label if isinstance(label, str) else str(label),
+                    backend=label,
                     attempt=1,
                     outcome="error",
                     feasible=None,
@@ -563,19 +545,20 @@ def solve_cubis(
                 ))
 
             def milp_oracle(c: float):
-                # Certificate pool -> LP screen -> session/fresh MILP ->
+                # Certificate pool -> LP screen -> session MILP ->
                 # fresh-build fallback; each counter ticks just before the
                 # action it counts, so a raise leaves exact totals behind.
-                hit = certificate_answer(c)
-                if hit is not None:
-                    hit_counter.inc()
-                    return hit
-                if use_certificates:
+                if milp_session is None:
+                    model = build_fresh(c)
+                else:
+                    hit = certificate_answer(c)
+                    if hit is not None:
+                        hit_counter.inc()
+                        return hit
                     # The pool was consulted (possibly empty) and could not
                     # answer; everything below pays for a solver call.
                     miss_counter.inc()
-                sess = step_session
-                model = sess.prepare(c) if sess is not None else build_fresh(c)
+                    model = milp_session.prepare(c)
                 if lp_screen:
                     # LP-relaxation screen.  The relaxation's optimum bounds
                     # the integer optimum from above, so a value below the
@@ -598,20 +581,18 @@ def solve_cubis(
                         )
                         cert = skeleton.certificate(candidate)
                         if cert.g_bar(c) >= -feasibility_tolerance:
-                            screened = True
-                            if validate:
-                                try:
-                                    validate_step_solution(candidate, "lp relaxation")
-                                except OracleStepError:
-                                    screened = False  # fall through to the MILP
-                            if screened:
+                            try:
+                                validate_step_solution(candidate, "lp relaxation")
+                            except OracleStepError:
+                                pass  # fall through to the MILP
+                            else:
                                 add_to_pool(cert)
                                 return True, candidate
                 milp_counter.inc()
                 t0 = time.perf_counter()
                 try:
                     result = (
-                        sess.solve() if sess is not None
+                        milp_session.solve() if milp_session is not None
                         else solve_milp(model.problem, backend=milp_backend)
                     )
                     if not result.optimal:
@@ -624,14 +605,14 @@ def solve_cubis(
                             f"{label!r}: {result.status} {result.message}"
                         )
                 except Exception as exc:
-                    if sess is None:
+                    if milp_session is None:
                         raise
                     # Session failure semantics: invalidate the live model
                     # (in-place state may be implicated) and answer this
                     # step with exactly one fresh-build solve; a second
-                    # failure propagates like the non-session path.
+                    # failure propagates like the fresh-build path.
                     fallback_counter.inc()
-                    sess.invalidate()
+                    milp_session.invalidate()
                     note_session_fallback(c, exc, time.perf_counter() - t0)
                     model = build_fresh(c)
                     milp_counter.inc()
@@ -652,7 +633,7 @@ def solve_cubis(
                         )
                     validate_step_solution(strategy, f"backend {label!r}")
                 feasible = g_bar >= -feasibility_tolerance
-                if use_certificates and feasible:
+                if milp_session is not None and feasible:
                     add_to_pool(skeleton.certificate(strategy))
                 return feasible, strategy
 
@@ -689,20 +670,15 @@ def solve_cubis(
         # against *this* game, so stale warm starts cannot corrupt the result.
         guesses: list[float] = []
         if warm_start is not None:
-            if use_certificates:
+            if pipeline:
                 for candidate in warm_start.strategies:
                     arr = np.asarray(candidate, dtype=np.float64)
                     if arr.shape != (game.num_targets,) or not np.all(np.isfinite(arr)):
                         continue
                     arr = np.clip(arr, 0.0, 1.0)
-                    over = float(arr.sum()) - game.num_resources
-                    if over > _STEP_VALIDATION_TOL or (
-                        equality_resources and abs(over) > _STEP_VALIDATION_TOL
-                    ):
-                        continue
-                    if coverage_constraints is not None and not (
-                        coverage_constraints.satisfied(arr, atol=_STEP_VALIDATION_TOL)
-                    ):
+                    try:
+                        validate_step_solution(arr, "warm start")
+                    except OracleStepError:
                         continue
                     pool.append(skeleton.certificate(arr))
                 if pool:
@@ -727,7 +703,7 @@ def solve_cubis(
             base_oracle = ladder
         else:
             base_oracle = (
-                make_milp_oracle(backend, step_session=milp_session)
+                make_milp_oracle(backend)
                 if oracle == "milp"
                 else dp_oracle
             )
@@ -772,7 +748,7 @@ def solve_cubis(
                 tolerance=epsilon,
                 max_iterations=max_iterations,
                 initial_guesses=tuple(guesses),
-                payload_bound=certified_level if use_certificates else None,
+                payload_bound=certified_level if pipeline else None,
             )
             if search.payload is None:
                 raise RuntimeError(
@@ -804,9 +780,8 @@ def solve_cubis(
             milp_session.patches_applied - patches_at_entry
             if milp_session is not None else 0
         )
-        if use_session:
+        if pipeline:
             meter.counter("repro_session_patches").inc(session_patches)
-        session_mode = "incremental" if use_session else "fresh"
         solve_span.set(
             iterations=search.iterations,
             converged=search.converged,

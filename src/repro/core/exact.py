@@ -38,9 +38,9 @@ class ExactResult:
 
     ``strategy`` / ``worst_case_value`` mirror
     :class:`~repro.core.cubis.CubisResult`; ``h_at_solution`` is the raw
-    objective value at the best local optimum (before the exact worst-case
-    re-evaluation), ``num_converged`` the number of successful local
-    solves.
+    objective value of the start that produced ``strategy`` (NaN when
+    that start did not converge or the uniform fallback won),
+    ``num_converged`` the number of successful local solves.
     """
 
     strategy: np.ndarray
@@ -122,15 +122,22 @@ def solve_exact(
             max_iterations=max_iterations,
             feasibility_check=lambda z: np.all(constraint_fun(z) >= -1e-6),
         )
-        if not result.success:
-            # Fall back to the uniform strategy rather than failing the
-            # benchmark run: the comparator is allowed to be bad, not absent.
-            x_best = space.uniform()
-            h_best = float("nan")
-        else:
-            x_best = space.project(split(result.x)[0])
-            h_best = result.objective
-        worst = evaluate_worst_case(game, uncertainty, x_best)
+        # Score every start's projected final point by its exact worst
+        # case, with the uniform strategy as one more candidate.  A
+        # projected point is feasible whatever SLSQP's status, and the
+        # raw H of a "converged" start can be far off the exact value, so
+        # the exact value is the only sound ranking.
+        candidates = [
+            (space.project(split(point)[0]), h)
+            for point, h in zip(result.points, result.objectives)
+            if np.all(np.isfinite(point))
+        ]
+        candidates.append((space.uniform(), float("nan")))
+        worst, x_best, h_best = None, None, float("nan")
+        for x, h in candidates:
+            evaluated = evaluate_worst_case(game, uncertainty, x)
+            if worst is None or evaluated.value > worst.value:
+                worst, x_best, h_best = evaluated, x, float(h)
 
     return ExactResult(
         strategy=x_best,

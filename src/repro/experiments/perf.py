@@ -186,7 +186,7 @@ def run_bench_runtime(
     with telemetry.span("bench.fleet_pass", games=num_games):
         fleet_result = solve_fleet(
             games, models, oracle="milp", backend=backend,
-            continuation=True, share=True,
+            continuation=True,
             num_segments=num_segments, epsilon=epsilon,
         )
     fleet_total = time.perf_counter() - t0

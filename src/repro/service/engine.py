@@ -191,7 +191,9 @@ def _default_solve(game, uncertainty, options, *, warm_start=None,
                    session=None, policy=None):
     from repro.core.cubis import solve_cubis
 
-    kwargs = dict(
+    return solve_cubis(
+        game,
+        uncertainty,
         num_segments=options["num_segments"],
         epsilon=options["epsilon"],
         backend=options["backend"],
@@ -201,10 +203,8 @@ def _default_solve(game, uncertainty, options, *, warm_start=None,
         speculation=options["speculation"],
         resilience=policy,
         warm_start=warm_start,
+        session=session,
     )
-    if session is not None:
-        kwargs["session"] = session
-    return solve_cubis(game, uncertainty, **kwargs)
 
 
 class SolveEngine:
@@ -469,9 +469,8 @@ class SolveEngine:
         """The worker's persistent per-backend MilpSession, when the
         request is session-eligible (structure sharing across requests
         via the engine-wide shape cache)."""
-        if (policy is not None or options["oracle"] != "milp"
-                or options["session"] == "fresh"):
-            return "fresh" if options["session"] == "fresh" else None
+        if policy is not None or options["oracle"] != "milp":
+            return None
         backend = options["backend"]
         session = sessions.get(backend)
         if session is None:

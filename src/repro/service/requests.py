@@ -64,6 +64,9 @@ class RequestError(ValueError):
 #: Solver options accepted by ``POST /v1/solve``: name -> (type, default,
 #: allowed values or None).  Defaults are applied *before* hashing, so a
 #: request that spells out a default coalesces with one that omits it.
+#: ``session`` selects nothing: every ``milp`` request without resilience
+#: runs the worker's leased session.  The key and its ``"auto"`` default
+#: stay so existing request bodies keep their canonical hash.
 SOLVE_OPTION_SPEC: dict[str, tuple[type, Any, tuple | None]] = {
     "num_segments": (int, 10, None),
     "epsilon": (float, 1e-3, None),
@@ -71,7 +74,7 @@ SOLVE_OPTION_SPEC: dict[str, tuple[type, Any, tuple | None]] = {
     "oracle": (str, "milp", ("milp", "dp")),
     "equality_resources": (bool, False, None),
     "execution_alpha": (float, 0.0, None),
-    "session": (str, "auto", ("auto", "incremental", "fresh")),
+    "session": (str, "auto", ("auto", "incremental")),
     "speculation": (int, 1, None),
     "resilience": (bool, True, None),
 }

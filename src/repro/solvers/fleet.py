@@ -33,8 +33,7 @@ shared across the whole fleet.  This module provides the three pieces:
     start (``carry_incumbent=True``).  Continuation changes which
     candidates are probed (it is a different, cheaper schedule), so it
     is a *mode*: ``continuation=False`` reproduces the independent
-    per-game results bit for bit, and the share/fresh axis is always
-    bit-identical.
+    per-game results bit for bit.
 
 :class:`DpBatcher`
     For ``oracle="dp"`` fleets: games run in lockstep (one thread per
@@ -341,7 +340,6 @@ class FleetResult:
     results: tuple
     oracle: str
     continuation: bool
-    share: bool
     solve_seconds: float
     shape_stats: dict
     session_stats: dict | None
@@ -371,7 +369,6 @@ def solve_fleet(
     oracle: str = "milp",
     backend="highs",
     continuation: bool = True,
-    share: bool = True,
     cache: SkeletonShapeCache | None = None,
     **solve_options,
 ) -> FleetResult:
@@ -396,14 +393,11 @@ def solve_fleet(
         from an independent solve, so turn this off when per-game
         results must match ``solve_cubis`` bit for bit.  Ignored by the
         ``"dp"`` oracle (lockstep games have no solve order to chain).
-    share:
-        Share one skeleton assembly (and the leased session's live
-        model) per shape through ``cache``.  Sharing is bit-identical
-        to fresh per-game builds — property-tested — so this is purely
-        a cost knob.
     cache:
-        The :class:`SkeletonShapeCache` to lease from (default: a fresh
-        one, whose stats land in the result).
+        The :class:`SkeletonShapeCache` every game leases its skeleton
+        from, one assembly per shape (default: a fresh one, whose stats
+        land in the result).  Leasing is bit-identical to fresh per-game
+        builds — property-tested — so it changes only cost.
     **solve_options:
         Forwarded to every :func:`~repro.core.cubis.solve_cubis` call
         (``num_segments``, ``epsilon``, ``memoise``, …).  ``session``,
@@ -429,7 +423,7 @@ def solve_fleet(
         if owned in solve_options:
             raise TypeError(
                 f"solve_fleet() owns the {owned!r} argument; configure the "
-                "fleet through continuation=/share=/oracle= instead"
+                "fleet through continuation=/oracle= instead"
             )
     if cache is None:
         cache = SkeletonShapeCache()
@@ -442,12 +436,11 @@ def solve_fleet(
         backend=backend if isinstance(backend, str)
         else getattr(backend, "__name__", type(backend).__name__),
         continuation=bool(continuation),
-        share=bool(share),
     ) as span, timer:
         progress.publish(
             "fleet",
             total=len(games), done=0, oracle=oracle,
-            continuation=bool(continuation), share=bool(share),
+            continuation=bool(continuation),
             shape_hits=0, shape_misses=0, shape_hit_rate=None,
         )
         if oracle == "dp":
@@ -457,23 +450,26 @@ def solve_fleet(
             session = None
         else:
             dp_rounds = 0
+            # A leased session needs the memoised pipeline; resilience
+            # ladders and memoise=False fleets solve game by game.
             session = (
                 MilpSession(
                     None, backend=backend, carry_incumbent=bool(continuation)
                 )
-                if "resilience" not in solve_options
+                if solve_options.get("resilience") is None
+                and solve_options.get("memoise", True)
                 else None
             )
             results = []
             carry = None
             for game, uncertainty in zip(games, uncertainties):
-                with use_shape_cache(cache) if share else _null_context():
+                with use_shape_cache(cache):
                     result = solve_cubis(
                         game,
                         uncertainty,
                         oracle="milp",
                         backend=backend,
-                        session=session if session is not None else "auto",
+                        session=session,
                         warm_start=carry,
                         **solve_options,
                     )
@@ -503,17 +499,11 @@ def solve_fleet(
         results=tuple(results),
         oracle=oracle,
         continuation=bool(continuation),
-        share=bool(share),
         solve_seconds=timer.elapsed,
         shape_stats=cache.stats(),
         session_stats=session.stats() if session is not None else None,
         dp_rounds=dp_rounds,
     )
-
-
-@contextmanager
-def _null_context():
-    yield None
 
 
 def _solve_fleet_dp(solve_cubis, games, uncertainties, solve_options):

@@ -28,13 +28,16 @@ class MultiStartResult:
     ``x`` / ``objective`` describe the best feasible local solution found;
     ``num_converged`` counts starts whose local solve succeeded;
     ``objectives`` holds every start's final value (NaN for failures) so
-    callers can inspect the local-optimum spread.
+    callers can inspect the local-optimum spread; ``points`` holds every
+    start's final iterate ``(S, n)``, whatever SLSQP reported, for callers
+    that can score a point independently of the solver's status.
     """
 
     x: np.ndarray | None
     objective: float
     num_converged: int
     objectives: np.ndarray
+    points: np.ndarray
 
     @property
     def success(self) -> bool:
@@ -83,6 +86,7 @@ def maximize_multistart(
     best_val = -np.inf
     converged = 0
     values = np.full(len(starts), np.nan)
+    points = np.empty_like(starts)
     for s, x0 in enumerate(starts):
         res = minimize(
             neg,
@@ -93,6 +97,7 @@ def maximize_multistart(
             constraints=constraints,
             options={"maxiter": max_iterations, "ftol": 1e-9},
         )
+        points[s] = res.x
         if not res.success:
             continue
         if feasibility_check is not None and not feasibility_check(res.x):
@@ -103,4 +108,4 @@ def maximize_multistart(
         if val > best_val:
             best_val = val
             best_x = np.asarray(res.x)
-    return MultiStartResult(best_x, best_val, converged, values)
+    return MultiStartResult(best_x, best_val, converged, values, points)

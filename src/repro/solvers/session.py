@@ -54,9 +54,6 @@ class MilpSession:
     backend:
         MILP backend name or callable, forwarded to
         :func:`~repro.solvers.milp_backend.solve_milp`.
-    warm_start:
-        Carry each optimal solution to the next solve as an incumbent
-        (only backends that support MIP starts use it).
     carry_incumbent:
         Keep the incumbent across :meth:`retarget` boundaries, seeding
         the *next game's* first solve with the previous game's optimum —
@@ -81,12 +78,10 @@ class MilpSession:
         skeleton,
         *,
         backend="highs",
-        warm_start: bool = True,
         carry_incumbent: bool = False,
     ) -> None:
         self.skeleton = skeleton
         self.backend = backend
-        self.use_warm_start = bool(warm_start)
         self.carry_incumbent = bool(carry_incumbent)
         self._model = None
         self._c: float | None = None
@@ -223,7 +218,7 @@ class MilpSession:
         if self._model is None:
             raise RuntimeError("MilpSession.solve() requires a prepared model; "
                                "call prepare(c) first")
-        if self.use_warm_start and self._incumbent is not None:
+        if self._incumbent is not None:
             backend_options.setdefault("warm_start", self._incumbent)
         result = solve_milp(
             self._model.problem, backend=self.backend, **backend_options

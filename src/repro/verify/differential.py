@@ -2,7 +2,7 @@
 
 Runs one :class:`~repro.game.ssg.IntervalSecurityGame` instance through
 every independent solver path — the HiGHS MILP ladder, the pure-Python
-branch-and-bound MILP, the incremental-session MILP, the
+branch-and-bound MILP, the fresh-build MILP reference, the
 structure-sharing fleet solver, the standing-solve drift re-entry
 (``milp-resolve``), the grid-restricted DP oracle, and the SLSQP
 multi-start comparator — and checks that they tell one consistent
@@ -48,11 +48,13 @@ from repro.verify.report import ConformanceCheck
 __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 
 #: The solver paths the differential checker knows, in execution order.
-#: ``milp-session`` is the incremental-session pipeline
-#: (docs/PERFORMANCE.md) run as its own differential arm: it must agree
-#: with the fresh-build ``milp-highs`` path within the Theorem 1
-#: tolerance, which pins the in-place patch machinery to the reference
-#: semantics on every battery run.
+#: ``milp-highs`` and ``milp-bnb`` run the default memoised pipeline
+#: (certificate pool, LP screen, incremental session; docs/PERFORMANCE.md).
+#: ``milp-reference`` is the fresh-build reference (``memoise=False``:
+#: one freshly assembled MILP per step, no pool, no screen, no session);
+#: the pipeline arms must agree with it within the Theorem 1 tolerance,
+#: which pins the in-place patch machinery to the reference semantics on
+#: every battery run.
 #: ``milp-fleet`` routes the instance through a single-game
 #: :func:`repro.solvers.fleet.solve_fleet` (shared-structure skeleton
 #: lease + retargeted session), which must land inside the same theorem
@@ -66,7 +68,7 @@ __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 #: theorem slack, pinning the incremental re-entry machinery to the
 #: reference semantics on every battery run.
 DEFAULT_PATHS = (
-    "milp-highs", "milp-bnb", "milp-session", "milp-fleet", "milp-resolve",
+    "milp-highs", "milp-bnb", "milp-reference", "milp-fleet", "milp-resolve",
     "dp", "exact",
 )
 
@@ -224,9 +226,7 @@ def run_paths(
     runners = {
         "milp-highs": (lambda: cubis(backend="highs"), slack),
         "milp-bnb": (lambda: cubis(backend="bnb"), slack),
-        "milp-session": (
-            lambda: cubis(backend="highs", session="incremental"), slack,
-        ),
+        "milp-reference": (lambda: cubis(backend="highs", memoise=False), slack),
         "milp-fleet": (fleet, slack),
         "milp-resolve": (resolve_path, slack),
         "dp": (lambda: cubis(oracle="dp"), epsilon + dp_slack_factor * span),

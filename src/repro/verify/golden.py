@@ -49,11 +49,12 @@ lifetime counters (re-solves, warm hits, bracket reuses, patches) are
 recorded into provenance on regeneration, so a pinned fixture also
 documents how much of the incremental machinery the sequence exercised.
 
-The ``solve`` object accepts the optional key ``session`` (forwarded to
-:func:`~repro.core.cubis.solve_cubis` for the robust quantities), so a
-fixture can pin the incremental-session pipeline's answer
-specifically; the session mode the solve actually ran with is recorded
-into provenance on regeneration.
+The ``solve`` object accepts the optional key ``session``, whose only
+value ``"incremental"`` (forwarded to
+:func:`~repro.core.cubis.solve_cubis` for the robust quantities) marks a
+fixture as pinning the incremental-session pipeline's answer; the
+session mode the solve actually ran with is recorded into provenance on
+regeneration.
 """
 
 from __future__ import annotations
@@ -205,10 +206,9 @@ def validate_fixture(data: dict, *, where: str = "fixture") -> GoldenFixture:
     _require(solve, "epsilon", float, f"{where}.solve")
     if "session" in solve:
         session = solve["session"]
-        if session not in ("auto", "incremental", "fresh"):
+        if session != "incremental":
             raise GoldenSchemaError(
-                f"{where}.solve: 'session' must be 'auto', 'incremental' or "
-                f"'fresh', got {session!r}"
+                f"{where}.solve: 'session' must be 'incremental', got {session!r}"
             )
 
     drift = data.get("drift")

@@ -281,27 +281,22 @@ class TestSessionLayer:
         kw.setdefault("epsilon", 0.01)
         return solve_cubis(game, unc, **kw)
 
-    def test_incremental_matches_fresh_bit_for_bit(
-        self, small_interval_game, small_uncertainty
-    ):
-        fresh = self.solve(small_interval_game, small_uncertainty, session="fresh")
-        inc = self.solve(small_interval_game, small_uncertainty, session="incremental")
-        # Patched models are bit-identical to fresh builds and HiGHS gets
-        # no warm start, so the whole search replays identically.
-        np.testing.assert_array_equal(inc.strategy, fresh.strategy)
-        assert inc.lower_bound == fresh.lower_bound
-        assert inc.upper_bound == fresh.upper_bound
-        assert inc.session_mode == "incremental"
-        assert fresh.session_mode == "fresh"
-        assert inc.session_patches > 0
-        assert inc.session_fallbacks == 0
-
-    def test_auto_mode_resolution(self, small_interval_game, small_uncertainty):
+    def test_memoise_picks_the_pipeline(self, small_interval_game, small_uncertainty):
         memo = self.solve(small_interval_game, small_uncertainty, memoise=True)
         cold = self.solve(small_interval_game, small_uncertainty, memoise=False)
         assert memo.session_mode == "incremental"
+        assert memo.session_patches > 0
         assert cold.session_mode == "fresh"
         assert cold.session_patches == 0
+        # The explicit spellings of the two pipelines change nothing.
+        spelled = self.solve(small_interval_game, small_uncertainty,
+                             session="incremental")
+        np.testing.assert_array_equal(spelled.strategy, memo.strategy)
+        assert spelled.lower_bound == memo.lower_bound
+        fresh = self.solve(small_interval_game, small_uncertainty,
+                           memoise=False, session="fresh")
+        np.testing.assert_array_equal(fresh.strategy, cold.strategy)
+        assert fresh.lower_bound == cold.lower_bound
 
     def test_incremental_requires_milp_without_resilience(
         self, small_interval_game, small_uncertainty
@@ -318,8 +313,15 @@ class TestSessionLayer:
     def test_invalid_session_and_speculation_rejected(
         self, small_interval_game, small_uncertainty
     ):
-        with pytest.raises(ValueError, match="session"):
-            self.solve(small_interval_game, small_uncertainty, session="sticky")
+        for bad in ("sticky", "auto"):
+            with pytest.raises(ValueError, match="session"):
+                self.solve(small_interval_game, small_uncertainty, session=bad)
+        with pytest.raises(ValueError, match="session='fresh' requires memoise=False"):
+            self.solve(small_interval_game, small_uncertainty,
+                       memoise=True, session="fresh")
+        with pytest.raises(ValueError, match="session='incremental'"):
+            self.solve(small_interval_game, small_uncertainty,
+                       memoise=False, session="incremental")
         for bad in (0, -3, 2):
             with pytest.raises(ValueError, match="speculation"):
                 self.solve(small_interval_game, small_uncertainty, speculation=bad)
@@ -338,9 +340,11 @@ class TestSessionLayer:
 class TestSessionFailureSemantics:
     """A backend error mid-sequence must trigger a fresh-build fallback
     exactly once for that step, surface as a ``resilience.attempt``
-    event, and leave the answer identical to the non-session path."""
+    event, and leave the answer identical to an unfailing run.  Callable
+    backends take the default pipeline (pool, session, fallback) but
+    skip the LP screen, so every backend call is a MILP solve."""
 
-    def _flaky_backend(self, fail_on_call):
+    def _flaky_backend(self, fail_on_call=None):
         from repro.solvers.milp_backend import solve_milp
 
         calls = {"n": 0}
@@ -358,9 +362,9 @@ class TestSessionFailureSemantics:
     ):
         from repro import telemetry
 
+        steady, _ = self._flaky_backend()
         ref = solve_cubis(small_interval_game, small_uncertainty,
-                          num_segments=8, epsilon=0.01,
-                          memoise=False, session="fresh")
+                          num_segments=8, epsilon=0.01, backend=steady)
         flaky, calls = self._flaky_backend(fail_on_call=4)
         counters = {
             "milp_solves": "repro_cubis_milp_solves_total",
@@ -377,14 +381,15 @@ class TestSessionFailureSemantics:
                       for field, name in counters.items()}
             assert before["milp_solves"] + before["lp_solves"] > 0
             result = solve_cubis(small_interval_game, small_uncertainty,
-                                 num_segments=8, epsilon=0.01,
-                                 memoise=False, session="incremental",
-                                 backend=flaky)
+                                 num_segments=8, epsilon=0.01, backend=flaky)
 
         # Exactly one fallback: the failing step was re-solved from a
         # fresh build once, every other step stayed incremental.
+        assert result.session_mode == "incremental"
         assert result.session_fallbacks == 1
-        assert calls["n"] == result.oracle_calls + 1
+        assert result.lp_solves == 0
+        assert calls["n"] == result.milp_solves
+        assert result.milp_solves == ref.milp_solves + 1
         for field, name in counters.items():
             delta = tele.metrics.counter(name).value - before[field]
             assert getattr(result, field) == delta, field
@@ -408,5 +413,4 @@ class TestSessionFailureSemantics:
 
         with pytest.raises(RuntimeError, match="backend is down"):
             solve_cubis(small_interval_game, small_uncertainty,
-                        num_segments=8, epsilon=0.01,
-                        memoise=False, session="incremental", backend=broken)
+                        num_segments=8, epsilon=0.01, backend=broken)

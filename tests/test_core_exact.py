@@ -46,3 +46,18 @@ class TestSolveExact:
         few = solve_exact(small_interval_game, small_uncertainty, num_starts=2, seed=3)
         many = solve_exact(small_interval_game, small_uncertainty, num_starts=12, seed=3)
         assert many.worst_case_value >= few.worst_case_value - 0.05
+
+    def test_converged_start_with_bad_h_does_not_win(self):
+        # On this battery instance the start with the best raw H scores
+        # far below other starts by exact worst case; the comparator must
+        # rank starts by the exact value and land within CUBIS's slack.
+        from repro.resilience.certificate import theorem_slack
+        from repro.experiments.quality import default_uncertainty
+
+        game = random_interval_game(5, seed=1)
+        uncertainty = default_uncertainty(game.payoffs)
+        cubis = solve_cubis(game, uncertainty, num_segments=10, epsilon=1e-3)
+        exact = solve_exact(game, uncertainty, num_starts=12, seed=0)
+        slack = theorem_slack(game, 1e-3, 10)
+        assert exact.worst_case_value >= cubis.worst_case_value - slack
+        assert game.strategy_space.contains(exact.strategy, atol=1e-6)

@@ -149,6 +149,16 @@ class TestHttpSurface:
         assert excinfo.value.status == 400
         assert "turbo" in excinfo.value.error["message"]
 
+    def test_fresh_session_is_400(self, gated_daemon):
+        daemon, _engine, _solver = gated_daemon
+        body = small_body()
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(daemon.url).solve(
+                body["game"], uncertainty=body["uncertainty"],
+                options={"session": "fresh"})
+        assert excinfo.value.status == 400
+        assert "session" in excinfo.value.error["message"]
+
     def test_oversized_body_is_413(self, gated_daemon):
         daemon, _engine, _solver = gated_daemon
         from repro.service.daemon import MAX_BODY_BYTES

@@ -180,14 +180,17 @@ class TestDistinctness:
     @pytest.mark.parametrize("option, other", [
         ("num_segments", 12), ("epsilon", 0.1), ("backend", "bnb"),
         ("oracle", "dp"), ("equality_resources", True),
-        ("execution_alpha", 0.05), ("session", "fresh"),
+        ("execution_alpha", 0.05), ("session", "incremental"),
         ("resilience", False),
     ])
     def test_every_option_is_hash_significant(self, option, other):
         default = {name: spec[1] for name, spec in SOLVE_OPTION_SPEC.items()}
         assert default[option] != other
-        base = canonicalize_request(_body())
-        changed = canonicalize_request(_body(options={option: other}))
+        # session='incremental' is only legal with resilience=false, so
+        # both sides of that case pin it.
+        pinned = {"resilience": False} if option == "session" else {}
+        base = canonicalize_request(_body(options=pinned))
+        changed = canonicalize_request(_body(options={**pinned, option: other}))
         assert request_hash(base) != request_hash(changed)
 
     def test_resource_count_is_hash_significant(self):
@@ -237,6 +240,12 @@ class TestValidation:
         canonical = canonicalize_request(
             _body(options={"session": "incremental", "resilience": False}))
         assert canonical["options"]["session"] == "incremental"
+
+    def test_fresh_session_rejected(self):
+        # memoise=False is not a service option, so there is no fresh
+        # pipeline to ask for.
+        with pytest.raises(RequestError, match="'session'"):
+            canonicalize_request(_body(options={"session": "fresh"}))
 
     def test_speculation_key_kept_but_only_default_accepted(self):
         # The default body's hash is pinned to the value it had while

@@ -2,6 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro import telemetry
 from repro.core.milp import CubisMilpSkeleton, build_cubis_milp
@@ -218,3 +226,128 @@ class TestRetarget:
         session = MilpSession(None)
         with pytest.raises(RuntimeError, match="retarget"):
             session.prepare(0.5)
+
+
+class SessionModel(RuleBasedStateMachine):
+    """Model-based check of :class:`MilpSession` against a plain model.
+
+    Two structure families (K=5 and K=7 over the same two targets) each
+    hold a prototype skeleton plus its rebind siblings.  The
+    model tracks only whether a live model exists, the candidate it was
+    last prepared at, whether a retarget is pending, and the counters;
+    every prepared model must equal a fresh build from an independently
+    assembled skeleton of the same grids.
+    """
+
+    def __init__(self):
+        super().__init__()
+        # Per family: (skeleton, (ud, lo, hi, grid)) pairs.  Each starts
+        # with its prototype and two twin siblings on identical grids: a
+        # chained retarget prototype -> twin -> twin only stays
+        # bit-identical if the diff is taken from the prototype.
+        self.families = []
+        for k in (5, 7):
+            proto, (ud, lo, hi, grid) = make_skeleton(k)
+            data = (ud * 2.0, lo, hi, grid)
+            self.families.append([(proto, (ud, lo, hi, grid))] + [
+                (proto.rebind(*data[:3]), data) for _ in range(2)
+            ])
+        self.family, self.data = 0, self.families[0][0][1]
+        self.session = MilpSession(self.families[0][0][0])
+        self.live = False
+        self.last_c = None
+        self.pending = False
+        self.counts = dict.fromkeys(
+            ("fresh_builds", "patches_applied", "solves", "fallbacks",
+             "retargets"), 0)
+
+    def _retarget(self, family: int, index: int) -> None:
+        skeleton, data = self.families[family][index % len(self.families[family])]
+        same = skeleton is self.session.skeleton
+        self.session.retarget(skeleton)
+        if same:
+            return
+        self.counts["retargets"] += 1
+        if self.live and family == self.family:
+            self.pending = True
+        else:
+            self.live, self.last_c, self.pending = False, None, False
+        self.family, self.data = family, data
+
+    @rule(c=st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0])
+          | st.floats(-4.0, 4.0, allow_nan=False))
+    def prepare(self, c):
+        self._prepare(c)
+
+    @precondition(lambda self: self.last_c is not None)
+    @rule()
+    def prepare_same_candidate(self):
+        # After a retarget this is the standing re-solve's drift patch.
+        self._prepare(self.last_c)
+
+    def _prepare(self, c):
+        model = self.session.prepare(c)
+        if not self.live:
+            self.counts["fresh_builds"] += 1
+        elif c != self.last_c or self.pending:
+            self.counts["patches_applied"] += 1
+        self.live, self.last_c, self.pending = True, float(c), False
+        ud, lo, hi, grid = self.data
+        fresh = CubisMilpSkeleton(ud, lo, hi, 1.0, grid).patch(c)
+        live, want = model.problem, fresh.problem
+        np.testing.assert_array_equal(live.A_ub.data, want.A_ub.data)
+        np.testing.assert_array_equal(live.b_ub, want.b_ub)
+        np.testing.assert_array_equal(live.c, want.c)
+        np.testing.assert_array_equal(live.ub, want.ub)
+        assert model.f1_constant == fresh.f1_constant
+
+    @rule(indices=st.lists(st.integers(0, 4), min_size=2, max_size=3))
+    def retarget_chain(self, indices):
+        # Several retargets with no prepare in between.
+        for index in indices:
+            self._retarget(self.family, index)
+
+    @rule(index=st.integers(0, 4), new=st.booleans(),
+          payoff=st.sampled_from([0.5, 1.0, 2.0]),
+          band=st.sampled_from([0.5, 1.0, 2.0]))
+    def retarget_sibling(self, index, new, payoff, band):
+        members = self.families[self.family]
+        if new:
+            proto, (ud, lo, hi, grid) = members[0]
+            data = (ud * payoff, lo * band, hi * band, grid)
+            members.append((proto.rebind(*data[:3]), data))
+            index = len(members) - 1
+        self._retarget(self.family, index)
+
+    @rule(index=st.integers(0, 4))
+    def retarget_other_shape(self, index):
+        self._retarget(1 - self.family, index)
+
+    @rule()
+    def invalidate(self):
+        self.session.invalidate()
+        if self.live:
+            self.counts["fallbacks"] += 1
+        self.live, self.last_c, self.pending = False, None, False
+
+    @rule()
+    def solve(self):
+        if not self.live:
+            with pytest.raises(RuntimeError, match="prepare"):
+                self.session.solve()
+            return
+        assert self.session.solve().optimal
+        self.counts["solves"] += 1
+
+    @invariant()
+    def counters_match_model(self):
+        assert self.session.live == self.live
+        assert self.session.stats() == self.counts
+
+
+# Cost-bound (rules rebuild skeletons and call HiGHS): explicit caps
+# override the conftest profile.
+TestSessionModel = SessionModel.TestCase
+TestSessionModel.settings = settings(
+    max_examples=30, stateful_step_count=25, deadline=None
+)

@@ -29,7 +29,7 @@ class TestRunPaths:
         game, uncertainty = table1_pair
         outcomes = run_paths(game, uncertainty, num_segments=8)
         assert [o.name for o in outcomes] == [
-            "milp-highs", "milp-bnb", "milp-session", "milp-fleet",
+            "milp-highs", "milp-bnb", "milp-reference", "milp-fleet",
             "milp-resolve", "dp", "exact",
         ]
         for o in outcomes:

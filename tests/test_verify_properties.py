@@ -82,7 +82,7 @@ class TestDifferentialProperty:
             uncertainty,
             num_segments=6,
             epsilon=1e-2,
-            paths=("milp-highs", "milp-bnb", "milp-session", "dp"),
+            paths=("milp-highs", "milp-bnb", "milp-reference", "dp"),
         )
         failures = [c for c in checks if not c.passed]
         assert not failures, "\n".join(
