@@ -33,7 +33,7 @@ from repro.game.ssg import IntervalSecurityGame
 from repro.obs import progress
 from repro.solvers.binary_search import binary_search_max
 from repro.solvers.fleet import active_shape_cache
-from repro.solvers.milp_backend import relax_integrality, solve_milp
+from repro.solvers.milp_backend import LiveLp, relax_integrality, solve_milp
 from repro.solvers.piecewise import SegmentGrid
 from repro.solvers.session import MilpSession
 from repro.resilience.events import SolveEventLog, StepEvent
@@ -507,6 +507,11 @@ def solve_cubis(
                 milp_backend, "__name__", type(milp_backend).__name__
             )
             lp_screen = milp_session is not None and isinstance(milp_backend, str)
+            # The highs LP screens of this solve share one live HiGHS
+            # model, warm-started from the previous screen's basis.  It
+            # lives in this closure only, so it dies with the solve:
+            # sessions, resolve handles and fleet leases hold no solver.
+            live_lp = LiveLp()
             session_log = SolveEventLog()
 
             def build_fresh(c: float):
@@ -570,7 +575,8 @@ def solve_cubis(
                     # bounds pays for branch and cut.
                     lp_counter.inc()
                     relaxed = solve_milp(
-                        relax_integrality(model.problem), backend=milp_backend
+                        relax_integrality(model.problem), backend=milp_backend,
+                        live=live_lp,
                     )
                     if relaxed.optimal:
                         g_upper = model.g_bar_from_objective(relaxed.objective)

@@ -406,9 +406,13 @@ def append_bench_history(payload: dict, path) -> Path:
     the speedup ratios, the hardware-independent counts, and the top
     span names by wall *self*-time from the live telemetry context — so
     a regression is visible as a trend across commits, not just against
-    one committed reference.  Returns the path.
+    one committed reference.  Each line carries ``config_hash``, the
+    canonical hash of the run's ``config``, so runs of one configuration
+    (a reduced CI config vs the reference one) can be told apart and
+    compared only with each other.  Returns the path.
     """
     from repro.obs.traces import Trace, self_time_by_name
+    from repro.store.hashing import hash_config
     from repro.telemetry.manifest import git_sha
 
     tele = telemetry.current()
@@ -424,11 +428,13 @@ def append_bench_history(payload: dict, path) -> Path:
             }
             for stat in self_time_by_name(trace)[:5]
         ]
+    config = dict(payload.get("config", {}))
     record = {
         "git_sha": git_sha(),
         "created_unix": time.time(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "config": dict(payload.get("config", {})),
+        "config": config,
+        "config_hash": hash_config(config),
         "speedup": payload.get("speedup"),
         "speedup_session": payload.get("speedup_session"),
         "speedup_fleet": payload.get("speedup_fleet"),

@@ -12,6 +12,13 @@ interchangeable substitutes behind one interface:
 
 Both receive a :class:`MILPProblem` (minimisation form) and return a
 :class:`MILPResult`; cross-backend equality is asserted in the test suite.
+
+LP-relaxation screens on the ``"highs"`` backend can instead run through
+a :class:`LiveLp`: one HiGHS instance from scipy's private binding
+(``scipy.optimize._highspy._core``), kept alive for the screens of one
+solve and warm-started from the previous screen's optimal basis.  The
+binding is feature-detected at import; without it, and for any live
+solve that fails, the screen runs through :func:`scipy.optimize.milp`.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ from scipy.optimize import LinearConstraint, milp
 
 from repro import telemetry
 
-__all__ = ["MILPProblem", "MILPResult", "relax_integrality", "solve_milp"]
+__all__ = ["LiveLp", "MILPProblem", "MILPResult", "relax_integrality", "solve_milp"]
+
+
+try:  # scipy's private HiGHS binding, absent on older scipy
+    from scipy.optimize._highspy import _core as _HIGHS
+except ImportError:
+    _HIGHS = None
 
 
 @dataclass
@@ -137,6 +150,7 @@ def solve_milp(
     *,
     backend="highs",
     warm_start: np.ndarray | None = None,
+    live: LiveLp | None = None,
     **backend_options,
 ) -> MILPResult:
     """Solve a :class:`MILPProblem` with the selected backend.
@@ -150,14 +164,23 @@ def solve_milp(
     by a :class:`~repro.solvers.session.MilpSession`.  It is advisory:
     only backends with a MIP-start hook receive it — ``"bnb"`` seeds its
     incumbent after re-validating feasibility; ``scipy.optimize.milp``
-    exposes no warm-start parameter, so the ``"highs"`` path (and any
-    callable backend) silently drops it.  The optimum is identical
+    exposes no warm-start parameter, so the ``"highs"`` MILP path (and
+    any callable backend) silently drops it.  The optimum is identical
     either way.
+
+    ``live`` is a :class:`LiveLp` owned by the caller.  An LP (no
+    integrality marks) on the ``"highs"`` backend is then solved by that
+    live HiGHS instance, warm-started from its previous optimal basis;
+    if the live solve is unavailable or fails, this call falls back to
+    :func:`scipy.optimize.milp` as if ``live`` were not given.  Other
+    problems and backends ignore it.
 
     Every call is traced as a ``milp.solve`` span and observed into the
     ``repro_oracle_seconds`` histogram under an oracle-kind label:
     ``"lp:<backend>"`` when the problem carries no integrality marks
-    (the LP-relaxation screen), else ``"milp:<backend>"``.
+    (the LP-relaxation screen), else ``"milp:<backend>"``.  Screens the
+    live LP answers also carry ``warm`` (whether a basis was accepted)
+    and ``simplex_iterations`` span attributes.
     """
     if callable(backend):
         label = getattr(backend, "__name__", type(backend).__name__)
@@ -171,7 +194,14 @@ def solve_milp(
         "milp.solve", kind=kind, variables=problem.num_variables,
         integers=problem.num_integer,
     ) as span:
-        result = _dispatch(problem, backend, backend_options)
+        result = None
+        if live is not None and backend == "highs" and problem.num_integer == 0:
+            answered = live.solve(problem)
+            if answered is not None:
+                result, warm, iterations = answered
+                span.set(warm=warm, simplex_iterations=iterations)
+        if result is None:
+            result = _dispatch(problem, backend, backend_options)
         span.set(status=result.status, nodes=result.nodes)
     telemetry.histogram("repro_oracle_seconds", kind=kind).observe(
         time.perf_counter() - t0
@@ -222,6 +252,98 @@ def _solve_highs(problem: MILPProblem) -> MILPResult:
     if res.status == 3:
         return MILPResult("unbounded", None, None, message=res.message)
     return MILPResult("error", None, None, message=res.message)
+
+
+class LiveLp:
+    """One HiGHS LP kept alive across the LP-relaxation screens of a solve.
+
+    Each :meth:`solve` passes the problem's current arrays to the same
+    HiGHS instance (``passModel``), hands it the previous optimal basis
+    (``setBasis``) and runs the simplex from there.  Consecutive
+    binary-search screens differ only in their ``c``-dependent
+    coefficients, so the old basis is a few pivots from the new optimum.
+    A cold solve (the first, or the first after a failure) is
+    bit-identical to :func:`scipy.optimize.milp` on the same problem; a
+    warm one reaches the same optimal value, possibly at another vertex
+    of a degenerate optimal face.
+
+    The instance is created on the first solve and lives as long as the
+    :class:`LiveLp` does; callers scope one to a single solve.
+    """
+
+    def __init__(self) -> None:
+        self._highs = None
+        self._basis = None
+
+    def solve(self, problem: MILPProblem):
+        """``(result, warm, simplex_iterations)`` for an LP, or ``None``
+        when the binding is absent or the live solve raised or did not
+        reach an optimum; a failure drops the basis, so the next solve
+        runs cold."""
+        if _HIGHS is None:
+            return None
+        try:
+            answered = self._run(problem)
+        except Exception:
+            answered = None
+        if answered is None:
+            self._basis = None
+        return answered
+
+    def _run(self, problem: MILPProblem):
+        highs = self._highs
+        if highs is None:
+            highs = self._highs = _HIGHS._Highs()
+            highs.setOptionValue("log_to_console", False)
+        error = _HIGHS.HighsStatus.kError
+        if highs.passModel(_highs_lp(problem)) == error:
+            return None
+        warm = self._basis is not None and highs.setBasis(self._basis) != error
+        if highs.run() == error:
+            return None
+        status = highs.getModelStatus()
+        if status != _HIGHS.HighsModelStatus.kOptimal:
+            return None
+        info = highs.getInfo()
+        result = MILPResult(
+            "optimal",
+            np.array(highs.getSolution().col_value),
+            float(info.objective_function_value),
+            message=highs.modelStatusToString(status),
+        )
+        self._basis = highs.getBasis()
+        return result, warm, int(info.simplex_iteration_count)
+
+
+def _highs_lp(problem: MILPProblem):
+    """``problem`` as a row-wise HiGHS LP (``lhs <= A x <= rhs``); the
+    integrality marks are not passed."""
+    n = problem.num_variables
+    blocks = []
+    if problem.A_ub is not None:
+        blocks.append((problem.A_ub, np.full(len(problem.b_ub), -np.inf), problem.b_ub))
+    if problem.A_eq is not None:
+        blocks.append((problem.A_eq, problem.b_eq, problem.b_eq))
+    mats, lower, upper = zip(*blocks)
+    if len(mats) == 1 and getattr(mats[0], "format", None) == "csr":
+        A = mats[0]
+    else:
+        A = sp.vstack([sp.csr_array(m) for m in mats], format="csr")
+    lp = _HIGHS.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = A.shape[0]
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = A.shape[0]
+    lp.a_matrix_.format_ = _HIGHS.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = problem.c
+    lp.col_lower_ = problem.lb
+    lp.col_upper_ = problem.ub
+    lp.row_lower_ = np.concatenate(lower)
+    lp.row_upper_ = np.concatenate(upper)
+    return lp
 
 
 def _as_bounds(problem: MILPProblem):

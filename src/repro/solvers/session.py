@@ -15,8 +15,14 @@ the answers, only what they cost.
 
 The previous step's optimal solution is carried as an incumbent and
 forwarded to backends that accept a MIP start (the pure-Python ``bnb``
-backend; ``scipy.optimize.milp`` exposes no warm-start hook, so the
-HiGHS path ignores it — see :func:`~repro.solvers.milp_backend.solve_milp`).
+backend; ``scipy.optimize.milp`` exposes no MIP-start hook, so the
+HiGHS MILP path ignores it — see
+:func:`~repro.solvers.milp_backend.solve_milp`).  The LP screens that
+:mod:`repro.core.cubis` runs on the session's model *are* warm-started
+on HiGHS, from the previous screen's optimal basis, by a
+:class:`~repro.solvers.milp_backend.LiveLp` that belongs to the solve,
+not to the session: a session holds only numpy arrays, never solver
+state, so standing sessions stay cheap to keep.
 
 Failure semantics: a session never owns correctness.  When a backend
 errors mid-sequence the caller calls :meth:`MilpSession.invalidate` and

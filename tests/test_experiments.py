@@ -4,6 +4,8 @@ Each experiment must run end-to-end, produce the schema its formatter
 expects, and exhibit the qualitative shape claimed in DESIGN.md §2.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,27 @@ class TestLandscape:
 
         out = format_landscape(table)
         assert "F5" in out and "cubis" in out and "sse" in out
+
+
+class TestBenchHistory:
+    """Each ledger line is keyed by the hash of its run's config."""
+
+    @staticmethod
+    def history_line(tmp_path, name, config):
+        from repro.experiments.perf import append_bench_history
+
+        path = append_bench_history({"config": config}, tmp_path / name)
+        return json.loads(path.read_text().splitlines()[-1])
+
+    def test_config_hash_separates_configs(self, tmp_path):
+        ci = {"num_targets": 8, "num_games": 2, "epsilon": 0.01}
+        reference = dict(ci, num_targets=50)
+        a = self.history_line(tmp_path, "a.jsonl", ci)
+        b = self.history_line(tmp_path, "b.jsonl", reference)
+        again = self.history_line(tmp_path, "a.jsonl", dict(reversed(ci.items())))
+        assert a["config"] == ci
+        assert a["config_hash"] != b["config_hash"]
+        assert again["config_hash"] == a["config_hash"]
 
 
 class TestCompareBench:
