@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.behavior.interval import UncertaintyModel
 from repro.core.dp import maximize_separable_on_grid
-from repro.core.milp import CubisMilpSkeleton, build_cubis_milp
+from repro.core.hull import LagrangianHull
+from repro.core.milp import CubisMilpSkeleton, build_cubis_milp, step_grids
 from repro.core.worst_case import WorstCaseSolution, evaluate_worst_case
 from repro.game.ssg import IntervalSecurityGame
 from repro.obs import progress
@@ -45,7 +46,6 @@ from repro.resilience.policy import (
     ResilienceReport,
 )
 from repro import telemetry
-from repro.utils.timing import Timer
 from repro.utils.validation import check_int_at_least
 
 __all__ = ["CubisResult", "WarmStart", "solve_cubis"]
@@ -107,7 +107,9 @@ class CubisResult:
         The accuracy knobs (Theorem 1: the result is
         ``O(epsilon + 1/K)``-optimal).
     iterations:
-        Binary-search steps (= MILP solves).
+        Binary-search steps (= feasibility-oracle calls).  Only the
+        ``memoise=False`` MILP path solves one MILP per step; see
+        ``milp_solves``.
     trace:
         ``(c, feasible)`` per step.
     solve_seconds:
@@ -119,9 +121,16 @@ class CubisResult:
     milp_solves:
         Full (integer) MILP solves actually performed — equals
         ``iterations`` for a cold MILP-oracle run; with ``memoise=True``
-        most steps are answered by the certificate pool or the
-        LP-relaxation screen instead, and this drops to a handful; 0 for
-        the ``"dp"`` oracle.
+        most steps are answered by the certificate pool, the hull screen
+        or the LP-relaxation screen instead, and this drops to a handful;
+        0 for the ``"dp"`` oracle.
+    hull_screens:
+        Lagrangian hull screens performed (``memoise=True`` with a named
+        backend and no side constraints), counted whatever their verdict.
+        ``min B(lam)`` over the hull vertices bounds the MILP optimum
+        from above and the hull witness proves feasibility, so most steps
+        end here without a solver; the rest fall through to the LP
+        screen.
     lp_solves:
         LP-relaxation screens performed (``memoise=True`` only).  The
         relaxation's optimum bounds the MILP's from above, so a
@@ -170,6 +179,7 @@ class CubisResult:
     resilience: ResilienceReport | None = None
     milp_solves: int = 0
     lp_solves: int = 0
+    hull_screens: int = 0
     cache_hits: int = 0
     session_mode: str = "fresh"
     session_patches: int = 0
@@ -306,6 +316,7 @@ def solve_cubis(
         stacked batched kernel; any replacement must be bit-identical
         to the default on its inputs.
     """
+    started = time.perf_counter()
     if uncertainty.num_targets != game.num_targets:
         raise ValueError(
             f"uncertainty model covers {uncertainty.num_targets} targets but the "
@@ -354,30 +365,9 @@ def solve_cubis(
     )
     with solve_span:
         grid = SegmentGrid(num_segments)
-        breakpoints = grid.breakpoints
-        # Tabulate everything once: U^d, L, U at the K+1 breakpoints (T, K+1).
-        # Under execution noise, a planned coverage t realises (worst case) as
-        # max(t - alpha, 0) — all three grids are evaluated there.
-        realised = np.maximum(breakpoints - execution_alpha, 0.0)
-        ud_grid = (
-            np.outer(game.payoffs.defender_reward, realised)
-            + np.outer(game.payoffs.defender_penalty, 1.0 - realised)
+        ud_grid, lower_grid, upper_grid = step_grids(
+            game, uncertainty, grid, execution_alpha=execution_alpha
         )
-        lower_grid = uncertainty.lower_on_grid(realised)
-        upper_grid = uncertainty.upper_on_grid(realised)
-        if not (np.all(np.isfinite(upper_grid)) and np.all(lower_grid > 0)):
-            raise ValueError(
-                "uncertainty bounds must be positive and finite on the grid; "
-                "extreme model parameters (e.g. SUQR weights fitted at their "
-                "bounds) can overflow the exponential attractiveness"
-            )
-        # The attack probabilities — and hence the sign of G — are invariant
-        # to a global scaling of (L, U); normalise so the largest upper bound
-        # is 1, keeping the MILP's big-M coefficients well-conditioned no
-        # matter how large the raw exp(...) attractiveness values are.
-        scale = 1.0 / upper_grid.max()
-        lower_grid = lower_grid * scale
-        upper_grid = upper_grid * scale
 
         if oracle not in ("milp", "dp"):
             raise ValueError(f"oracle must be 'milp' or 'dp', got {oracle!r}")
@@ -460,6 +450,20 @@ def solve_cubis(
         if pipeline:
             milp_session = leased_session or MilpSession(skeleton, backend=backend)
             milp_session.retarget(skeleton)
+        # The Lagrangian hull screen needs the separable budget polytope;
+        # side constraints couple the targets, so they skip it.
+        hull = (
+            LagrangianHull(
+                ud_grid,
+                lower_grid,
+                upper_grid,
+                game.num_resources,
+                grid,
+                equality_resources=equality_resources,
+            )
+            if pipeline and coverage_constraints is None
+            else None
+        )
         # A leased session carries lifetime counters from earlier games;
         # the result reports only this solve's delta.
         patches_at_entry = (
@@ -476,9 +480,17 @@ def solve_cubis(
         hit_counter = meter.counter("repro_cubis_cache_hits_total")
         miss_counter = meter.counter("repro_cubis_cache_misses_total")
         fallback_counter = meter.counter("repro_session_fallbacks_total")
+        hull_counters = {
+            verdict: meter.counter("repro_cubis_hull_screens_total", verdict=verdict)
+            for verdict in ("infeasible", "feasible", "fallthrough")
+        }
+
+        def hull_screens_so_far() -> float:
+            return sum(counter.value for counter in hull_counters.values())
+
         counts_at_entry = (
             milp_counter.value, lp_counter.value, hit_counter.value,
-            fallback_counter.value,
+            fallback_counter.value, hull_screens_so_far(),
         )
 
         def certificate_answer(c: float):
@@ -500,6 +512,41 @@ def solve_cubis(
             if len(pool) > _CERTIFICATE_POOL_LIMIT:
                 del pool[0]
 
+        def hull_answer(c: float):
+            # Lagrangian hull screen (docs/PERFORMANCE.md): min B bounds
+            # the MILP optimum from above, so a value below the tolerance
+            # proves infeasibility; the hull witness, evaluated exactly
+            # through a certificate, proves feasibility.  Returns None
+            # when neither fires, leaving the step to the LP screen.
+            t0 = time.perf_counter()
+            with telemetry.span("cubis.hull_screen", c=float(c)) as sp:
+                screen = hull.screen(c)
+                answer = None
+                if screen.bound < -feasibility_tolerance:
+                    answer = (False, None)
+                else:
+                    cert = skeleton.certificate(screen.witness)
+                    witness_g = cert.g_bar(c)
+                    sp.set(witness_g=witness_g)
+                    if witness_g >= -feasibility_tolerance:
+                        try:
+                            validate_step_solution(cert.strategy, "hull witness")
+                        except OracleStepError:
+                            pass  # fall through to the LP screen
+                        else:
+                            add_to_pool(cert)
+                            answer = (True, cert.strategy)
+                verdict = (
+                    "fallthrough" if answer is None
+                    else "feasible" if answer[0] else "infeasible"
+                )
+                sp.set(verdict=verdict, bound=screen.bound)
+            hull_counters[verdict].inc()
+            telemetry.histogram("repro_oracle_seconds", kind="hull").observe(
+                time.perf_counter() - t0
+            )
+            return answer
+
         def make_milp_oracle(milp_backend, *, validate: bool = True):
             # The pipeline runs through milp_session; without one (memoise
             # off, ladder rungs) every step builds and solves a fresh model.
@@ -507,6 +554,7 @@ def solve_cubis(
                 milp_backend, "__name__", type(milp_backend).__name__
             )
             lp_screen = milp_session is not None and isinstance(milp_backend, str)
+            hull_screen = lp_screen and hull is not None
             # The highs LP screens of this solve share one live HiGHS
             # model, warm-started from the previous screen's basis.  It
             # lives in this closure only, so it dies with the solve:
@@ -550,9 +598,10 @@ def solve_cubis(
                 ))
 
             def milp_oracle(c: float):
-                # Certificate pool -> LP screen -> session MILP ->
-                # fresh-build fallback; each counter ticks just before the
-                # action it counts, so a raise leaves exact totals behind.
+                # Certificate pool -> hull screen -> LP screen -> session
+                # MILP -> fresh-build fallback; each counter ticks just
+                # before the action it counts, so a raise leaves exact
+                # totals behind.
                 if milp_session is None:
                     model = build_fresh(c)
                 else:
@@ -561,8 +610,13 @@ def solve_cubis(
                         hit_counter.inc()
                         return hit
                     # The pool was consulted (possibly empty) and could not
-                    # answer; everything below pays for a solver call.
+                    # answer; everything below pays for a screen or a
+                    # solver call.
                     miss_counter.inc()
+                    if hull_screen:
+                        answer = hull_answer(c)
+                        if answer is not None:
+                            return answer
                     model = milp_session.prepare(c)
                 if lp_screen:
                     # LP-relaxation screen.  The relaxation's optimum bounds
@@ -745,43 +799,42 @@ def solve_cubis(
             # midpoints (sound: the level is proven by the strategy itself).
             return skeleton.certificate(strategy).guaranteed_level(lo, hi)
 
-        timer = Timer()
-        with timer:
-            search = binary_search_max(
-                step_oracle,
-                lo,
-                hi,
-                tolerance=epsilon,
-                max_iterations=max_iterations,
-                initial_guesses=tuple(guesses),
-                payload_bound=certified_level if pipeline else None,
+        search = binary_search_max(
+            step_oracle,
+            lo,
+            hi,
+            tolerance=epsilon,
+            max_iterations=max_iterations,
+            initial_guesses=tuple(guesses),
+            payload_bound=certified_level if pipeline else None,
+        )
+        if search.payload is None:
+            raise RuntimeError(
+                "CUBIS binary search found no feasible utility level; "
+                "the bottom of the utility range should always be "
+                "feasible — this indicates an inconsistent game or "
+                "uncertainty model"
             )
-            if search.payload is None:
-                raise RuntimeError(
-                    "CUBIS binary search found no feasible utility level; "
-                    "the bottom of the utility range should always be "
-                    "feasible — this indicates an inconsistent game or "
-                    "uncertainty model"
-                )
-            if coverage_constraints is None:
-                strategy = game.strategy_space.project(
-                    np.asarray(search.payload)
-                )
-            else:
-                # Projection onto sum(x) = R could violate the side
-                # constraints; keep the MILP's (feasible) strategy,
-                # clipped to the box.
-                strategy = np.clip(np.asarray(search.payload), 0.0, 1.0)
-            with telemetry.span("cubis.evaluate_worst_case"):
-                worst = evaluate_worst_case(
-                    game, uncertainty, strategy,
-                    execution_alpha=execution_alpha,
-                )
+        if coverage_constraints is None:
+            strategy = game.strategy_space.project(
+                np.asarray(search.payload)
+            )
+        else:
+            # Projection onto sum(x) = R could violate the side
+            # constraints; keep the MILP's (feasible) strategy,
+            # clipped to the box.
+            strategy = np.clip(np.asarray(search.payload), 0.0, 1.0)
+        with telemetry.span("cubis.evaluate_worst_case"):
+            worst = evaluate_worst_case(
+                game, uncertainty, strategy,
+                execution_alpha=execution_alpha,
+            )
 
         milp_solves = int(milp_counter.value - counts_at_entry[0])
         lp_solves = int(lp_counter.value - counts_at_entry[1])
         cache_hits = int(hit_counter.value - counts_at_entry[2])
         session_fallbacks = int(fallback_counter.value - counts_at_entry[3])
+        hull_screens = int(hull_screens_so_far() - counts_at_entry[4])
         session_patches = (
             milp_session.patches_applied - patches_at_entry
             if milp_session is not None else 0
@@ -793,6 +846,7 @@ def solve_cubis(
             converged=search.converged,
             milp_solves=milp_solves,
             lp_solves=lp_solves,
+            hull_screens=hull_screens,
             cache_hits=cache_hits,
             session_mode=session_mode,
             session_patches=session_patches,
@@ -808,12 +862,13 @@ def solve_cubis(
             num_segments=int(num_segments),
             iterations=search.iterations,
             trace=search.trace,
-            solve_seconds=timer.elapsed,
+            solve_seconds=time.perf_counter() - started,
             converged=search.converged,
             degraded=ladder.degraded if ladder is not None else False,
             resilience=ladder.report() if ladder is not None else None,
             milp_solves=milp_solves,
             lp_solves=lp_solves,
+            hull_screens=hull_screens,
             cache_hits=cache_hits,
             session_mode=session_mode,
             session_patches=session_patches,

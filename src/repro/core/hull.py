@@ -1,0 +1,239 @@
+"""Lagrangian hull screen: decide a CUBIS step without a solver.
+
+After Proposition 3 eliminates ``beta``, the MILP (33-40) at candidate
+utility ``c`` maximises a separable sum over the budget polytope,
+
+.. math::
+
+    G^*(c) = \\max \\sum_i \\varphi_i(x_i) \\quad \\text{s.t.} \\quad
+    \\sum_i x_i \\le R, \\; 0 \\le x_i \\le 1,
+
+with ``phi_i = min(fbar1_i, fbar2_i)`` the minimum of the two
+piecewise-linear interpolants ``fbar1 = interp(L (U^d - c))`` and
+``fbar2 = interp(U (U^d - c))`` on the ``K``-segment grid.  Each
+``phi_i`` is piecewise linear with vertices at the ``K + 1`` breakpoints
+plus one vertex per segment on which ``fbar1 - fbar2`` changes sign
+(both functions are linear on a segment, so they cross at most once
+there).  Relaxing the budget with a multiplier ``lam`` gives, for every
+``lam >= 0`` (every real ``lam`` under ``sum x = R``),
+
+.. math::
+
+    B(\\lambda) = \\lambda R + \\sum_i \\max_v \\big(\\varphi_i(v) - \\lambda v\\big)
+    \\;\\ge\\; G^*(c),
+
+where ``v`` ranges over target ``i``'s vertices: a piecewise-linear
+function minus a linear one peaks at a vertex.  ``B`` is convex and
+piecewise linear in ``lam``; its minimiser is the slope of the upper
+concave hull edge on which a greedy fill of the budget runs out, so
+:meth:`LagrangianHull.screen` finds it exactly by sorting hull slopes.
+The greedy prefix itself is a vertex choice ``x(lam)`` that fits the
+budget, a real strategy whose exact ``G_bar`` bounds ``G^*(c)`` from
+below.
+
+The screen's verdicts (applied in :mod:`repro.core.cubis`):
+
+* ``min B < -tol`` proves the step infeasible;
+* a witness whose certificate reads ``G_bar >= -tol`` proves it feasible;
+* anything else falls through to the LP-relaxation screen.
+
+Only the bound decides infeasibility and only the exact certificate
+decides feasibility, so the hull construction needs no special care
+for soundness: a misjudged hull vertex can only cost a fall-through.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.solvers.piecewise import SegmentGrid
+
+__all__ = ["HullScreen", "LagrangianHull"]
+
+
+@dataclass(frozen=True)
+class HullScreen:
+    """One candidate's Lagrangian screen.
+
+    Attributes
+    ----------
+    bound:
+        ``B(lam)`` at the minimising multiplier — an upper bound on the
+        step's MILP optimum ``G^*(c)``.
+    lam:
+        That multiplier (the critical hull slope; 0 when the whole
+        positive-slope hull fits the budget).
+    witness:
+        The vertex choice ``x(lam)``: the greedy prefix of hull edges
+        that fits the budget.  Feasible for ``sum x <= R``; under
+        ``sum x = R`` it may spend less than ``R``.
+    """
+
+    bound: float
+    lam: float
+    witness: np.ndarray
+
+
+class LagrangianHull:
+    """The hull screen of one game's step problems.
+
+    Parameters
+    ----------
+    defender_utility_grid, lower_grid, upper_grid:
+        ``U^d``, ``L`` and ``U`` tabulated at the ``K + 1`` breakpoints,
+        shape ``(T, K+1)`` — the grids the MILP skeleton is built from.
+    num_resources:
+        The budget ``R``.
+    grid:
+        The :class:`~repro.solvers.piecewise.SegmentGrid`.
+    equality_resources:
+        ``sum x = R`` instead of ``<= R``: the multiplier is then free in
+        sign.
+    """
+
+    def __init__(
+        self,
+        defender_utility_grid: np.ndarray,
+        lower_grid: np.ndarray,
+        upper_grid: np.ndarray,
+        num_resources: float,
+        grid: SegmentGrid,
+        *,
+        equality_resources: bool = False,
+    ) -> None:
+        self._ud = np.asarray(defender_utility_grid, dtype=np.float64)
+        self._lo = np.asarray(lower_grid, dtype=np.float64)
+        self._hi = np.asarray(upper_grid, dtype=np.float64)
+        self.num_resources = float(num_resources)
+        self.equality_resources = bool(equality_resources)
+        breakpoints = grid.breakpoints
+        self._breakpoints = breakpoints
+        self._left = breakpoints[:-1]
+        self._step = np.diff(breakpoints)
+        self._pair_cache: dict[int, tuple] = {}
+
+    def vertices(self, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every target's vertex positions and ``phi`` values, ``(T, K+1+m)``.
+
+        Each row holds the ``K + 1`` breakpoints and, in position order,
+        the crossing of ``fbar1`` and ``fbar2`` on every segment where
+        their difference changes sign strictly; ``m`` is the largest
+        crossing count of any target.  Rows with fewer crossings are
+        padded with segment midpoints, where ``phi`` is linear, so the
+        padding is harmless.  Positions increase along each row.
+        """
+        margin = self._ud - c
+        f1 = self._lo * margin
+        f2 = self._hi * margin
+        phi_b = np.minimum(f1, f2)
+        d = f1 - f2
+        d0, d1 = d[:, :-1], d[:, 1:]
+        cross = d0 * d1 < 0.0
+        theta = np.where(cross, d0 / np.where(cross, d0 - d1, 1.0), 0.5)
+        interior_phi = np.where(
+            cross,
+            f1[:, :-1] + theta * (f1[:, 1:] - f1[:, :-1]),
+            0.5 * (phi_b[:, :-1] + phi_b[:, 1:]),
+        )
+        t, width = phi_b.shape
+        v = np.empty((t, 2 * width - 1))
+        phi = np.empty_like(v)
+        v[:, 0::2] = self._breakpoints
+        v[:, 1::2] = self._left + theta * self._step
+        phi[:, 0::2] = phi_b
+        phi[:, 1::2] = interior_phi
+        counts = cross.sum(axis=1)
+        extra = int(counts.max())
+        keep = np.ones_like(v, dtype=bool)
+        plain = ~cross
+        keep[:, 1::2] = cross | (
+            plain & (np.cumsum(plain, axis=1) <= (extra - counts)[:, None])
+        )
+        size = width + extra
+        return v[keep].reshape(t, size), phi[keep].reshape(t, size)
+
+    def bound_at(self, c: float, lam: float) -> float:
+        """``B(lam)`` at candidate ``c`` — an upper bound on ``G^*(c)`` for
+        any ``lam >= 0`` (any real ``lam`` under ``equality_resources``)."""
+        v, phi = self.vertices(c)
+        return _bound(v, phi, float(lam), self.num_resources)
+
+    def screen(self, c: float) -> HullScreen:
+        """The minimising multiplier, its bound and its witness at ``c``."""
+        v, phi = self.vertices(c)
+        on_hull = self._upper_hull(v, phi)
+        # Hull edges: each hull vertex after a row's first one, joined to
+        # the hull vertex before it.
+        columns = np.arange(v.shape[1])
+        last = np.maximum.accumulate(np.where(on_hull, columns, -1), axis=1)
+        rows, ends = np.nonzero(on_hull[:, 1:] & (last[:, :-1] >= 0))
+        ends = ends + 1
+        starts = last[rows, ends - 1]
+        length = v[rows, ends] - v[rows, starts]
+        edge_slope = (phi[rows, ends] - phi[rows, starts]) / length
+        if not self.equality_resources:
+            keep = edge_slope > 0.0
+            rows, ends = rows[keep], ends[keep]
+            length, edge_slope = length[keep], edge_slope[keep]
+
+        # Greedy fill from each row's first hull vertex: steepest edges
+        # first (stable, so one row's equal-slope edges stay in position
+        # order) until the budget runs out; that edge's slope is the
+        # minimising multiplier.
+        origin = v[np.arange(v.shape[0]), np.argmax(on_hull, axis=1)]
+        order = np.argsort(-edge_slope, kind="stable")
+        room = self.num_resources - origin.sum()
+        taken = int(np.searchsorted(np.cumsum(length[order]), room, side="right"))
+        if taken < len(order):
+            lam = float(edge_slope[order[taken]])
+        elif self.equality_resources and len(order):
+            lam = float(edge_slope[order[-1]])
+        else:
+            lam = 0.0
+        chosen = order[:taken]
+        reach = np.zeros_like(v)
+        reach[rows[chosen], ends[chosen]] = v[rows[chosen], ends[chosen]]
+        return HullScreen(
+            bound=_bound(v, phi, lam, self.num_resources),
+            lam=lam,
+            witness=np.maximum(origin, reach.max(axis=1)),
+        )
+
+    def _upper_hull(self, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Which vertices lie on each row's upper concave hull.
+
+        Vertex ``j`` is on it iff some ``lam`` makes it an argmax of
+        ``phi - lam v``, i.e. iff no later vertex's slope from ``j``
+        exceeds any earlier vertex's slope into ``j``.  Equal positions
+        give ``0/0`` (or ``+-inf``): the later copy drops out.
+        """
+        t, size = v.shape
+        pairs = self._pair_cache.get(size)
+        if pairs is None:
+            first, second = np.triu_indices(size, 1)
+            by_second = np.argsort(second, kind="stable")
+            pairs = (
+                first,
+                second,
+                np.flatnonzero(np.diff(first, prepend=-1)),
+                by_second,
+                np.flatnonzero(np.diff(second[by_second], prepend=-1)),
+            )
+            self._pair_cache[size] = pairs
+        first, second, first_starts, by_second, second_starts = pairs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (phi[:, second] - phi[:, first]) / (v[:, second] - v[:, first])
+        slope[np.isnan(slope)] = -np.inf
+        lowest = np.full((t, size), -np.inf)
+        lowest[:, :-1] = np.maximum.reduceat(slope, first_starts, axis=1)
+        highest = np.full((t, size), np.inf)
+        highest[:, 1:] = np.minimum.reduceat(
+            slope[:, by_second], second_starts, axis=1
+        )
+        return lowest <= highest
+
+
+def _bound(v: np.ndarray, phi: np.ndarray, lam: float, resources: float) -> float:
+    return float(lam * resources + (phi - lam * v).max(axis=1).sum())

@@ -66,6 +66,7 @@ __all__ = [
     "SkeletonPatch",
     "StrategyCertificate",
     "build_cubis_milp",
+    "step_grids",
 ]
 
 #: Extra slack added to the data-driven big-M constants; keeps the
@@ -687,6 +688,35 @@ class CubisMilpSkeleton:
             p2=grid.interpolate(self._hi * self._ud, x),
             q2=grid.interpolate(self._hi, x),
         )
+
+
+def step_grids(game, uncertainty, grid: SegmentGrid, *, execution_alpha: float = 0.0):
+    """``U^d``, ``L`` and ``U`` at the grid's breakpoints, shape ``(T, K+1)``
+    each — the data every CUBIS step problem is built from.
+
+    Under execution noise a planned coverage ``t`` realises (worst case)
+    as ``max(t - alpha, 0)``, so all three grids are evaluated there.
+    The attack probabilities, and hence the sign of ``G``, are invariant
+    to a global scaling of ``(L, U)``; both are normalised so the largest
+    upper bound is 1, keeping the MILP's big-M coefficients
+    well-conditioned however large the raw ``exp(...)`` attractiveness
+    values are.
+    """
+    realised = np.maximum(grid.breakpoints - execution_alpha, 0.0)
+    ud_grid = (
+        np.outer(game.payoffs.defender_reward, realised)
+        + np.outer(game.payoffs.defender_penalty, 1.0 - realised)
+    )
+    lower_grid = uncertainty.lower_on_grid(realised)
+    upper_grid = uncertainty.upper_on_grid(realised)
+    if not (np.all(np.isfinite(upper_grid)) and np.all(lower_grid > 0)):
+        raise ValueError(
+            "uncertainty bounds must be positive and finite on the grid; "
+            "extreme model parameters (e.g. SUQR weights fitted at their "
+            "bounds) can overflow the exponential attractiveness"
+        )
+    scale = 1.0 / upper_grid.max()
+    return ud_grid, lower_grid * scale, upper_grid * scale
 
 
 def build_cubis_milp(

@@ -190,8 +190,11 @@ def run_bench_runtime(
             num_segments=num_segments, epsilon=epsilon,
         )
     fleet_total = time.perf_counter() - t0
+    # solve_fleet(oracle="milp") solves its games one at a time, so each
+    # result's own clock is its share of the chain.
     fleet_games = [
-        _solve_stats(result, 0.0, backend=backend) for result in fleet_result
+        _solve_stats(result, result.solve_seconds, backend=backend)
+        for result in fleet_result
     ]
 
     # Resolve pass: the online drift loop.  A standing solve of the first
@@ -331,8 +334,8 @@ def run_bench_runtime(
     warm = totals(warm_games)
     session = totals(session_games)
     fleet = totals(fleet_games)
-    # Per-game seconds are not attributable in a fleet; the section's
-    # wall clock is the one solve_fleet measured around the whole chain.
+    # The section's wall clock is the one solve_fleet measured around the
+    # whole chain, so it also counts the fleet's own bookkeeping.
     fleet["wall_clock_seconds"] = fleet_result.solve_seconds
     # Where the time went, from the active telemetry context: a per-name
     # rollup plus the slowest individual spans (None under

@@ -27,6 +27,7 @@ from repro.verify.golden import check_fixture, load_all_fixtures
 from repro.verify.report import ConformanceReport
 from repro.verify.theorems import (
     check_beta_elimination,
+    check_hull_sandwich,
     check_interval_monotonicity,
     check_segment_bound,
     check_value_point,
@@ -116,6 +117,9 @@ def verify_instance(
             num_probes=16 if fast else 64,
         ))
         checks.append(check_value_point(game, uncertainty, primary.strategy))
+        checks.append(check_hull_sandwich(
+            game, uncertainty, num_segments, primary.value
+        ))
     checks.append(check_segment_bound(game, uncertainty, num_segments))
     if not fast and isinstance(uncertainty, IntervalSUQR):
         checks.append(check_interval_monotonicity(

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.cubis import solve_cubis
 from repro.core.exact import solve_exact
-from repro.core.milp import CubisMilpSkeleton
+from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.core.worst_case import evaluate_worst_case
 from repro.resilience.certificate import theorem_slack
 from repro.resilience.faults import FaultInjector
@@ -107,16 +107,8 @@ def _certified_level(game, uncertainty, strategy, num_segments: int) -> float:
     """The utility level ``strategy`` provably certifies on the K-segment
     piecewise model — re-derived from the game data alone (no solver)."""
     grid = SegmentGrid(num_segments)
-    breakpoints = grid.breakpoints
-    ud_grid = (
-        np.outer(game.payoffs.defender_reward, breakpoints)
-        + np.outer(game.payoffs.defender_penalty, 1.0 - breakpoints)
-    )
-    lower_grid = uncertainty.lower_on_grid(breakpoints)
-    upper_grid = uncertainty.upper_on_grid(breakpoints)
-    scale = 1.0 / upper_grid.max()
     skeleton = CubisMilpSkeleton(
-        ud_grid, lower_grid * scale, upper_grid * scale, game.num_resources, grid
+        *step_grids(game, uncertainty, grid), game.num_resources, grid
     )
     lo, hi = game.utility_range()
     return float(skeleton.certificate(strategy).guaranteed_level(lo, hi))

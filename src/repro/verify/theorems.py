@@ -20,10 +20,14 @@ solution and returns a :class:`~repro.verify.report.ConformanceCheck`:
 * :func:`check_interval_monotonicity` — wider uncertainty boxes can only
   hurt: the robust value is non-increasing in the interval width, up to
   the Theorem 1 solve slack.
+* :func:`check_hull_sandwich` — the Lagrangian hull screen's two bounds
+  bracket the step MILP's optimum: ``G_bar`` of the hull witness from
+  below, ``min_lam B(lam)`` from above.
 
-All checks are solver-independent (no MILP solves except the
-monotonicity sweep, which runs whole CUBIS solves by design) and cheap
-enough to run on every ``repro verify`` instance.
+All checks but two are solver-independent and cheap enough to run on
+every ``repro verify`` instance: the monotonicity sweep runs whole CUBIS
+solves by design, and the hull sandwich solves one MILP and its LP
+relaxation to have something to bracket.
 """
 
 from __future__ import annotations
@@ -32,8 +36,11 @@ import numpy as np
 
 from repro.behavior.interval import IntervalSUQR
 from repro.core.dual import beta_star, g_value
+from repro.core.hull import LagrangianHull
+from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.core.worst_case import evaluate_worst_case, worst_case_dual_root
 from repro.resilience.certificate import theorem_slack
+from repro.solvers.milp_backend import relax_integrality, solve_milp
 from repro.solvers.piecewise import SegmentGrid
 from repro.utils.rng import as_generator
 from repro.verify.report import ConformanceCheck
@@ -43,6 +50,7 @@ __all__ = [
     "check_value_point",
     "check_segment_bound",
     "check_interval_monotonicity",
+    "check_hull_sandwich",
     "scaled_uncertainty",
 ]
 
@@ -313,4 +321,82 @@ def check_interval_monotonicity(
         measured=worst_violation,
         bound=slack + atol,
         context={"scales": list(ordered), "values": values, "slack": slack},
+    )
+
+
+#: HiGHS's default relative MIP gap: its reported MILP optimum may sit
+#: this far (relative to the solver's objective) below the true one.
+HIGHS_MIP_REL_GAP = 1e-4
+
+
+def check_hull_sandwich(
+    game,
+    uncertainty,
+    num_segments: int,
+    c: float,
+    *,
+    atol: float = 1e-7,
+) -> ConformanceCheck:
+    """The hull screen's bounds bracket the step MILP (33-40) at ``c``.
+
+    ``g_bar(c)`` of the hull witness ``x(lam)`` is a feasible strategy's
+    exact value, so it bounds the MILP optimum ``G_bar(c)`` from below;
+    ``min_lam B(lam)`` is a Lagrangian dual value, so it bounds it from
+    above.  The LP relaxation's value must reach the lower end too; it
+    need not stay under ``B``, because the big-M relaxation can be
+    looser than the Lagrangian bound.  The MILP side is read with
+    HiGHS's relative gap, since its reported optimum may fall short of
+    the true one by that much.
+    """
+    grid = SegmentGrid(num_segments)
+    ud_grid, lower_grid, upper_grid = step_grids(game, uncertainty, grid)
+    skeleton = CubisMilpSkeleton(
+        ud_grid, lower_grid, upper_grid, game.num_resources, grid
+    )
+    screen = LagrangianHull(
+        ud_grid, lower_grid, upper_grid, game.num_resources, grid
+    ).screen(c)
+    lower = skeleton.certificate(screen.witness).g_bar(c)
+    model = skeleton.patch(c)
+    milp = solve_milp(model.problem)
+    relaxed = solve_milp(relax_integrality(model.problem))
+    if not (milp.optimal and relaxed.optimal):
+        return ConformanceCheck(
+            name="theorem.hull_sandwich",
+            passed=False,
+            detail=(
+                f"step MILP at c={c:.6g}: MILP {milp.status}, "
+                f"LP relaxation {relaxed.status}"
+            ),
+            context={"c": float(c)},
+        )
+    g_milp = model.g_bar_from_objective(milp.objective)
+    g_lp = model.g_bar_from_objective(relaxed.objective)
+    gap = atol + HIGHS_MIP_REL_GAP * max(1.0, abs(milp.objective))
+    violations = {
+        "witness above MILP": lower - g_milp - gap,
+        "MILP above min B": g_milp - screen.bound - atol,
+        "witness above LP": lower - g_lp - atol,
+    }
+    measured = max(0.0, *violations.values())
+    broken = [name for name, excess in violations.items() if excess > 0.0]
+    return ConformanceCheck(
+        name="theorem.hull_sandwich",
+        passed=not broken,
+        detail=(
+            f"step MILP at c={c:.6g}: witness g_bar {lower:.6g} <= "
+            f"MILP {g_milp:.6g} <= min B {screen.bound:.6g}; "
+            f"LP relaxation {g_lp:.6g}"
+            + (f"; VIOLATED: {', '.join(broken)}" if broken else "")
+        ),
+        measured=measured,
+        bound=0.0,
+        context={
+            "c": float(c),
+            "witness_g": float(lower),
+            "milp_g": float(g_milp),
+            "lp_g": float(g_lp),
+            "bound": float(screen.bound),
+            "lam": float(screen.lam),
+        },
     )

@@ -259,6 +259,10 @@ class TestBenchSubcommand:
             assert "wall_clock_seconds" in payload[section]
             assert "oracle_calls" in payload[section]
             assert "cache_hit_rate" in payload[section]
+        # solve_fleet solves its games one at a time, so each fleet row
+        # carries that game's own clock.
+        assert all(row["wall_clock_seconds"] > 0.0
+                   for row in payload["fleet"]["per_game"])
         # The telemetry rollup rides along in the payload (and the
         # printed summary) unless --no-telemetry was given.
         span_names = {a["name"] for a in payload["spans"]["by_name"]}

@@ -9,6 +9,8 @@ The key checks:
 * quality improves (weakly) with finer K / epsilon.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,23 @@ class TestBracketSemantics:
         )
         assert result.iterations == len(result.trace)
         assert result.solve_seconds > 0.0
+
+    def test_solve_seconds_covers_grid_tabulation(
+        self, small_interval_game, small_uncertainty, monkeypatch
+    ):
+        # The grids are tabulated before the search starts; the clock of
+        # "the whole call" must still see them.
+        tabulate = small_uncertainty.lower_on_grid
+
+        def slow(points):
+            time.sleep(0.05)
+            return tabulate(points)
+
+        monkeypatch.setattr(small_uncertainty, "lower_on_grid", slow)
+        result = solve_cubis(
+            small_interval_game, small_uncertainty, num_segments=4, epsilon=0.05
+        )
+        assert result.solve_seconds >= 0.05
 
 
 class TestKnobs:
@@ -206,7 +225,10 @@ class TestPerformanceLayer:
         cold = self.solve(small_interval_game, small_uncertainty, memoise=False)
         memo = self.solve(small_interval_game, small_uncertainty, memoise=True)
         # Every oracle step is accounted for by exactly one mechanism.
-        assert memo.milp_solves + memo.lp_solves + memo.cache_hits >= memo.iterations
+        mechanisms = (
+            memo.milp_solves + memo.lp_solves + memo.cache_hits + memo.hull_screens
+        )
+        assert mechanisms >= memo.iterations
         assert memo.milp_solves < cold.milp_solves
 
     def test_warm_start_cuts_solver_calls(self, small_interval_game, small_uncertainty):

@@ -1,0 +1,204 @@
+"""The Lagrangian hull screen (repro.core.hull) and its place in CUBIS.
+
+Soundness: the hull witness's exact ``G_bar`` and ``B(lam)`` sandwich
+the step MILP's optimum, for the minimising ``lam`` and any other, also
+under ``sum x = R`` and when ``fbar1 - fbar2`` changes sign more than
+once on a target.  Agreement: along a replayed bisection the hull's
+verdicts are the fresh-build MILP's wherever the optimum is not within
+the tolerance of zero.  Pipeline: a default solve decides steps with the
+screen and lands within the Theorem-1 slack of the ``memoise=False``
+reference; side constraints skip the screen.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import telemetry
+from repro.core.cubis import solve_cubis
+from repro.core.hull import LagrangianHull
+from repro.core.milp import CubisMilpSkeleton, step_grids
+from repro.experiments.quality import default_uncertainty
+from repro.game.constraints import CoverageConstraints
+from repro.game.generator import random_interval_game
+from repro.resilience.certificate import theorem_slack
+from repro.solvers.milp_backend import solve_milp
+from repro.solvers.piecewise import SegmentGrid
+from repro.verify.theorems import HIGHS_MIP_REL_GAP
+
+TOL = 1e-7
+
+
+def random_step_data(t, k, seed, *, equality=False):
+    rng = np.random.default_rng(seed)
+    grid = SegmentGrid(k)
+    bp = grid.breakpoints
+    reward = rng.uniform(1.0, 10.0, size=t)
+    penalty = rng.uniform(-10.0, -1.0, size=t)
+    ud = np.outer(reward, bp) + np.outer(penalty, 1 - bp)
+    slope = rng.uniform(0.5, 3.0, size=(t, 1))
+    lo = np.exp(-slope * bp + rng.uniform(0.0, 1.0, size=(t, 1)))
+    hi = lo * rng.uniform(1.0, 3.0, size=(t, 1))
+    resources = 0.5 * t if equality else rng.uniform(0.5, t / 2)
+    return ud, lo, hi, resources, grid
+
+
+def build(ud, lo, hi, resources, grid, *, equality=False):
+    skeleton = CubisMilpSkeleton(
+        ud, lo, hi, resources, grid, equality_resources=equality
+    )
+    hull = LagrangianHull(
+        ud, lo, hi, resources, grid, equality_resources=equality
+    )
+    return skeleton, hull
+
+
+def milp_optimum(skeleton, c):
+    model = skeleton.patch(c)
+    result = solve_milp(model.problem)
+    assert result.optimal
+    gap = TOL + HIGHS_MIP_REL_GAP * max(1.0, abs(result.objective))
+    return model.g_bar_from_objective(result.objective), gap
+
+
+class TestSandwich:
+    @given(
+        t=st.integers(1, 8),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 10_000),
+        equality=st.booleans(),
+        c_share=st.floats(0.0, 1.0),
+        lam=st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_witness_and_bound_bracket_the_milp(
+        self, t, k, seed, equality, c_share, lam
+    ):
+        ud, lo, hi, resources, grid = random_step_data(
+            t, k, seed, equality=equality
+        )
+        skeleton, hull = build(ud, lo, hi, resources, grid, equality=equality)
+        c = ud.min() + c_share * (ud.max() - ud.min())
+        g_star, gap = milp_optimum(skeleton, c)
+        screen = hull.screen(c)
+
+        x = screen.witness
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
+        assert x.sum() <= resources + 1e-9
+        # Under sum x = R a witness short of the budget is no strategy of
+        # the step problem (the pipeline's validation rejects it), so the
+        # lower end only binds when it spends R.
+        if not equality or x.sum() == pytest.approx(resources, abs=1e-9):
+            assert skeleton.certificate(x).g_bar(c) <= g_star + gap
+        assert g_star <= screen.bound + TOL
+        # Any admissible multiplier bounds the optimum, and the screen's
+        # multiplier is the minimising one.
+        lam = lam if equality else abs(lam)
+        assert screen.lam >= 0.0 or equality
+        other = hull.bound_at(c, lam)
+        assert g_star <= other + TOL
+        assert screen.bound <= other + 1e-9 * max(1.0, abs(other))
+
+    def test_two_sign_changes_on_one_target(self):
+        # U^d rises then falls, so at c = 0 the margin -- and with it
+        # fbar1 - fbar2 = (L - U)(U^d - c) -- changes sign twice.
+        grid = SegmentGrid(2)
+        ud = np.array([[-1.0, 2.0, -1.0], [-0.5, 0.2, 0.4]])
+        lo = np.array([[0.6, 0.5, 0.4], [0.7, 0.5, 0.3]])
+        hi = np.array([[1.0, 0.9, 0.8], [1.0, 0.8, 0.6]])
+        resources = 1.0
+        skeleton, hull = build(ud, lo, hi, resources, grid)
+        v, _ = hull.vertices(0.0)
+        assert v.shape == (2, 5)  # 3 breakpoints + 2 crossings
+        assert np.all(np.diff(v, axis=1) > 0.0)
+
+        screen = hull.screen(0.0)
+        g_star, gap = milp_optimum(skeleton, 0.0)
+        assert skeleton.certificate(screen.witness).g_bar(0.0) <= g_star + gap
+        assert g_star <= screen.bound + TOL
+        # Brute force over a fine grid of the budget simplex.
+        fine = np.linspace(0.0, 1.0, 401)
+        x0, x1 = np.meshgrid(fine, fine, indexing="ij")
+        fits = x0 + x1 <= resources
+        best = -np.inf
+        for a, b in zip(x0[fits], x1[fits]):
+            best = max(best, skeleton.certificate(np.array([a, b])).g_bar(0.0))
+        assert best <= screen.bound + TOL
+        assert best == pytest.approx(g_star, abs=1e-3)
+
+
+class TestBisectionAgreement:
+    @pytest.mark.parametrize("t,seed", [(6, 1), (12, 2), (25, 3)])
+    def test_hull_verdicts_match_the_fresh_build_milp(self, t, seed):
+        game = random_interval_game(t, seed=seed)
+        model = default_uncertainty(game.payoffs)
+        reference = solve_cubis(game, model, num_segments=8, epsilon=1e-3,
+                                memoise=False)
+        grid = SegmentGrid(8)
+        ud, lo, hi = step_grids(game, model, grid)
+        skeleton, hull = build(ud, lo, hi, game.num_resources, grid)
+        decided = 0
+        for c, feasible in reference.trace:
+            screen = hull.screen(c)
+            if screen.bound < -TOL:
+                verdict = False
+            elif skeleton.certificate(screen.witness).g_bar(c) >= -TOL:
+                verdict = True
+            else:
+                continue
+            decided += 1
+            if verdict != feasible:
+                g_star, gap = milp_optimum(skeleton, c)
+                assert abs(g_star) <= TOL + gap, (c, g_star, screen)
+        assert decided >= len(reference.trace) // 2
+
+
+class TestPipeline:
+    def test_default_solve_screens_and_matches_reference(self):
+        game = random_interval_game(10, seed=7)
+        model = default_uncertainty(game.payoffs)
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            result = solve_cubis(game, model, num_segments=8, epsilon=1e-3)
+        reference = solve_cubis(game, model, num_segments=8, epsilon=1e-3,
+                                memoise=False)
+        assert result.hull_screens > 0
+        slack = theorem_slack(game, 1e-3, 8)
+        assert abs(result.worst_case_value - reference.worst_case_value) <= slack
+
+        screens = [s for s in tele.spans if s.name == "cubis.hull_screen"]
+        assert len(screens) == result.hull_screens
+        verdicts = {
+            verdict: tele.metrics.counter(
+                "repro_cubis_hull_screens_total", verdict=verdict
+            ).value
+            for verdict in ("infeasible", "feasible", "fallthrough")
+        }
+        assert sum(verdicts.values()) == result.hull_screens
+        for verdict, count in verdicts.items():
+            assert count == sum(
+                s.attributes["verdict"] == verdict for s in screens
+            )
+        assert verdicts["fallthrough"] <= result.lp_solves
+
+    def test_side_constraints_skip_the_screen(self):
+        game = random_interval_game(6, seed=2)
+        model = default_uncertainty(game.payoffs)
+        cap = CoverageConstraints(np.ones((1, 6)), np.array([6.0]))
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            result = solve_cubis(game, model, num_segments=6, epsilon=1e-2,
+                                 coverage_constraints=cap)
+        assert result.hull_screens == 0
+        assert result.lp_solves > 0
+        assert not [s for s in tele.spans if s.name == "cubis.hull_screen"]
+
+    def test_equality_witness_short_of_budget_falls_through(self):
+        game = random_interval_game(8, seed=5)
+        model = default_uncertainty(game.payoffs)
+        result = solve_cubis(game, model, num_segments=8, epsilon=1e-2,
+                             equality_resources=True)
+        assert result.hull_screens == result.iterations
+        assert result.lp_solves > 0
+        assert result.strategy.sum() == pytest.approx(game.num_resources)

@@ -40,6 +40,15 @@ pytestmark = pytest.mark.skipif(
 SOLVE = {"num_segments": 8, "epsilon": 1e-2}
 
 
+# Side constraints skip the Lagrangian hull screen, so every step reaches
+# the LP screen; this cap on total coverage never binds.
+def lp_screened(num_targets):
+    cap = CoverageConstraints(
+        np.ones((1, num_targets)), np.array([float(num_targets)])
+    )
+    return {**SOLVE, "coverage_constraints": cap}
+
+
 def random_skeleton(t, k, seed, *, equality=False, constrained=False):
     rng = np.random.default_rng(seed)
     grid = SegmentGrid(k)
@@ -200,7 +209,7 @@ class TestFaultInjection:
         monkeypatch.setattr(milp_backend, "_HIGHS", Binding())
         ref_tele = telemetry.Telemetry()
         with telemetry.use(ref_tele):
-            ref = solve_cubis(game, model, **SOLVE)
+            ref = solve_cubis(game, model, **lp_screened(8))
         assert ref.lp_solves > fail_at
         assert scipy_calls == []
 
@@ -208,7 +217,7 @@ class TestFaultInjection:
         monkeypatch.setattr(milp_backend, "_HIGHS", binding)
         tele = telemetry.Telemetry()
         with telemetry.use(tele):
-            result = solve_cubis(game, model, **SOLVE)
+            result = solve_cubis(game, model, **lp_screened(8))
 
         # The failed screen alone went to scipy, with the same verdict.
         assert len(scipy_calls) == 1

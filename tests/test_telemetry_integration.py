@@ -79,7 +79,7 @@ class TestSolveTracing:
                   if m.name == "repro_oracle_seconds"]
         assert series
         solves = [r for r in tele.spans
-                  if r.name in ("milp.solve", "dp.solve")]
+                  if r.name in ("milp.solve", "dp.solve", "cubis.hull_screen")]
         assert sum(h.count for h in series) == len(solves)
 
     def test_counters_match_result_fields(self):
