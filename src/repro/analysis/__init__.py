@@ -34,19 +34,15 @@ from repro.analysis.sensitivity import (
 )
 from repro.analysis.sweep import (
     CellFailure,
-    DuplicateKeyError,
     ResultTable,
     SweepCellError,
-    collect_store,
     run_grid,
-    sweep_identity,
 )
 
 __all__ = [
     "CellFailure",
     "DeploymentHistory",
     "DeploymentRound",
-    "DuplicateKeyError",
     "FrontierPoint",
     "OutcomeDistribution",
     "PlannerComparison",
@@ -56,7 +52,6 @@ __all__ = [
     "StrategyEvaluation",
     "SupportStructure",
     "binding_targets",
-    "collect_store",
     "compare_planners",
     "evaluate_strategy",
     "format_kv",
@@ -72,7 +67,6 @@ __all__ = [
     "save_json",
     "simulate_deployment",
     "simulate_outcomes",
-    "sweep_identity",
     "uncertainty_contributions",
     "uncertainty_from_dict",
     "uncertainty_to_dict",

@@ -1,37 +1,19 @@
-"""Experiment sweep machinery: records, grids, aggregation, resumption.
+"""Experiment sweep machinery: records, grids, aggregation.
 
 The benchmark harness regenerates each figure as a table of rows; this
 module provides the plumbing — an append-only :class:`ResultTable` of
 uniform records, seeded trial fan-out, and group-by aggregation — without
 depending on pandas (numpy-only per the project's dependency budget).
 
-:func:`run_grid` is the sweep engine.  Beyond the original serial/pooled
-fan-out it supports:
-
-* **per-cell fault isolation** — a raising trial no longer discards its
-  siblings' results; failures are caught per cell, carry the grid params
-  and seed path, and are either re-raised with context
-  (``on_error="raise"``, the default) or recorded on
-  :attr:`ResultTable.failures` (``on_error="record"``), with bounded
-  retries (``retry=``) and cross-run quarantine (``quarantine_after=``);
-* **durable, resumable execution** — pass ``store=`` (a
-  :class:`~repro.store.SweepStore` or a path) and every completed cell
-  is persisted atomically as it finishes; ``resume=True`` skips
-  completed cells *bit-identically* (seeding is re-derived from the root
-  seed through :func:`~repro.utils.rng.spawn_seed_sequences`, and stored
-  cells replay their records and telemetry exports in submission order,
-  so a ``kill -9``'d-and-resumed sweep equals the uninterrupted run);
-* **zero-coordination sharding** — ``shard="i/n"`` restricts a run to
-  the cells whose position in the stable (cell-major, trial-minor)
-  ordering is congruent to ``i`` mod ``n``; independent hosts split a
-  grid with no locking and :func:`collect_store` /
-  :meth:`ResultTable.concat` merge the results deterministically;
-* **deterministic fault injection** — a
-  :class:`~repro.resilience.faults.SweepFaultInjector` schedules trial
-  crashes, worker death, and torn writes at exact cell coordinates, so
-  every recovery path above is provable under test.
-
-See ``docs/SWEEPS.md`` for the store layout and the multi-host recipe.
+:func:`run_grid` is the sweep engine: it spawns one seed per
+(configuration, trial) cell, runs the cells serially or on a process
+pool, and assembles the rows in cell order, so the table is a pure
+function of the root seed.  A raising trial does not discard its
+siblings' results: each failure carries the grid params and seed path
+and is either re-raised with that context (``on_error="raise"``, the
+default) or recorded on :attr:`ResultTable.failures`
+(``on_error="record"``).  A worker that dies hard breaks the pool; the
+engine replaces the pool and re-runs the cells that had not finished.
 """
 
 from __future__ import annotations
@@ -46,19 +28,15 @@ import numpy as np
 from repro import telemetry
 from repro.obs import progress
 from repro.solvers.fleet import process_shape_cache, use_shape_cache
-from repro.store import CellKey, CellRecord, SweepStore, hash_config, plain_data, stable_hash
-from repro.store.store import parse_shard
-from repro.telemetry import Telemetry, TelemetryExport
+from repro.store.hashing import plain_data
+from repro.telemetry import Telemetry
 from repro.utils.rng import spawn_seed_sequences
 
 __all__ = [
     "CellFailure",
-    "DuplicateKeyError",
     "ResultTable",
     "SweepCellError",
-    "collect_store",
     "run_grid",
-    "sweep_identity",
 ]
 
 #: How many times ``run_grid`` replaces a broken process pool (a worker
@@ -67,40 +45,9 @@ __all__ = [
 _MAX_POOL_RESTARTS = 3
 
 
-class DuplicateKeyError(KeyError):
-    """Two rows in a :meth:`ResultTable.concat` merge carried the same
-    key tuple — the signature of overlapping shard outputs.
-
-    Structured attributes for programmatic triage: :attr:`key` is the
-    offending ``{column: value}`` mapping, :attr:`sources` names the two
-    input tables that contributed the colliding rows (when the caller
-    labelled them — ``merge-shards`` passes the store paths), and
-    :attr:`row_indices` are the rows' positions in the concatenated
-    table.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        key: dict | None = None,
-        sources: tuple = (),
-        row_indices: tuple = (),
-    ) -> None:
-        super().__init__(message)
-        self.key = dict(key) if key else {}
-        self.sources = tuple(sources)
-        self.row_indices = tuple(row_indices)
-
-    def __str__(self) -> str:
-        # KeyError.__str__ repr-quotes its argument; show the message
-        # verbatim instead (it embeds the key and source labels).
-        return str(self.args[0]) if self.args else ""
-
-
 @dataclass(frozen=True)
 class CellFailure:
-    """Structured record of one sweep cell that exhausted its attempts.
+    """Structured record of one sweep cell whose trial raised.
 
     Carries everything needed to reproduce the failure in isolation: the
     grid params, the cell/trial coordinates, and the seed path (the
@@ -112,8 +59,6 @@ class CellFailure:
     params: dict
     error_type: str
     error_message: str
-    attempts: int
-    quarantined: bool
     spawn_key: tuple
     traceback: str = ""
 
@@ -124,8 +69,6 @@ class CellFailure:
             "params": plain_data(self.params),
             "error_type": self.error_type,
             "error_message": self.error_message,
-            "attempts": self.attempts,
-            "quarantined": self.quarantined,
             "spawn_key": list(self.spawn_key),
             "traceback": self.traceback,
         }
@@ -138,15 +81,13 @@ class CellFailure:
             params=dict(data["params"]),
             error_type=str(data["error_type"]),
             error_message=str(data["error_message"]),
-            attempts=int(data["attempts"]),
-            quarantined=bool(data["quarantined"]),
             spawn_key=tuple(int(k) for k in data.get("spawn_key", ())),
             traceback=str(data.get("traceback", "")),
         )
 
 
 class SweepCellError(RuntimeError):
-    """A sweep cell failed every allowed attempt (``on_error="raise"``).
+    """A sweep cell's trial raised (``on_error="raise"``).
 
     The :attr:`failure` attribute holds the :class:`CellFailure`; the
     message embeds the params, seed path, and the original traceback so
@@ -157,8 +98,7 @@ class SweepCellError(RuntimeError):
         self.failure = failure
         super().__init__(
             f"sweep cell {failure.cell_index} trial {failure.trial_index} "
-            f"failed after {failure.attempts} attempt(s): "
-            f"{failure.error_type}: {failure.error_message}\n"
+            f"failed: {failure.error_type}: {failure.error_message}\n"
             f"  params: {failure.params!r}\n"
             f"  seed path: root seed -> spawn_key {list(failure.spawn_key)}\n"
             f"{failure.traceback}"
@@ -172,9 +112,8 @@ class ResultTable:
     The first appended record fixes the column set; later records must
     carry exactly the same keys (catching typo'd metric names early).
     :attr:`failures` collects the :class:`CellFailure` records of cells
-    that ran under ``on_error="record"`` (or were quarantined) — kept
-    separate from :attr:`rows` so aggregations never silently average
-    over holes.
+    that ran under ``on_error="record"`` — kept separate from
+    :attr:`rows` so aggregations never silently average over holes.
     """
 
     rows: list[dict] = field(default_factory=list)
@@ -229,85 +168,6 @@ class ResultTable:
                 out.rows.append(row)
         return out
 
-    @classmethod
-    def concat(cls, tables: Iterable["ResultTable"], *,
-               keys: Sequence[str] | None = None,
-               sources: Sequence[str] | None = None) -> "ResultTable":
-        """Concatenate tables with schema checking and (optionally) a
-        checked, deterministic merge.
-
-        All tables must share one schema (:class:`ValueError` otherwise,
-        mirroring :meth:`append`).  With ``keys`` — a sequence of column
-        names forming each row's identity — the merge additionally:
-
-        * validates the key columns against the schema (unknown columns
-          raise :class:`KeyError`, mirroring :meth:`where`);
-        * raises :class:`DuplicateKeyError` if two rows share a key
-          tuple (overlapping shard outputs must be resolved upstream,
-          not silently double-counted) — the exception names the key
-          tuple and, when ``sources`` labels are given, the two input
-          tables involved;
-        * sorts rows by key tuple, so the merged order is a pure
-          function of the data, not of the order shards finished.
-
-        ``sources`` optionally labels each input table (same length and
-        order as ``tables``; ``merge-shards`` passes the store paths) —
-        used only to attribute duplicate keys in the error.
-        ``failures`` lists are concatenated in table order.
-        """
-        out = cls()
-        row_source: list[str | None] = []
-        labels = list(sources) if sources is not None else None
-        for t, table in enumerate(tables):
-            label = None
-            if labels is not None:
-                if t >= len(labels):
-                    raise ValueError(
-                        f"sources has {len(labels)} labels but there are "
-                        f"more than {len(labels)} tables"
-                    )
-                label = labels[t]
-            for row in table.rows:
-                out.append(**row)
-                row_source.append(label)
-            out.failures.extend(table.failures)
-        if keys is None:
-            return out
-        keys = list(keys)
-        if out.rows:
-            unknown = set(keys) - set(out.rows[0])
-            if unknown:
-                raise KeyError(
-                    f"unknown key column(s) {sorted(unknown)}; "
-                    f"table columns are {out.columns}"
-                )
-        seen: dict[tuple, int] = {}
-        for i, row in enumerate(out.rows):
-            key_tuple = tuple(row[k] for k in keys)
-            if key_tuple in seen:
-                first = seen[key_tuple]
-                key = dict(zip(keys, key_tuple))
-                involved = tuple(
-                    label
-                    for label in (row_source[first], row_source[i])
-                    if label is not None
-                )
-                where = (
-                    f" (from {row_source[first]!r} and {row_source[i]!r})"
-                    if involved
-                    else ""
-                )
-                raise DuplicateKeyError(
-                    f"duplicate rows for key {key}{where} "
-                    f"(rows {first} and {i})",
-                    key=key,
-                    sources=involved,
-                    row_indices=(first, i),
-                )
-            seen[key_tuple] = i
-        out.rows.sort(key=lambda row: tuple(row[k] for k in keys))
-        return out
-
     def to_dict(self) -> dict:
         """JSON-ready form (rows normalised to plain data)."""
         return {
@@ -344,20 +204,24 @@ class ResultTable:
         }
 
 
-def _run_trial_records(
+def _execute_cell(
     trial: Callable[..., Iterable[dict]],
-    rng: np.random.Generator,
+    seq: np.random.SeedSequence,
     trial_index: int,
     params: dict,
-    cell_index: int = 0,
-    capture: bool = False,
-    fleet: bool = False,
-) -> tuple[list[dict], TelemetryExport | None]:
-    """Materialise one trial's records (plus its telemetry, if captured).
+    cell_index: int,
+    capture: bool,
+    fleet: bool,
+) -> dict:
+    """Run one cell, catching trial exceptions into a structured failure
+    dict.
 
     Module-level (not a closure) so :func:`run_grid` can ship it to a
     :class:`~concurrent.futures.ProcessPoolExecutor` worker — the trial
-    callable and its params are pickled along.
+    callable and its params are pickled along.  The generator is rebuilt
+    from the cell's :class:`SeedSequence` *here*, never shipped
+    pre-built, so a cell re-run after a pool restart draws exactly the
+    stream the first run did.
 
     With ``capture=True`` the trial runs under a fresh
     :class:`~repro.telemetry.Telemetry` context whose export is returned
@@ -373,59 +237,24 @@ def _run_trial_records(
     skeleton views are bit-identical to fresh builds, so the sweep's
     records do not depend on the flag — only its throughput does.
     """
-    cache_cm = (
-        use_shape_cache(process_shape_cache()) if fleet
-        else contextlib.nullcontext()
-    )
-    with cache_cm:
-        if not capture:
-            records = [
-                dict(record)
-                for record in trial(rng=rng, trial_index=trial_index, **params)
-            ]
-            return records, None
-        tele = Telemetry()
-        with telemetry.use(tele):
-            with tele.span("sweep.trial", cell=cell_index, trial=trial_index):
+    try:
+        rng = np.random.default_rng(seq)
+        with (use_shape_cache(process_shape_cache()) if fleet
+              else contextlib.nullcontext()):
+            if not capture:
                 records = [
                     dict(record)
                     for record in trial(rng=rng, trial_index=trial_index, **params)
                 ]
-        return records, tele.export()
-
-
-def _execute_cell(
-    trial: Callable[..., Iterable[dict]],
-    seq: np.random.SeedSequence,
-    trial_index: int,
-    params: dict,
-    cell_index: int,
-    capture: bool,
-    attempts: int,
-    generation: int | None,
-    faults,
-    fleet: bool = False,
-) -> dict:
-    """Run one cell attempt, catching trial exceptions into a structured
-    failure dict (module-level so the pool can pickle it).
-
-    The generator is rebuilt from the cell's :class:`SeedSequence` *here*
-    — never shipped pre-built — so a retried attempt draws exactly the
-    stream the first attempt did, and a resumed run the stream the
-    original did.  Failed attempts discard their partial telemetry: only
-    the surviving attempt contributes spans, which is what keeps a
-    faulted-then-retried sweep's trace identical to a clean run's.
-    """
-    try:
-        if faults is not None:
-            faults.apply_in_trial(
-                cell_index, trial_index, attempts=attempts, generation=generation
-            )
-        rng = np.random.default_rng(seq)
-        records, export = _run_trial_records(
-            trial, rng, trial_index, params, cell_index, capture, fleet
-        )
-        return {"status": "ok", "records": records, "export": export}
+                return {"status": "ok", "records": records, "export": None}
+            tele = Telemetry()
+            with telemetry.use(tele):
+                with tele.span("sweep.trial", cell=cell_index, trial=trial_index):
+                    records = [
+                        dict(record)
+                        for record in trial(rng=rng, trial_index=trial_index, **params)
+                    ]
+            return {"status": "ok", "records": records, "export": tele.export()}
     except Exception as exc:
         return {
             "status": "failed",
@@ -444,92 +273,6 @@ class _Job:
     params: dict
     trial: int
     seq: np.random.SeedSequence
-    key: CellKey | None
-
-
-def _seed_fingerprint(seed) -> Any:
-    """JSON-typed identity of a root seed (for the sweep hash).
-
-    Store-backed sweeps must be re-derivable, so only ``int`` and
-    :class:`~numpy.random.SeedSequence` seeds are accepted — a
-    ``Generator`` (stateful) or ``None`` (fresh OS entropy) cannot
-    reproduce the same cell streams on resume.
-    """
-    if isinstance(seed, (bool, np.bool_)):
-        raise TypeError("store-backed sweeps need an int or SeedSequence seed")
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        if entropy is None:
-            raise TypeError(
-                "store-backed sweeps need a SeedSequence with explicit entropy"
-            )
-        return {
-            "entropy": plain_data(
-                list(entropy) if isinstance(entropy, (list, tuple)) else entropy
-            ),
-            "spawn_key": [int(k) for k in seed.spawn_key],
-        }
-    raise TypeError(
-        f"store-backed sweeps need an int or SeedSequence seed (re-derivable "
-        f"on resume), got {type(seed).__name__}"
-    )
-
-
-def sweep_identity(trial: Callable, seed) -> str:
-    """The store-binding identity of a sweep: trial name + root seed.
-
-    Deliberately excludes the grid and ``num_trials`` — hierarchical
-    seeding has the stable-prefix property, so *extending* a sweep
-    (more configurations, more trials) reuses the same store; changing
-    the seed or the trial function requires a fresh one.
-    """
-    return stable_hash({
-        "trial": f"{trial.__module__}:{trial.__qualname__}",
-        "seed": _seed_fingerprint(seed),
-    })
-
-
-def collect_store(store, *, cell_column: str | None = None) -> ResultTable:
-    """Rebuild a :class:`ResultTable` from every readable cell in a store.
-
-    Cells are read in the stable ``(cell, trial)`` order, so the table's
-    rows match a serial :func:`run_grid` over the same grid regardless
-    of which shard (or host) produced each cell.  Failed cells surface
-    on :attr:`ResultTable.failures`.  With ``cell_column``, each row is
-    prefixed with its cell index under that name — the key
-    :meth:`ResultTable.concat` needs for a checked multi-store merge.
-    """
-    if not isinstance(store, SweepStore):
-        store = SweepStore(store)
-    table = ResultTable()
-    for record in store.iter_cells():
-        if record.status == "ok":
-            for row_record in record.records:
-                row = {**record.params, "trial": record.key.trial_index,
-                       **row_record}
-                if cell_column is not None:
-                    row = {cell_column: record.key.cell_index, **row}
-                table.append(**row)
-        else:
-            table.failures.append(_failure_from_record(record))
-    return table
-
-
-def _failure_from_record(record: CellRecord) -> CellFailure:
-    failure = record.failure or {}
-    return CellFailure(
-        cell_index=record.key.cell_index,
-        trial_index=record.key.trial_index,
-        params=dict(record.params),
-        error_type=str(failure.get("error_type", "Unknown")),
-        error_message=str(failure.get("error_message", "")),
-        attempts=int(failure.get("attempts", 0)),
-        quarantined=bool(failure.get("quarantined", False)),
-        spawn_key=tuple(int(k) for k in failure.get("spawn_key", ())),
-        traceback=str(failure.get("traceback", "")),
-    )
 
 
 def run_grid(
@@ -540,12 +283,6 @@ def run_grid(
     seed=0,
     workers: int | None = None,
     on_error: str = "raise",
-    retry=None,
-    quarantine_after: int = 3,
-    store=None,
-    resume: bool = False,
-    shard=None,
-    faults=None,
     fleet: bool = False,
 ) -> ResultTable:
     """Run ``trial`` over a parameter grid with seeded repetitions.
@@ -566,47 +303,24 @@ def run_grid(
         configurations to the grid) extends the sweep without perturbing
         the streams of existing (configuration, trial) cells.
     seed:
-        Root seed; the whole sweep is reproducible from it.  Store-backed
-        sweeps require an ``int`` or ``SeedSequence`` (re-derivable).
+        Root seed; the whole sweep is reproducible from it.
     workers:
         ``None`` or ``1`` runs serially in-process.  ``N > 1`` fans the
         (configuration, trial) cells out over a process pool.  Seed
         sequences are spawned *before* dispatch and results are merged in
         submission order, so the returned table is bit-identical to the
-        serial run at the same ``seed`` regardless of scheduling.
-        Requires ``trial`` (and its params) to be picklable — a
-        module-level function, not a lambda or closure.
+        serial run at the same ``seed`` regardless of scheduling.  A
+        worker that dies hard (the pool raises ``BrokenProcessPool``)
+        costs only a pool restart: unfinished cells are re-submitted, up
+        to ``_MAX_POOL_RESTARTS`` times.  Requires ``trial`` (and its
+        params) to be picklable — a module-level function, not a lambda
+        or closure.
     on_error:
-        ``"raise"`` (default): a cell that fails every allowed attempt
-        raises :class:`SweepCellError` carrying the params, seed path,
-        and original traceback.  ``"record"``: the failure becomes a
+        ``"raise"`` (default): a cell whose trial raises raises
+        :class:`SweepCellError` carrying the params, seed path, and
+        original traceback.  ``"record"``: the failure becomes a
         :class:`CellFailure` on ``table.failures`` and its siblings run
         to completion.
-    retry:
-        Extra attempts per cell *within this run*: an ``int`` retry
-        count, or a :class:`~repro.resilience.ResiliencePolicy` (its
-        ``max_retries`` is used).  Default: no retries.
-    quarantine_after:
-        Total attempt budget per cell *across resumes* of a store-backed
-        sweep; a cell still failing at this count is quarantined (never
-        retried again, surfaced as a quarantined :class:`CellFailure`).
-    store:
-        A :class:`~repro.store.SweepStore` (or a path): every finished
-        cell is persisted atomically as it completes, making the sweep
-        crash-safe.  The store is bound to the sweep's identity (trial
-        name + root seed) and refuses cells from a different sweep.
-    resume:
-        With ``store``: skip cells the store already holds, replaying
-        their records and telemetry exports bit-identically; torn cell
-        files left by a hard kill are detected, discarded, and re-run.
-    shard:
-        ``"i/n"`` (or an ``(i, n)`` pair): run only the cells at
-        positions ≡ ``i`` (mod ``n``) in the stable cell ordering —
-        zero-coordination grid splitting across hosts (share a store
-        root, or merge stores later with ``repro merge-shards``).
-    faults:
-        A :class:`~repro.resilience.SweepFaultInjector` scheduling
-        deterministic sweep-layer faults (tests only).
     fleet:
         Run every trial under the process-wide skeleton shape cache
         (:func:`~repro.solvers.fleet.process_shape_cache`): the first
@@ -621,299 +335,126 @@ def run_grid(
         telemetry.
 
     When a telemetry context is active (``repro.telemetry.use``), every
-    trial — serial, pooled, or replayed from the store — runs under (or
-    re-absorbs) its own per-trial context rooted at a ``sweep.trial``
-    span, merged back in submission order: the merged trace and
-    histogram state are deterministic and identical across ``workers``
-    settings, and structurally identical across interrupt/resume
-    boundaries.  With a store, per-trial telemetry is captured even
-    without an active context so stored cells always carry their
-    exports.
+    trial — serial or pooled — runs under its own per-trial context
+    rooted at a ``sweep.trial`` span, merged back in submission order:
+    the merged trace and histogram state are deterministic and identical
+    across ``workers`` settings.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if on_error not in ("raise", "record"):
         raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-    if quarantine_after < 1:
-        raise ValueError(f"quarantine_after must be >= 1, got {quarantine_after}")
-    retries = 0 if retry is None else int(getattr(retry, "max_retries", retry))
-    if retries < 0:
-        raise ValueError(f"retry must be >= 0, got {retries}")
-    shard_index, num_shards = parse_shard(shard)
-    if resume and store is None:
-        raise ValueError("resume=True requires a store to resume from")
-
-    if store is not None and not isinstance(store, SweepStore):
-        store = SweepStore(store)
-    sweep_hash = None
-    if store is not None:
-        sweep_hash = sweep_identity(trial, seed)
-        store.bind(sweep_hash)
 
     tele = telemetry.current()
-    # A store needs every cell's telemetry persisted (so a resumed or
-    # merged run can rebuild one span tree); without one, capture only
-    # when someone is actually tracing.
-    capture = tele.enabled or store is not None
+    capture = tele.enabled
 
-    # Stable job ordering: cell-major, trial-minor — the ordering the
-    # shard assignment, the store sort, and the row order all share.
+    # Stable job ordering: cell-major, trial-minor — the row order.
     jobs: list[_Job] = []
     for cell, (params, config_seq) in enumerate(
         zip(grid, spawn_seed_sequences(seed, len(grid)))
     ):
-        config_hash = hash_config(params) if store is not None else None
         for t, trial_seq in enumerate(config_seq.spawn(num_trials)):
-            key = (
-                CellKey(config_hash, cell, t) if store is not None else None
-            )
-            jobs.append(_Job(len(jobs), cell, params, t, trial_seq, key))
-    my_jobs = [job for job in jobs if job.pos % num_shards == shard_index]
+            jobs.append(_Job(len(jobs), cell, params, t, trial_seq))
 
     span_attributes = {
         "cells": len(grid), "trials": num_trials, "workers": workers or 1,
     }
     if fleet:
         span_attributes["fleet"] = True
-    if num_shards > 1:
-        span_attributes["shard"] = shard_index
-        span_attributes["num_shards"] = num_shards
 
-    outcomes: dict[int, dict] = {}
-    attempts_done: dict[int, int] = {}
-    puts_completed = 0
-    resumed_count = 0
+    outcomes: list[dict | None] = [None] * len(jobs)
     ok_count = 0
     failed_count = 0
-    quarantined_count = 0
 
     # Heartbeats for the live ops plane (no-ops without an active board).
-    # ``done`` counts *terminal* cells (ok + failed), so counts are
-    # monotone, ``remaining`` reaches 0, and the final snapshot equals
-    # the store's cell census exactly.
+    # ``done`` counts terminal cells (ok + failed), so counts are
+    # monotone and ``remaining`` reaches 0.
     progress.publish(
         "sweep",
-        total=len(my_jobs), done=0, ok=0, failed=0, quarantined=0,
-        resumed=0, cells=len(grid), trials=num_trials, workers=workers or 1,
-        shard=f"{shard_index}/{num_shards}", fleet=fleet,
+        total=len(jobs), done=0, ok=0, failed=0,
+        cells=len(grid), trials=num_trials, workers=workers or 1,
+        fleet=fleet,
     )
 
-    def _progress_ok(resumed: bool = False) -> None:
-        nonlocal ok_count
-        ok_count += 1
-        progress.bump("sweep", 1, ok=ok_count, resumed=resumed_count)
-
-    def _progress_failure(quarantined: bool) -> None:
-        nonlocal failed_count, quarantined_count
-        failed_count += 1
-        if quarantined:
-            quarantined_count += 1
-        progress.bump(
-            "sweep", 1,
-            failed=failed_count, quarantined=quarantined_count,
-            resumed=resumed_count,
-        )
-
-    def _attempt_limit(job: _Job) -> int:
-        limit = attempts_start[job.pos] + 1 + retries
-        if store is not None:
-            limit = min(limit, quarantine_after)
-        return max(limit, attempts_start[job.pos] + 1)
-
-    def _finalize(job: _Job, outcome: dict, total_attempts: int) -> None:
-        """Persist one terminal outcome and file it for assembly.  Runs
-        in the parent as each cell reaches its final state — this is the
-        durability point, so a crash immediately after still resumes
-        past this cell."""
-        nonlocal puts_completed
+    def _finalize(job: _Job, outcome: dict) -> None:
+        """File one finished cell for assembly (and raise on a failure
+        under ``on_error="raise"``)."""
+        nonlocal ok_count, failed_count
         if outcome["status"] == "ok":
-            if store is not None:
-                outcome["records"] = plain_data(outcome["records"])
-                export = outcome["export"]
-                cell_record = CellRecord(
-                    key=job.key,
-                    params=plain_data(dict(job.params)),
-                    status="ok",
-                    records=outcome["records"],
-                    telemetry=export.to_dict() if export is not None else None,
-                )
-                if faults is not None and faults.torn_due(job.cell, job.trial):
-                    store.put_torn(cell_record)
-                    faults.raise_kill(
-                        f"torn write injected at cell {job.cell} "
-                        f"trial {job.trial}"
-                    )
-                store.put(cell_record)
-                puts_completed += 1
-                if faults is not None and faults.kill_due(puts_completed):
-                    faults.raise_kill(
-                        f"kill injected after {puts_completed} cell writes"
-                    )
             outcomes[job.pos] = outcome
-            _progress_ok()
+            ok_count += 1
+            progress.bump("sweep", 1, ok=ok_count)
             return
-        quarantined = store is not None and total_attempts >= quarantine_after
         failure = CellFailure(
             cell_index=job.cell,
             trial_index=job.trial,
             params=dict(job.params),
             error_type=outcome["error_type"],
             error_message=outcome["error_message"],
-            attempts=total_attempts,
-            quarantined=quarantined,
             spawn_key=tuple(int(k) for k in job.seq.spawn_key),
             traceback=outcome["traceback"],
         )
-        if store is not None:
-            # Persist the failure *before* any raise: a resumed run
-            # picks up the attempt count and quarantines deterministically.
-            store.put(CellRecord(
-                key=job.key,
-                params=plain_data(dict(job.params)),
-                status="failed",
-                failure=failure.to_dict(),
-            ))
         outcomes[job.pos] = {"status": "failed", "failure": failure}
-        _progress_failure(quarantined)
+        failed_count += 1
+        progress.bump("sweep", 1, failed=failed_count)
         if on_error == "raise":
             raise SweepCellError(failure)
 
     with tele.span("sweep.run_grid", **span_attributes):
-        # -- resume: replay completed cells from the store ------------- #
-        to_run: list[_Job] = []
-        for job in my_jobs:
-            attempts_prior = 0
-            if store is not None and resume:
-                stored = store.load(job.key)
-                if stored is not None:
-                    if stored.status == "ok":
-                        export = (
-                            TelemetryExport.from_dict(stored.telemetry)
-                            if stored.telemetry is not None else None
-                        )
-                        outcomes[job.pos] = {
-                            "status": "ok", "records": stored.records,
-                            "export": export,
-                        }
-                        resumed_count += 1
-                        _progress_ok(resumed=True)
-                        continue
-                    prior_failure = stored.failure or {}
-                    attempts_prior = int(prior_failure.get("attempts", 0))
-                    if stored.quarantined or attempts_prior >= quarantine_after:
-                        outcomes[job.pos] = {
-                            "status": "failed",
-                            "failure": _failure_from_record(stored),
-                        }
-                        resumed_count += 1
-                        _progress_failure(quarantined=True)
-                        continue
-            attempts_done[job.pos] = attempts_prior
-            to_run.append(job)
-        attempts_start = dict(attempts_done)
-
-        # -- execute ---------------------------------------------------- #
-        if workers is not None and workers > 1 and len(to_run) > 1:
+        if workers is not None and workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
 
-            generation = 0
             restarts = 0
             pool = ProcessPoolExecutor(max_workers=workers)
             try:
-                current = list(to_run)
-                while current:
+                pending = jobs
+                while pending:
                     submitted = [
                         (job, pool.submit(
                             _execute_cell, trial, job.seq, job.trial,
-                            job.params, job.cell, capture,
-                            attempts_done[job.pos], generation, faults,
-                            fleet,
+                            job.params, job.cell, capture, fleet,
                         ))
-                        for job in current
+                        for job in pending
                     ]
-                    next_round: list[_Job] = []
-                    broken = False
+                    pending = []
                     for job, future in submitted:
                         try:
                             outcome = future.result()
                         except BrokenProcessPool:
                             # A worker died hard; this future cannot say
-                            # whether its cell ran.  Re-run it on the
+                            # whether its cell ran.  Re-run it on a
                             # fresh pool — determinism makes that exact.
-                            broken = True
-                            next_round.append(job)
+                            pending.append(job)
                             continue
-                        attempts_done[job.pos] += 1
-                        if (outcome["status"] == "failed"
-                                and attempts_done[job.pos] < _attempt_limit(job)):
-                            next_round.append(job)
-                        else:
-                            _finalize(job, outcome, attempts_done[job.pos])
-                    if broken:
+                        _finalize(job, outcome)
+                    if pending:
                         restarts += 1
                         if restarts > _MAX_POOL_RESTARTS:
                             raise RuntimeError(
                                 f"sweep worker pool died {restarts} times; "
-                                f"giving up (completed cells are preserved "
-                                f"in the store, resume to continue)"
+                                f"giving up with {len(pending)} of "
+                                f"{len(jobs)} cells unfinished"
                             )
                         pool.shutdown(wait=False)
                         pool = ProcessPoolExecutor(max_workers=workers)
-                        generation += 1
-                    current = next_round
             finally:
                 pool.shutdown()
         else:
-            for job in to_run:
-                while True:
-                    outcome = _execute_cell(
-                        trial, job.seq, job.trial, job.params, job.cell,
-                        capture, attempts_done[job.pos], None, faults,
-                        fleet,
-                    )
-                    attempts_done[job.pos] += 1
-                    if (outcome["status"] == "failed"
-                            and attempts_done[job.pos] < _attempt_limit(job)):
-                        continue
-                    _finalize(job, outcome, attempts_done[job.pos])
-                    break
+            for job in jobs:
+                _finalize(job, _execute_cell(
+                    trial, job.seq, job.trial, job.params, job.cell,
+                    capture, fleet,
+                ))
 
-        # -- assemble (stable job order, independent of retry rounds) --- #
+        # -- assemble in stable job order ------------------------------ #
         table = ResultTable()
-        for job in my_jobs:
-            outcome = outcomes[job.pos]
+        for job, outcome in zip(jobs, outcomes):
             if outcome["status"] == "ok":
-                if outcome.get("export") is not None:
+                if outcome["export"] is not None:
                     tele.absorb(outcome["export"])
-                row_params = (
-                    plain_data(dict(job.params)) if store is not None
-                    else job.params
-                )
                 for record in outcome["records"]:
-                    table.append(**{**row_params, "trial": job.trial, **record})
+                    table.append(**{**job.params, "trial": job.trial, **record})
             else:
                 table.failures.append(outcome["failure"])
-
-        # -- shard manifest --------------------------------------------- #
-        if store is not None:
-            executed = len(to_run)
-            failed = [
-                outcomes[job.pos]["failure"] for job in my_jobs
-                if outcomes[job.pos]["status"] == "failed"
-            ]
-            store.write_shard_manifest({
-                "shard": shard_index,
-                "num_shards": num_shards,
-                "sweep": sweep_hash,
-                "cells": len(grid),
-                "trials": num_trials,
-                "jobs": len(my_jobs),
-                "resumed": resumed_count,
-                "executed": executed,
-                "failed": len(failed),
-                "quarantined": sum(1 for f in failed if f.quarantined),
-                "torn_discarded": store.torn_discarded,
-                "rows": len(table.rows),
-            })
     return table

@@ -12,16 +12,11 @@ without writing code::
 
 Each command prints the same table its benchmark counterpart produces.
 
-``sweep`` runs any experiment grid on the crash-resumable engine
-(docs/SWEEPS.md): ``--store DIR`` persists every finished cell
-atomically, ``--resume`` replays completed cells bit-identically after
-a crash or ``kill -9``, ``--shard i/n`` splits the grid across hosts
-with zero coordination, and ``merge-shards`` folds the store(s) back
-into one table plus one merged telemetry tree::
+``sweep`` runs any experiment grid through ``run_grid`` and can write
+the result table as canonical JSON, byte-identical across ``--workers``
+and ``--fleet`` settings::
 
-    python -m repro sweep smoke --store sweep-store --shard 0/2 --out s0.json
-    python -m repro sweep smoke --store sweep-store --shard 1/2
-    python -m repro merge-shards --store sweep-store --out merged.json
+    python -m repro sweep smoke --workers 2 --out table.json
 
 ``solve`` runs one CUBIS solve through the fault-tolerant pipeline::
 
@@ -165,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser(
         "sweep",
-        help="run an experiment sweep on the crash-resumable engine "
-             "(docs/SWEEPS.md)",
+        help="run an experiment sweep and optionally write its table "
+             "as canonical JSON",
     )
     sw.add_argument(
         "driver",
@@ -181,27 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--trials", type=int, default=2)
     sw.add_argument("--seed", type=int, default=2016)
     _add_workers(sw)
-    sw.add_argument("--store", type=str, default=None, metavar="DIR",
-                    help="persist every finished cell to this store "
-                         "directory (crash-safe, atomic writes)")
-    sw.add_argument("--resume", action="store_true",
-                    help="skip cells the store already holds "
-                         "(bit-identical replay; requires --store)")
-    sw.add_argument("--shard", type=str, default=None, metavar="I/N",
-                    help="run only shard I of N (0-based) of the stable "
-                         "cell ordering — zero-coordination grid splitting")
     sw.add_argument("--on-error", type=str, default="raise",
                     choices=["raise", "record"],
-                    help="raise on the first exhausted cell, or record "
+                    help="raise on the first failing cell, or record "
                          "failures and keep the siblings")
-    sw.add_argument("--retries", type=int, default=0,
-                    help="extra attempts per failing cell within this run")
-    sw.add_argument("--quarantine-after", type=int, default=3,
-                    help="total attempts across resumes before a cell is "
-                         "quarantined")
     sw.add_argument("--out", type=str, default=None, metavar="FILE",
                     help="write the result table as canonical JSON "
-                         "(byte-comparable across resumed/merged runs)")
+                         "(byte-comparable across --workers/--fleet runs)")
     sw.add_argument("--fleet", action="store_true",
                     help="share one MILP skeleton structure per (T, K, R) "
                          "shape across all cells (bit-identical results, "
@@ -210,23 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the sweep's merged span tree and metrics "
                          "as JSONL (feeds `repro trace`)")
     _add_serve(sw)
-
-    ms = sub.add_parser(
-        "merge-shards",
-        help="merge sharded sweep store(s) into one table + telemetry "
-             "(docs/SWEEPS.md)",
-    )
-    ms.add_argument("--store", type=str, nargs="+", required=True,
-                    metavar="DIR",
-                    help="one or more store roots (shards of one sweep)")
-    ms.add_argument("--out", type=str, default=None, metavar="FILE",
-                    help="write the merged table as canonical JSON")
-    ms.add_argument("--into", type=str, default=None, metavar="DIR",
-                    help="also fold every cell record into this store "
-                         "directory, making the merge itself resumable — "
-                         "failed and quarantined cells are carried over, "
-                         "so a resume against DIR honours quarantine "
-                         "decisions taken on any shard")
 
     b = sub.add_parser(
         "bench",
@@ -484,7 +448,8 @@ def _run_landscape(args) -> str:
 
 def _table_json(table) -> str:
     """Canonical JSON for a result table: sorted keys, fixed layout —
-    the byte-comparable artifact the resume/merge identity checks diff."""
+    the byte-comparable artifact the serial/pooled/fleet identity checks
+    diff."""
     import json
 
     return json.dumps(table.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -494,9 +459,6 @@ def _run_sweep(args) -> str:
     import pathlib
 
     from repro.experiments.smoke import run_smoke
-
-    if args.resume and not args.store:
-        raise SystemExit("sweep: --resume requires --store")
 
     first = (args.targets or [None])[0]
     drivers = {
@@ -515,116 +477,22 @@ def _run_sweep(args) -> str:
         num_trials=args.trials,
         seed=args.seed,
         workers=args.workers,
-        store=args.store,
-        resume=args.resume,
-        shard=args.shard,
         on_error=args.on_error,
-        retry=args.retries,
-        quarantine_after=args.quarantine_after,
         fleet=args.fleet,
         **kwargs,
     )
     lines = [
         f"sweep {args.driver}: {len(table.rows)} rows, "
         f"{len(table.failures)} failed cells"
-        + (f" (shard {args.shard})" if args.shard else "")
     ]
     for failure in table.failures:
-        flag = " [quarantined]" if failure.quarantined else ""
         lines.append(
             f"  cell {failure.cell_index} trial {failure.trial_index}: "
-            f"{failure.error_type}: {failure.error_message} "
-            f"({failure.attempts} attempts){flag}"
+            f"{failure.error_type}: {failure.error_message}"
         )
-    if args.store:
-        lines.append(f"store: {args.store}")
     if args.out:
         pathlib.Path(args.out).write_text(_table_json(table))
         lines.append(f"table written to {args.out}")
-    return "\n".join(lines)
-
-
-def _run_merge_shards(args) -> str:
-    import pathlib
-
-    from repro import telemetry
-    from repro.analysis.sweep import DuplicateKeyError, ResultTable, collect_store
-    from repro.store import SweepStore
-    from repro.telemetry import TelemetryExport
-
-    stores = [SweepStore(path) for path in args.store]
-    sweeps = {s.sweep_hash() for s in stores} - {None}
-    if len(sweeps) > 1:
-        raise SystemExit(
-            "merge-shards: stores belong to different sweeps "
-            f"({sorted(h[:12] for h in sweeps)}) — refusing to mix them"
-        )
-
-    # Row merge: per-store tables keyed by (cell, trial), checked for
-    # duplicates, ordered by key — then the helper column is dropped so
-    # the merged table matches a serial run's schema exactly.
-    tables = [collect_store(s, cell_column="_cell") for s in stores]
-    try:
-        merged = ResultTable.concat(
-            tables, keys=("_cell", "trial"),
-            sources=[str(s.root) for s in stores],
-        )
-    except DuplicateKeyError as exc:
-        raise SystemExit(f"merge-shards: {exc}") from exc
-    final = ResultTable()
-    for row in merged.rows:
-        final.append(**{k: v for k, v in row.items() if k != "_cell"})
-    final.failures = list(merged.failures)
-
-    # Telemetry merge: absorb every cell's stored export in the stable
-    # (cell, trial) order through the ordinary Tracer.adopt path, so the
-    # merged span tree and metrics equal a single-shard run's.
-    tele = telemetry.current()
-    records = sorted(
-        (rec for s in stores for rec in s.iter_cells()),
-        key=lambda rec: (rec.key.cell_index, rec.key.trial_index),
-    )
-    absorbed = 0
-    with tele.span("sweep.merge_shards", stores=len(stores),
-                   cells=len(records)):
-        for rec in records:
-            if rec.status == "ok" and rec.telemetry is not None:
-                tele.absorb(TelemetryExport.from_dict(rec.telemetry))
-                absorbed += 1
-
-    into_summary = None
-    if args.into:
-        target = SweepStore(args.into)
-        into_summary = {"copied": 0, "kept": 0, "quarantined": 0}
-        for s in stores:
-            summary = target.absorb_cells(s)
-            into_summary["copied"] += summary["copied"]
-            into_summary["kept"] += summary["kept"]
-            into_summary["quarantined"] = summary["quarantined"]
-
-    manifests = [m for s in stores for m in s.load_shard_manifests()]
-    torn = sum(s.torn_discarded for s in stores)
-    lines = [
-        f"merged {len(stores)} store(s): {len(final.rows)} rows, "
-        f"{len(final.failures)} failed cells, {absorbed} telemetry exports",
-        f"shard manifests: {len(manifests)}"
-        + (f", torn cells discarded: {torn}" if torn else ""),
-    ]
-    for manifest in manifests:
-        lines.append(
-            f"  shard {manifest.get('shard')}/{manifest.get('num_shards')}: "
-            f"{manifest.get('jobs')} jobs, {manifest.get('executed')} executed, "
-            f"{manifest.get('resumed')} resumed, {manifest.get('failed')} failed"
-        )
-    if into_summary is not None:
-        lines.append(
-            f"cells folded into {args.into}: {into_summary['copied']} copied, "
-            f"{into_summary['kept']} kept, "
-            f"{into_summary['quarantined']} quarantined preserved"
-        )
-    if args.out:
-        pathlib.Path(args.out).write_text(_table_json(final))
-        lines.append(f"merged table written to {args.out}")
     return "\n".join(lines)
 
 
@@ -991,7 +859,6 @@ def main(argv=None) -> int:
         "ablation": _run_ablation,
         "landscape": _run_landscape,
         "sweep": _run_sweep,
-        "merge-shards": _run_merge_shards,
         "calibrate": _run_calibrate,
         "report": _run_report,
         "solve": _run_solve,

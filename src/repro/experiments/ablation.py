@@ -85,8 +85,8 @@ def run_ablation_k(
 ) -> ResultTable:
     """Sweep the segment count ``K`` at a fixed tight ``epsilon``.
 
-    Extra keyword arguments pass through to
-    :func:`repro.analysis.sweep.run_grid` (``store=``, ``shard=``, …).
+    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [
         {"num_segments": k, "num_targets": num_targets, "epsilon": epsilon}
@@ -108,8 +108,8 @@ def run_ablation_epsilon(
 ) -> ResultTable:
     """Sweep the binary-search tolerance at a fixed large ``K``.
 
-    Extra keyword arguments pass through to
-    :func:`repro.analysis.sweep.run_grid` (``store=``, ``shard=``, …).
+    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [
         {"epsilon": e, "num_targets": num_targets, "num_segments": num_segments}

@@ -76,8 +76,8 @@ def run_intervals(
 ) -> ResultTable:
     """Run the F3 sweep over uncertainty scales.
 
-    Extra keyword arguments (``store=``, ``resume=``, ``shard=``, …)
-    pass through to :func:`repro.analysis.sweep.run_grid`.
+    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    :func:`repro.analysis.sweep.run_grid`.
 
     ``scale=0`` collapses the weight boxes to their midpoints (payoff
     intervals remain — set ``payoff_halfwidth`` via the trial body if a

@@ -115,8 +115,8 @@ def run_landscape(
 ) -> ResultTable:
     """Run the landscape comparison; one record per (trial, algorithm).
 
-    Extra keyword arguments pass through to
-    :func:`repro.analysis.sweep.run_grid` (``store=``, ``shard=``, …).
+    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [
         {

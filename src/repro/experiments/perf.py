@@ -75,6 +75,7 @@ def _solve_stats(result, seconds: float, *, backend: str) -> dict:
         "oracle_calls": result.oracle_calls,
         "milp_solves": result.milp_solves,
         "lp_solves": result.lp_solves,
+        "hull_screens": result.hull_screens,
         "cache_hits": result.cache_hits,
         "session_patches": result.session_patches,
         "lower_bound": result.lower_bound,
@@ -320,7 +321,7 @@ def run_bench_runtime(
     def totals(per_game: list[dict]) -> dict:
         keys = (
             "wall_clock_seconds", "oracle_calls", "milp_solves", "lp_solves",
-            "cache_hits", "session_patches",
+            "hull_screens", "cache_hits", "session_patches",
         )
         out = {k: sum(g[k] for g in per_game) for k in keys}
         calls = out["oracle_calls"]
@@ -522,8 +523,8 @@ def format_bench(payload: dict) -> str:
         f"oracle={cold['oracle_calls']}  milp={cold['milp_solves']}",
         f"  warm : {warm['wall_clock_seconds']:.2f}s  "
         f"oracle={warm['oracle_calls']}  milp={warm['milp_solves']}  "
-        f"lp={warm['lp_solves']}  hits={warm['cache_hits']} "
-        f"{hit_pct}",
+        f"lp={warm['lp_solves']}  hull={warm['hull_screens']}  "
+        f"hits={warm['cache_hits']} {hit_pct}",
         f"  speedup: {payload['speedup']:.2f}x",
     ]
     session = payload.get("session")
@@ -532,6 +533,7 @@ def format_bench(payload: dict) -> str:
             3,
             f"  sess : {session['wall_clock_seconds']:.2f}s  "
             f"oracle={session['oracle_calls']}  milp={session['milp_solves']}  "
+            f"hull={session['hull_screens']}  "
             f"patches={session['session_patches']}",
         )
         lines.append(f"  speedup_session: {payload['speedup_session']:.2f}x")
@@ -542,6 +544,7 @@ def format_bench(payload: dict) -> str:
             4 if session is not None else 3,
             f"  fleet: {fleet['wall_clock_seconds']:.2f}s  "
             f"oracle={fleet['oracle_calls']}  milp={fleet['milp_solves']}  "
+            f"hull={fleet['hull_screens']}  "
             f"patches={fleet['session_patches']}  "
             f"shape hits={shape.get('hits', 0)}/"
             f"misses={shape.get('misses', 0)}",

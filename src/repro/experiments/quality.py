@@ -102,9 +102,8 @@ def run_quality(
 ) -> ResultTable:
     """Run the F1 sweep; returns one record per (size, trial, algorithm).
 
-    Extra keyword arguments (``store=``, ``resume=``, ``shard=``,
-    ``on_error=``, ``retry=``, …) pass through to
-    :func:`repro.analysis.sweep.run_grid` for crash-safe, sharded runs.
+    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [
         {

@@ -71,8 +71,8 @@ def run_runtime(
 
     ``workers > 1`` fans the (size, trial) cells out over a process pool;
     results are bit-identical to the serial run at the same seed.  Extra
-    keyword arguments (``store=``, ``resume=``, ``shard=``, …) pass
-    through to :func:`repro.analysis.sweep.run_grid`.
+    keyword arguments (``on_error=``, ``fleet=``) pass through to
+    :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [
         {

@@ -1,12 +1,11 @@
 """A tiny, fully deterministic sweep driver for infrastructure testing.
 
 The real experiment drivers record wall-clock fields (``seconds``), which
-legitimately differ between a re-executed cell and a stored one — useless
-for proving resume *bit-identity*.  This driver solves small random
-interval games and records only solver-deterministic quantities, so a
-SIGKILL'd-and-resumed sweep (or a sharded-and-merged one) must reproduce
-its table **byte for byte** against the uninterrupted serial reference.
-The CI kill-and-resume smoke job (``repro sweep smoke``) is built on it.
+legitimately differ between two runs of the same cell — useless for
+proving *bit-identity*.  This driver solves small random interval games
+and records only solver-deterministic quantities, so a pooled
+(``--workers``) or fleet-mode sweep must reproduce its table **byte for
+byte** against the serial reference.  ``repro sweep smoke`` runs it.
 """
 
 from __future__ import annotations
@@ -52,9 +51,8 @@ def run_smoke(
 ) -> ResultTable:
     """Run the deterministic smoke sweep.
 
-    Extra keyword arguments (``store=``, ``resume=``, ``shard=``, …)
-    pass through to :func:`repro.analysis.sweep.run_grid` — this driver
-    exists to exercise exactly those paths.
+    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [
         {"num_targets": t, "num_segments": num_segments, "epsilon": epsilon}

@@ -2,7 +2,7 @@
 
 A :class:`ProgressBoard` is a small bulletin board: workload code calls
 :meth:`ProgressBoard.update` / :meth:`ProgressBoard.advance` with
-whatever it knows (``sweep``: cells done/failed/quarantined; ``fleet``:
+whatever it knows (``sweep``: cells done/ok/failed; ``fleet``:
 games solved and shape-cache hits; ``solve``: the live bisection
 bracket), and the :class:`~repro.obs.server.ObsServer` renders
 :meth:`ProgressBoard.snapshot` as ``GET /progress``.

@@ -20,9 +20,8 @@ actually asks:
   bench regression gate with *where*, not just *how much*.
 
 Loading is tolerant: a torn/truncated trailing line (a killed worker
-mid-write) produces a warning and is skipped, mirroring the sweep
-store's torn-write policy — an operator must be able to analyse the
-trace of the very crash they are debugging.
+mid-write) produces a warning and is skipped — an operator must be
+able to analyse the trace of the very crash they are debugging.
 """
 
 from __future__ import annotations

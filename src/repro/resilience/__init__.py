@@ -33,9 +33,6 @@ from repro.resilience.policy import (
 from repro.resilience.faults import (
     FAULT_MODES,
     FaultInjector,
-    InjectedTrialCrash,
-    SimulatedKill,
-    SweepFaultInjector,
     injected_policy,
 )
 from repro.resilience.certificate import (
@@ -50,18 +47,15 @@ __all__ = [
     "DEFAULT_RUNGS",
     "FAULT_MODES",
     "FaultInjector",
-    "InjectedTrialCrash",
     "LadderExhaustedError",
     "OracleLadder",
     "OracleStepError",
     "ResiliencePolicy",
     "ResilienceReport",
     "Rung",
-    "SimulatedKill",
     "SolutionCertificate",
     "SolveEventLog",
     "StepEvent",
-    "SweepFaultInjector",
     "certify_result",
     "injected_policy",
     "logger",

@@ -25,22 +25,11 @@ reproducible* failures at a configurable rate:
 Faults are drawn from a private :class:`numpy.random.Generator`, so a
 given ``(seed, call sequence)`` always produces the same fault schedule:
 a flaky production scenario becomes a reproducible test case.
-
-The module also defines **sweep-layer** faults
-(:class:`SweepFaultInjector`): trial crashes, worker death, torn cell
-writes, and simulated ``kill -9`` at cell boundaries — the failure
-modes the resumable sweep runner (:func:`repro.analysis.sweep.run_grid`)
-must survive.  Sweep faults are scheduled by explicit ``(cell, trial)``
-coordinates rather than by rate, because the property under test is not
-"survives *some* faults" but "cell ``(c, t)`` failing in *this specific
-way* leaves every sibling intact and resumes bit-identically".
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +40,6 @@ __all__ = [
     "FaultInjector",
     "FAULT_MODES",
     "injected_policy",
-    "SweepFaultInjector",
-    "InjectedTrialCrash",
-    "SimulatedKill",
 ]
 
 #: All supported fault modes, in the order the injector samples them.
@@ -167,120 +153,6 @@ class FaultInjector:
         )
         faulty_backend.__name__ = f"faulty-{name}"
         return faulty_backend
-
-
-class InjectedTrialCrash(RuntimeError):
-    """The exception a scheduled trial-crash fault raises inside the
-    trial — an ordinary ``Exception`` subclass, so it exercises exactly
-    the per-cell catch path a real trial bug would."""
-
-
-class SimulatedKill(BaseException):
-    """Raised by the parent-side fault schedule to simulate ``kill -9``
-    at a precise point in the sweep.
-
-    Derives from ``BaseException`` (like ``KeyboardInterrupt``) so it
-    sails past the sweep's per-cell ``except Exception`` isolation —
-    a simulated kill that could be "caught" would prove nothing.  Tests
-    catch it explicitly, then resume the sweep.
-    """
-
-
-@dataclass(frozen=True)
-class SweepFaultInjector:
-    """Deterministic sweep-layer fault schedule, keyed by cell coordinates.
-
-    Picklable and immutable, so the same schedule object travels to pool
-    workers unchanged.  Coordinates are ``(cell_index, trial_index)``
-    pairs.
-
-    Parameters
-    ----------
-    crash:
-        Cells whose trial raises :class:`InjectedTrialCrash` on its
-        first ``crash_times`` attempts (then succeeds) — exercises
-        per-cell isolation and the retry policy.
-    crash_times:
-        How many attempts each ``crash`` cell fails before succeeding.
-        Set it at or above the sweep's total attempt budget to drive a
-        cell into quarantine.
-    die_worker:
-        Cells whose trial hard-kills its worker process
-        (``os._exit(3)``) — exercises ``BrokenProcessPool`` recovery.
-        Fires only in pool generation 0, so the restarted pool (or a
-        serial run, where it degrades to a crash-then-succeed) makes
-        progress.
-    torn_write:
-        Cells whose store write is truncated mid-flight, immediately
-        followed by a :class:`SimulatedKill` — exercises torn-file
-        detection on resume.
-    kill_after_puts:
-        Raise :class:`SimulatedKill` after this many successful cell
-        writes — a clean ``kill -9`` at a cell boundary.
-    """
-
-    crash: frozenset = field(default_factory=frozenset)
-    crash_times: int = 1
-    die_worker: frozenset = field(default_factory=frozenset)
-    torn_write: frozenset = field(default_factory=frozenset)
-    kill_after_puts: int | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("crash", "die_worker", "torn_write"):
-            coords = frozenset(
-                (int(c), int(t)) for c, t in getattr(self, name)
-            )
-            object.__setattr__(self, name, coords)
-        if self.crash_times < 1:
-            raise ValueError(f"crash_times must be >= 1, got {self.crash_times}")
-
-    # -- worker side --------------------------------------------------- #
-
-    def apply_in_trial(self, cell: int, trial: int, *,
-                       attempts: int, generation: int | None) -> None:
-        """Fire any fault scheduled for this trial execution.
-
-        Called at the top of every trial run.  ``attempts`` is the number
-        of *prior* failed attempts for this cell; ``generation`` is the
-        pool generation (``None`` when running serially in the parent).
-        """
-        key = (cell, trial)
-        if key in self.die_worker:
-            if generation == 0:
-                # A real hard death: no exception, no cleanup, exit now.
-                os._exit(3)
-            if generation is None and attempts < self.crash_times:
-                # Serial runs have no worker to kill; degrade to a crash
-                # so the schedule still perturbs the run deterministically.
-                raise InjectedTrialCrash(
-                    f"injected worker death (serial degrade) at cell {cell} "
-                    f"trial {trial}"
-                )
-        if key in self.crash and attempts < self.crash_times:
-            raise InjectedTrialCrash(
-                f"injected trial crash at cell {cell} trial {trial} "
-                f"(attempt {attempts + 1}/{self.crash_times})"
-            )
-
-    # -- parent side --------------------------------------------------- #
-
-    def torn_due(self, cell: int, trial: int) -> bool:
-        """Whether this cell's store write should be torn (and the run
-        killed)."""
-        return (cell, trial) in self.torn_write
-
-    def kill_due(self, puts_completed: int) -> bool:
-        """Whether the run should die now, ``puts_completed`` successful
-        cell writes in."""
-        return (
-            self.kill_after_puts is not None
-            and puts_completed >= self.kill_after_puts
-        )
-
-    def raise_kill(self, message: str) -> None:
-        """Raise the :class:`SimulatedKill` for a due parent-side fault
-        (kept here so the sweep layer never imports the exception)."""
-        raise SimulatedKill(message)
 
 
 def injected_policy(

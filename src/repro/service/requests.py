@@ -17,9 +17,8 @@ The recipe reuses machinery that already has exactly these properties:
   applied, ints accepted as integral floats and vice versa, unknown
   keys rejected);
 * the resulting canonical dict is hashed with
-  :func:`repro.store.stable_hash` — the content-addressed store's
-  key-order-insensitive canonical hash, already property-tested for the
-  sweep store.
+  :func:`repro.store.stable_hash` — the key-order-insensitive
+  canonical content hash (``tests/test_store_hashing.py``).
 
 Service-level envelope fields (``tenant``, ``mode``) are routing
 concerns, not solve identity, and are stripped before hashing.

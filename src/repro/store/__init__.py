@@ -1,50 +1,12 @@
-"""repro.store — content-addressed, crash-safe result persistence.
+"""repro.store — canonical content hashing.
 
-The package has three layers:
-
-* :mod:`repro.store.hashing` — canonical content hashing (stable across
-  dict order, numpy scalar wrappers, and float printing);
-* :mod:`repro.store.cells` — self-verifying cell records (the unit of
-  persistence: one ``(config, trial)`` result or structured failure);
-* :mod:`repro.store.store` — the :class:`SweepStore` directory layout
-  with atomic write-then-rename cells and fsync'd shard manifests.
-
-The sweep runner (:func:`repro.analysis.sweep.run_grid`) builds on all
-three; nothing in this package imports :mod:`repro.analysis`, so the
-store stays usable from future services (ROADMAP item 1) without
-dragging in the experiment stack.
+:mod:`repro.store.hashing` gives every config and request one stable
+identity (:func:`stable_hash`, :func:`hash_config`): the solve service
+keys request coalescing and result caching on it, and the bench stamps
+its ``config_hash`` with it.  Nothing here imports :mod:`repro.analysis`,
+so the service uses it without the experiment stack.
 """
 
-from repro.store.cells import (
-    CellKey,
-    CellRecord,
-    TornCellError,
-    decode_cell,
-    encode_cell,
-    plain_data,
-)
-from repro.store.hashing import (
-    canonical_text,
-    hash_config,
-    hash_game,
-    hash_trial_callable,
-    stable_hash,
-)
-from repro.store.store import SweepStore, SweepStoreError, parse_shard
+from repro.store.hashing import hash_config, stable_hash
 
-__all__ = [
-    "CellKey",
-    "CellRecord",
-    "TornCellError",
-    "decode_cell",
-    "encode_cell",
-    "plain_data",
-    "canonical_text",
-    "hash_config",
-    "hash_game",
-    "hash_trial_callable",
-    "stable_hash",
-    "SweepStore",
-    "SweepStoreError",
-    "parse_shard",
-]
+__all__ = ["hash_config", "stable_hash"]

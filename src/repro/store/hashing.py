@@ -1,14 +1,12 @@
-"""Canonical hashing: one stable identity per game, config, and cell.
+"""Canonical hashing: one stable identity per config or request.
 
-The result store (:mod:`repro.store.store`), the resumable sweep runner
-(:func:`repro.analysis.sweep.run_grid`), and the future solve-service's
-request coalescing all need the same primitive: a hash that is a pure
-function of a value's *content* — independent of dict insertion order,
-of whether a number arrived as ``2``, ``np.int64(2)`` or inside an
-``ndarray``, and of float printing vagaries.  ``repr``-based schemes are
-fragile (``-0.0`` vs ``0.0``, platform ``repr`` history) and pickling is
-version-dependent, so this module defines its own tiny canonical text
-form:
+The solve service's request coalescing and the bench's ``config_hash``
+need the same primitive: a hash that is a pure function of a value's
+*content* — independent of dict insertion order, of whether a number
+arrived as ``2``, ``np.int64(2)`` or inside an ``ndarray``, and of float
+printing vagaries.  ``repr``-based schemes are fragile (``-0.0`` vs
+``0.0``, platform ``repr`` history) and pickling is version-dependent,
+so this module defines its own tiny canonical text form:
 
 * every scalar is tagged with its type (``i:``/``f:``/``b:``/``s:``/…)
   so ``1``, ``1.0``, ``True`` and ``"1"`` never collide;
@@ -22,9 +20,9 @@ form:
 * lists and tuples are interchangeable (both are "sequences" — a config
   that round-trips through JSON must keep its hash).
 
-:func:`stable_hash` is the raw primitive; :func:`hash_config` and
-:func:`hash_game` are the two domain entry points (the latter is the
-coalescing key the solve-as-a-service daemon will use — ROADMAP item 1).
+:func:`stable_hash` is the raw primitive and :func:`hash_config` its
+mapping entry point.  :func:`plain_data` is the matching JSON
+normaliser that :meth:`repro.analysis.sweep.ResultTable.to_dict` uses.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ __all__ = [
     "canonical_text",
     "stable_hash",
     "hash_config",
-    "hash_game",
-    "hash_trial_callable",
+    "plain_data",
 ]
 
 
@@ -113,29 +110,23 @@ def hash_config(config: Mapping) -> str:
     return stable_hash(config)
 
 
-def hash_game(game, uncertainty=None) -> str:
-    """The canonical hash of a game (plus, optionally, its uncertainty
-    model) — the coalescing key for identical solve requests.
+def plain_data(obj: Any) -> Any:
+    """Normalise a value into plain JSON-typed Python data.
 
-    Serialises through :func:`repro.analysis.io.game_to_dict` /
-    ``uncertainty_to_dict`` (round-trip-exact), then hashes canonically,
-    so a game loaded from JSON hashes identically to the original.
+    Numpy scalars become Python scalars, arrays become nested lists, and
+    tuples become lists — so a table written as JSON compares equal
+    (``==``) to its round-tripped self.
     """
-    # Imported lazily: repro.analysis imports repro.store (for the sweep
-    # runner), so a module-level import here would be circular.
-    from repro.analysis.io import game_to_dict, uncertainty_to_dict
-
-    payload: dict = {"game": game_to_dict(game)}
-    if uncertainty is not None:
-        payload["uncertainty"] = uncertainty_to_dict(uncertainty)
-    return stable_hash(payload)
-
-
-def hash_trial_callable(trial) -> str:
-    """Identity hash of a sweep trial callable (module + qualname).
-
-    The *code* of the trial is deliberately not hashed — re-running a
-    sweep after an innocuous refactor should still resume; a trial whose
-    semantics changed needs a fresh store (or a new seed).
-    """
-    return stable_hash(f"{trial.__module__}:{trial.__qualname__}")
+    if isinstance(obj, dict):
+        return {str(k): plain_data(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain_data(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return plain_data(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return obj

@@ -240,37 +240,3 @@ class MetricsRegistry:
     def snapshot(self) -> list[dict]:
         """JSON-ready list of every metric's state, insertion-ordered."""
         return [metric.snapshot() for metric in self._metrics.values()]
-
-    @classmethod
-    def from_snapshot(cls, snapshot: list[dict]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output.
-
-        The round trip is exact — rebuilding and re-snapshotting yields
-        the same list — which lets the sweep store persist a cell's
-        metrics as JSON and merge them back on resume exactly as if the
-        worker's registry had been shipped over a pipe.
-        """
-        registry = cls()
-        for entry in snapshot:
-            kind = entry["type"]
-            labels = dict(entry.get("labels", {}))
-            if kind == "counter":
-                registry.counter(entry["name"], **labels).inc(entry["value"])
-            elif kind == "gauge":
-                registry.gauge(entry["name"], **labels).set(entry["value"])
-            elif kind == "histogram":
-                hist = registry.histogram(
-                    entry["name"], buckets=tuple(entry["bounds"]), **labels
-                )
-                counts = [int(c) for c in entry["counts"]]
-                if len(counts) != len(hist.counts):
-                    raise ValueError(
-                        f"histogram {entry['name']!r} snapshot has "
-                        f"{len(counts)} buckets, bounds imply {len(hist.counts)}"
-                    )
-                hist.counts = counts
-                hist.total = float(entry["sum"])
-                hist.count = int(entry["count"])
-            else:
-                raise ValueError(f"unknown metric snapshot type {kind!r}")
-        return registry

@@ -60,23 +60,6 @@ class TelemetryExport:
     spans: tuple[SpanRecord, ...]
     metrics: MetricsRegistry
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (what the sweep store persists per cell)."""
-        return {
-            "spans": [record.to_dict() for record in self.spans],
-            "metrics": self.metrics.snapshot(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TelemetryExport":
-        """Rebuild an export from :meth:`to_dict` output.  The round
-        trip is exact, so a resumed sweep absorbs a stored cell's
-        telemetry identically to a live worker's export."""
-        return cls(
-            spans=tuple(SpanRecord.from_dict(s) for s in data.get("spans", ())),
-            metrics=MetricsRegistry.from_snapshot(data.get("metrics", [])),
-        )
-
 
 class Telemetry:
     """One observability context: a tracer plus a metrics registry.

@@ -108,9 +108,8 @@ class SpanRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "SpanRecord":
         """Rebuild a record from :meth:`to_dict` output (the JSONL sink's
-        line format and the sweep store's cell telemetry).  Records
-        written before the resource fields existed load with
-        ``cpu_time=0.0`` / ``mem_peak=None``."""
+        line format).  Records written before the resource fields existed
+        load with ``cpu_time=0.0`` / ``mem_peak=None``."""
         mem_peak = data.get("mem_peak")
         return cls(
             span_id=int(data["span_id"]),
@@ -134,7 +133,7 @@ def span_signature(spans) -> tuple:
     Two runs of the same deterministic computation produce equal
     signatures even though their span ids (absolute values) and
     durations differ — which is exactly the "same span tree" contract a
-    resumed sweep must honour against an uninterrupted one.  Each entry
+    pooled sweep must honour against a serial one.  Each entry
     is ``(position-of-parent, name, depth, status, sorted non-float
     attributes, error)``; parents are referenced by their *position* in
     the start-ordered sequence, so the signature is invariant under id

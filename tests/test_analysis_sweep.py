@@ -1,10 +1,11 @@
 """Tests for repro.analysis.sweep."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.analysis.sweep import (
-    DuplicateKeyError,
     ResultTable,
     SweepCellError,
     run_grid,
@@ -14,6 +15,19 @@ from repro.analysis.sweep import (
 def _pickleable_trial(rng, trial_index, *, size):
     """Module-level trial so the process-pool tests can pickle it."""
     yield {"value": float(rng.uniform()), "draws": rng.integers(0, 10**9, size=2).tolist()}
+
+
+def _dies_once_trial(rng, trial_index, *, size, marker):
+    """Kills its worker process outright (no exception, no cleanup) the
+    first time any cell runs; every later run finds ``marker`` and
+    proceeds.  Module-level so the pool can pickle it."""
+    try:
+        open(marker, "x").close()
+    except FileExistsError:
+        pass
+    else:
+        os._exit(3)
+    yield {"value": float(rng.uniform())}
 
 
 def _brittle_trial(rng, trial_index, *, size):
@@ -99,6 +113,11 @@ class TestResultTable:
         t = ResultTable()
         assert len(t) == 0 and t.columns == []
 
+    def test_dict_roundtrip(self):
+        t = ResultTable()
+        t.append(k=1, v=10.0)
+        assert ResultTable.from_dict(t.to_dict()).rows == t.rows
+
 
 class TestRunGrid:
     @staticmethod
@@ -160,63 +179,6 @@ class TestHierarchicalSeeding:
         assert table.rows[0]["value"] != table.rows[1]["value"]
 
 
-class TestConcat:
-    @staticmethod
-    def _table(rows):
-        t = ResultTable()
-        for row in rows:
-            t.append(**row)
-        return t
-
-    def test_plain_concat_preserves_order(self):
-        a = self._table([{"k": 1, "v": 10.0}])
-        b = self._table([{"k": 2, "v": 20.0}])
-        merged = ResultTable.concat([a, b])
-        assert [row["k"] for row in merged.rows] == [1, 2]
-
-    def test_schema_mismatch_raises(self):
-        a = self._table([{"k": 1, "v": 10.0}])
-        b = self._table([{"k": 2, "w": 20.0}])
-        with pytest.raises(ValueError, match="schema"):
-            ResultTable.concat([a, b])
-
-    def test_unknown_key_columns_raise(self):
-        """Mirrors the where() contract: a typo'd key column fails loudly."""
-        a = self._table([{"k": 1, "v": 10.0}])
-        with pytest.raises(KeyError, match="unknown key"):
-            ResultTable.concat([a], keys=("key",))
-
-    def test_duplicate_keys_raise(self):
-        a = self._table([{"k": 1, "v": 10.0}])
-        b = self._table([{"k": 1, "v": 99.0}])
-        with pytest.raises(DuplicateKeyError, match="duplicate"):
-            ResultTable.concat([a, b], keys=("k",))
-
-    def test_keyed_merge_sorts_deterministically(self):
-        """The merged order is a function of the data, not of which
-        shard finished first."""
-        a = self._table([{"cell": 2, "trial": 0, "v": 1.0}])
-        b = self._table([{"cell": 0, "trial": 1, "v": 2.0},
-                         {"cell": 0, "trial": 0, "v": 3.0}])
-        forward = ResultTable.concat([a, b], keys=("cell", "trial"))
-        backward = ResultTable.concat([b, a], keys=("cell", "trial"))
-        assert forward.rows == backward.rows
-        assert [(r["cell"], r["trial"]) for r in forward.rows] == \
-            [(0, 0), (0, 1), (2, 0)]
-
-    def test_failures_concatenated(self):
-        table = run_grid(_brittle_trial, [{"size": 3}], on_error="record")
-        merged = ResultTable.concat([table, ResultTable()])
-        assert len(merged.failures) == 1
-
-    def test_empty_concat(self):
-        assert len(ResultTable.concat([])) == 0
-
-    def test_dict_roundtrip(self):
-        a = self._table([{"k": 1, "v": 10.0}])
-        assert ResultTable.from_dict(a.to_dict()).rows == a.rows
-
-
 class TestOnError:
     GRID = [{"size": 2}, {"size": 3}, {"size": 4}]
 
@@ -231,6 +193,9 @@ class TestOnError:
         assert failure.params == {"size": 3}
         assert failure.error_type == "ValueError"
         assert isinstance(failure.spawn_key, tuple) and failure.spawn_key
+        message = str(excinfo.value)
+        assert "params" in message and "seed path" in message
+        assert "injected failure" in failure.traceback
 
     def test_record_mode_isolates_the_failure(self):
         table = run_grid(_brittle_trial, self.GRID, num_trials=2, seed=0,
@@ -238,6 +203,8 @@ class TestOnError:
         assert len(table) == 4, "both trials of sizes 2 and 4 survive"
         assert len(table.failures) == 2
         assert all(f.params == {"size": 3} for f in table.failures)
+        # Failed cells leave no rows, so aggregations never average holes.
+        assert set(table.group_mean("size", "value")) == {2, 4}
 
     def test_record_mode_rows_match_healthy_subgrid(self):
         """Failing cells must not perturb their siblings' streams."""
@@ -273,6 +240,18 @@ class TestParallelRunGrid:
         serial = run_grid(_pickleable_trial, self.GRID, num_trials=1, seed=3)
         one = run_grid(_pickleable_trial, self.GRID, num_trials=1, seed=3, workers=1)
         assert serial.rows == one.rows
+
+    def test_worker_death_restarts_pool(self, tmp_path):
+        """A worker killed mid-cell (``os._exit``) breaks the pool; the
+        sweep replaces it, re-runs the unfinished cells, and the table
+        still equals the serial run's."""
+        grid = [{**params, "marker": str(tmp_path / "died")}
+                for params in self.GRID]
+        pooled = run_grid(_dies_once_trial, grid, num_trials=2, seed=3,
+                          workers=2)
+        assert (tmp_path / "died").exists(), "a worker must have died"
+        serial = run_grid(_dies_once_trial, grid, num_trials=2, seed=3)
+        assert pooled.rows == serial.rows and len(pooled) == 4
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError, match="workers"):

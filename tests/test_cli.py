@@ -289,17 +289,11 @@ class TestSweepSubcommand:
         args = build_parser().parse_args(["sweep", "smoke"])
         assert args.driver == "smoke"
         assert args.trials == 2 and args.seed == 2016
-        assert args.store is None and args.resume is False
-        assert args.shard is None and args.on_error == "raise"
-        assert args.retries == 0 and args.quarantine_after == 3
+        assert args.on_error == "raise" and args.fleet is False
 
     def test_parser_rejects_unknown_driver(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "bogus"])
-
-    def test_resume_requires_store(self, capsys):
-        with pytest.raises(SystemExit, match="requires --store"):
-            main(["--no-manifest", "sweep", "smoke", "--resume"])
 
     def test_smoke_sweep_writes_canonical_json(self, capsys, tmp_path):
         out = tmp_path / "table.json"
@@ -309,71 +303,16 @@ class TestSweepSubcommand:
         assert len(payload["rows"]) == 2 and payload["failures"] == []
         assert "2 rows" in capsys.readouterr().out
 
-    def test_store_run_matches_plain_run_bytes(self, capsys, tmp_path):
-        ref = tmp_path / "ref.json"
-        stored = tmp_path / "stored.json"
-        assert main(["--no-manifest", *self.SMOKE, "--out", str(ref)]) == 0
-        assert main(["--no-manifest", *self.SMOKE, "--out", str(stored),
-                     "--store", str(tmp_path / "store")]) == 0
-        assert stored.read_bytes() == ref.read_bytes()
-
-    def test_resume_replays_bit_identically(self, capsys, tmp_path):
-        ref = tmp_path / "ref.json"
-        resumed = tmp_path / "resumed.json"
-        store = str(tmp_path / "store")
-        assert main(["--no-manifest", *self.SMOKE, "--out", str(ref),
-                     "--store", store]) == 0
-        assert main(["--no-manifest", *self.SMOKE, "--out", str(resumed),
-                     "--store", store, "--resume"]) == 0
-        assert resumed.read_bytes() == ref.read_bytes()
-
-
-class TestMergeShardsSubcommand:
-    SMOKE = ["sweep", "smoke", "--targets", "3", "3", "--trials", "1"]
-
-    def test_store_flag_required(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["merge-shards"])
-
-    def test_sharded_merge_equals_serial_bytes(self, capsys, tmp_path):
-        """The acceptance check: a 2-shard split, merged, equals the
-        1-shard run byte for byte."""
-        ref = tmp_path / "ref.json"
-        merged = tmp_path / "merged.json"
-        store = str(tmp_path / "store")
-        assert main(["--no-manifest", *self.SMOKE, "--out", str(ref)]) == 0
-        assert main(["--no-manifest", *self.SMOKE, "--store", store,
-                     "--shard", "0/2"]) == 0
-        assert main(["--no-manifest", *self.SMOKE, "--store", store,
-                     "--shard", "1/2"]) == 0
-        assert main(["--no-manifest", "merge-shards", "--store", store,
-                     "--out", str(merged)]) == 0
-        assert merged.read_bytes() == ref.read_bytes()
-        out = capsys.readouterr().out
-        assert "shard manifests: 2" in out
-
-    def test_multi_root_merge(self, capsys, tmp_path):
-        ref = tmp_path / "ref.json"
-        merged = tmp_path / "merged.json"
-        assert main(["--no-manifest", *self.SMOKE, "--out", str(ref)]) == 0
-        assert main(["--no-manifest", *self.SMOKE,
-                     "--store", str(tmp_path / "a"), "--shard", "0/2"]) == 0
-        assert main(["--no-manifest", *self.SMOKE,
-                     "--store", str(tmp_path / "b"), "--shard", "1/2"]) == 0
-        assert main(["--no-manifest", "merge-shards",
-                     "--store", str(tmp_path / "a"), str(tmp_path / "b"),
-                     "--out", str(merged)]) == 0
-        assert merged.read_bytes() == ref.read_bytes()
-
-    def test_mixed_sweeps_refused(self, capsys, tmp_path):
-        assert main(["--no-manifest", *self.SMOKE,
-                     "--store", str(tmp_path / "a")]) == 0
-        assert main(["--no-manifest", "sweep", "smoke", "--targets", "3",
-                     "--trials", "1", "--seed", "99",
-                     "--store", str(tmp_path / "b")]) == 0
-        with pytest.raises(SystemExit, match="different sweeps"):
-            main(["--no-manifest", "merge-shards",
-                  "--store", str(tmp_path / "a"), str(tmp_path / "b")])
+    def test_workers_and_fleet_match_serial_bytes(self, capsys, tmp_path):
+        """The canonical table is byte-identical across execution modes:
+        serial, process pool, and shared skeleton shapes."""
+        outputs = []
+        for mode in ([], ["--workers", "2"], ["--fleet"]):
+            out = tmp_path / f"table{len(outputs)}.json"
+            assert main(["--no-manifest", *self.SMOKE, *mode,
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestTraceSubcommand:

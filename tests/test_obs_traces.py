@@ -2,8 +2,7 @@
 
 Includes the acceptance checks: the critical path's telescoped wall time
 matches the root span's duration within 5%, and a diff names the top
-span-level deltas.  Torn-trailing-line tolerance mirrors the sweep
-store's torn-write policy.
+span-level deltas.  A torn trailing line is skipped with a warning.
 """
 
 import json

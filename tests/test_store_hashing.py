@@ -3,18 +3,19 @@
 The hash must be a pure function of *content*: dict insertion order,
 numpy wrappers, and list/tuple distinctions must not matter; genuine
 type and value differences (``1`` vs ``1.0`` vs ``True`` vs ``"1"``,
-``-0.0`` vs ``0.0``) must.
+``-0.0`` vs ``0.0``) must.  :func:`plain_data`, the matching JSON
+normaliser, is tested here too.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.game.generator import random_interval_game
 from repro.store.hashing import (
     canonical_text,
     hash_config,
-    hash_game,
-    hash_trial_callable,
+    plain_data,
     stable_hash,
 )
 
@@ -147,23 +148,30 @@ class TestStableHashApi:
             hash_config([("a", 1)])
 
 
-class TestDomainHashes:
-    def test_hash_game_roundtrips_through_json(self):
-        """A game loaded from its JSON form must hash identically."""
-        from repro.analysis.io import game_from_dict, game_to_dict
+class TestPlainData:
+    def test_numpy_scalars_become_python(self):
+        out = plain_data({"i": np.int64(3), "f": np.float64(1.5),
+                          "b": np.bool_(True)})
+        assert out == {"i": 3, "f": 1.5, "b": True}
+        assert type(out["i"]) is int
+        assert type(out["f"]) is float
+        assert type(out["b"]) is bool
 
-        game = random_interval_game(4, seed=0)
-        reloaded = game_from_dict(game_to_dict(game))
-        assert hash_game(game) == hash_game(reloaded)
+    def test_arrays_become_nested_lists(self):
+        out = plain_data(np.array([[1, 2], [3, 4]]))
+        assert out == [[1, 2], [3, 4]]
+        assert type(out[0][1]) is int
 
-    def test_hash_game_distinguishes_games(self):
-        assert hash_game(random_interval_game(4, seed=0)) != \
-            hash_game(random_interval_game(4, seed=1))
+    def test_tuples_become_lists(self):
+        assert plain_data({"k": (1, 2)}) == {"k": [1, 2]}
 
-    def test_hash_trial_callable_by_name(self):
-        from repro.experiments.smoke import _trial
+    def test_roundtrip_through_json_is_identity(self):
+        """Plain data compares equal to its JSON round trip, so a table's
+        ``to_dict`` survives ``--out`` and a reload unchanged."""
+        value = plain_data({"a": np.float64(0.25), "b": (1, np.int32(2)),
+                            "c": [True, None, "s"]})
+        assert json.loads(json.dumps(value)) == value
 
-        assert hash_trial_callable(_trial) == hash_trial_callable(_trial)
-        assert hash_trial_callable(_trial) != hash_trial_callable(
-            random_interval_game
-        )
+    def test_plain_values_pass_through(self):
+        assert plain_data("text") == "text"
+        assert plain_data(None) is None
