@@ -1,436 +1,52 @@
-"""Crash-resume, sharding, and fault-isolation tests for run_grid.
+"""Fault-isolation tests for run_grid.
 
-The central contract under test: a sweep that is killed (simulated
-``SimulatedKill``, injected torn write, or a real ``SIGKILL`` of a
-subprocess) and then resumed produces a :class:`ResultTable` — and an
-adopted span tree and metrics state — **bit-identical** to the same
-sweep run uninterrupted.
+A trial that raises in one cell must either surface as a
+:class:`SweepCellError` carrying enough context to reproduce the cell
+(``on_error="raise"``), or be recorded without leaving rows that would
+skew aggregations (``on_error="record"``).
 """
 
-import json
-import os
-import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
-from types import SimpleNamespace
-
-import numpy as np
 import pytest
 
-from repro import telemetry
-from repro.analysis.sweep import (
-    ResultTable,
-    SweepCellError,
-    collect_store,
-    run_grid,
-)
-from repro.resilience import SimulatedKill, SweepFaultInjector
-from repro.store import SweepStore, SweepStoreError
-from repro.telemetry import Telemetry, span_signature
+from repro.analysis.sweep import ResultTable, SweepCellError, run_grid
 
 GRID = [{"size": 2}, {"size": 3}, {"size": 4}]
 
 
-def _det_trial(rng, trial_index, *, size):
-    """Fully deterministic module-level trial (picklable, no wall-clock
-    fields) — the bit-identity baseline."""
-    draws = rng.integers(0, 10**9, size=3).tolist()
-    yield {
-        "value": int(draws[0]),
-        "pair": draws[1:],
-        "flag": bool(draws[0] % 2),
-    }
+class InjectedTrialCrash(RuntimeError):
+    """The error the crashing trial raises."""
 
 
-def _traced_trial(rng, trial_index, *, size):
-    """Deterministic trial that also emits spans and metrics, so the
-    telemetry side of the resume contract is observable."""
-    ctx = telemetry.current()
-    ctx.metrics.counter("resume_test_cells").inc()
-    value = float(rng.uniform())
-    ctx.metrics.histogram(
-        "resume_test_values", buckets=(0.25, 0.5, 0.75)
-    ).observe(value)
-    with ctx.span("resume_test.work", size=size):
-        pass
-    yield {"value": value, "draw": int(rng.integers(0, 10**9))}
-
-
-def _rows_json(table: ResultTable) -> str:
-    """The canonical byte form used for bit-identity comparison."""
-    return json.dumps(table.to_dict(), sort_keys=True)
+def _crashing_trial(rng, trial_index, *, size):
+    """Deterministic trial that raises only in cell 1 (``size=3``),
+    trial 0; every other cell yields one row."""
+    if size == 3 and trial_index == 0:
+        raise InjectedTrialCrash(f"injected crash for size={size}")
+    yield {"value": int(rng.integers(0, 10**9))}
 
 
 def _reference(**kwargs) -> ResultTable:
-    return run_grid(_det_trial, GRID, num_trials=2, seed=5, **kwargs)
-
-
-def _cell_files(root) -> list:
-    return sorted(Path(root, "cells").glob("cell-*.json"))
-
-
-def _manifest(root, shard=0, num=1) -> dict:
-    return json.loads(
-        Path(root, "shards", f"shard-{shard:04d}of{num:04d}.json").read_text()
-    )
-
-
-class TestStoreBackedRun:
-    def test_store_run_matches_plain_run(self, tmp_path):
-        plain = _reference()
-        stored = _reference(store=tmp_path / "store")
-        assert _rows_json(stored) == _rows_json(plain)
-
-    def test_store_accepts_path_string(self, tmp_path):
-        table = _reference(store=str(tmp_path / "store"))
-        assert len(table) == 6
-
-    def test_every_cell_persisted(self, tmp_path):
-        _reference(store=tmp_path)
-        assert len(_cell_files(tmp_path)) == 6
-
-    def test_manifest_written(self, tmp_path):
-        _reference(store=tmp_path)
-        manifest = _manifest(tmp_path)
-        assert manifest["jobs"] == 6
-        assert manifest["executed"] == 6
-        assert manifest["resumed"] == 0
-        assert manifest["rows"] == 6
-
-    def test_resume_without_store_raises(self):
-        with pytest.raises(ValueError, match="resume.*store"):
-            _reference(resume=True)
-
-    def test_generator_seed_rejected_with_store(self, tmp_path):
-        with pytest.raises(TypeError, match="re-derivable|SeedSequence"):
-            run_grid(_det_trial, GRID, seed=np.random.default_rng(0),
-                     store=tmp_path)
-
-    def test_none_seed_rejected_with_store(self, tmp_path):
-        with pytest.raises(TypeError):
-            run_grid(_det_trial, GRID, seed=None, store=tmp_path)
-
-    def test_seedsequence_seed_resumes(self, tmp_path):
-        seed = np.random.SeedSequence(42)
-        first = run_grid(_det_trial, GRID, num_trials=2,
-                         seed=np.random.SeedSequence(42), store=tmp_path)
-        again = run_grid(_det_trial, GRID, num_trials=2, seed=seed,
-                         store=tmp_path, resume=True)
-        assert _rows_json(again) == _rows_json(first)
-
-    def test_mismatched_seed_refused_by_store(self, tmp_path):
-        _reference(store=tmp_path)
-        with pytest.raises(SweepStoreError, match="belongs to sweep"):
-            run_grid(_det_trial, GRID, num_trials=2, seed=6, store=tmp_path)
-
-    def test_mismatched_trial_refused_by_store(self, tmp_path):
-        _reference(store=tmp_path)
-        with pytest.raises(SweepStoreError, match="belongs to sweep"):
-            run_grid(_traced_trial, GRID, num_trials=2, seed=5,
-                     store=tmp_path)
-
-
-class TestKillAndResume:
-    def test_simulated_kill_then_resume_bit_identical(self, tmp_path):
-        reference = _reference()
-        faults = SweepFaultInjector(kill_after_puts=2)
-        with pytest.raises(SimulatedKill, match="kill injected"):
-            _reference(store=tmp_path, faults=faults)
-        assert len(_cell_files(tmp_path)) == 2, "killed after exactly 2 puts"
-        resumed = _reference(store=tmp_path, resume=True)
-        assert _rows_json(resumed) == _rows_json(reference)
-        manifest = _manifest(tmp_path)
-        assert manifest["resumed"] == 2 and manifest["executed"] == 4
-
-    def test_resume_replays_without_re_running(self, tmp_path):
-        """Completed cells are *replayed*, not re-executed: a fault
-        schedule that would crash every cell is never consulted."""
-        reference = _reference(store=tmp_path)
-        poison = SweepFaultInjector(
-            crash=frozenset((c, t) for c in range(3) for t in range(2)),
-            crash_times=99,
-        )
-        resumed = _reference(store=tmp_path, resume=True, faults=poison)
-        assert _rows_json(resumed) == _rows_json(reference)
-        manifest = _manifest(tmp_path)
-        assert manifest["resumed"] == 6 and manifest["executed"] == 0
-
-    def test_torn_write_discarded_on_resume(self, tmp_path):
-        reference = _reference()
-        faults = SweepFaultInjector(torn_write={(1, 0)})
-        with pytest.raises(SimulatedKill, match="torn write"):
-            _reference(store=tmp_path, faults=faults)
-        resumed = _reference(store=tmp_path, resume=True)
-        assert _rows_json(resumed) == _rows_json(reference)
-        assert _manifest(tmp_path)["torn_discarded"] >= 1
-
-    def test_double_resume_is_stable(self, tmp_path):
-        reference = _reference()
-        with pytest.raises(SimulatedKill):
-            _reference(store=tmp_path,
-                       faults=SweepFaultInjector(kill_after_puts=1))
-        once = _reference(store=tmp_path, resume=True)
-        twice = _reference(store=tmp_path, resume=True)
-        assert _rows_json(once) == _rows_json(reference)
-        assert _rows_json(twice) == _rows_json(reference)
-
-
-class TestTelemetryBitIdentity:
-    def _traced_run(self, **kwargs):
-        ctx = Telemetry()
-        with telemetry.use(ctx):
-            table = run_grid(_traced_trial, GRID, num_trials=2, seed=11,
-                             **kwargs)
-        return table, span_signature(ctx.spans), ctx.metrics.snapshot()
-
-    def test_resumed_trace_and_metrics_equal_uninterrupted(self, tmp_path):
-        ref_table, ref_sig, ref_metrics = self._traced_run()
-
-        # Interrupted run: no ambient context (the store forces capture),
-        # killed after 3 cell writes.
-        with pytest.raises(SimulatedKill):
-            run_grid(_traced_trial, GRID, num_trials=2, seed=11,
-                     store=tmp_path,
-                     faults=SweepFaultInjector(kill_after_puts=3))
-
-        table, sig, metrics = self._traced_run(store=tmp_path, resume=True)
-        assert _rows_json(table) == _rows_json(ref_table)
-        assert sig == ref_sig, "adopted span tree must match uninterrupted run"
-        assert metrics == ref_metrics
-
-    def test_stored_sweep_trace_matches_plain_sweep(self, tmp_path):
-        _, ref_sig, ref_metrics = self._traced_run()
-        _, sig, metrics = self._traced_run(store=tmp_path)
-        assert sig == ref_sig
-        assert metrics == ref_metrics
-
-
-class TestRealSigkill:
-    def test_sigkilled_subprocess_resumes_bit_identical(self, tmp_path):
-        """The full contract, no simulation: a subprocess running a
-        store-backed sweep is SIGKILLed mid-flight; the resumed sweep
-        must match the uninterrupted serial reference byte for byte."""
-        from repro.experiments.smoke import run_smoke
-
-        kwargs = dict(target_counts=(3,) * 30, num_trials=2, seed=7)
-        store_root = tmp_path / "store"
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        code = (
-            "from repro.experiments.smoke import run_smoke\n"
-            f"run_smoke(target_counts=(3,)*30, num_trials=2, seed=7, "
-            f"store={str(store_root)!r})\n"
-        )
-        proc = subprocess.Popen([sys.executable, "-c", code], env=env)
-        try:
-            # Wait until a few cells are durably on disk, then kill -9.
-            deadline = time.time() + 120
-            while time.time() < deadline and proc.poll() is None:
-                if len(_cell_files(store_root)) >= 3:
-                    break
-                time.sleep(0.005)
-            if proc.poll() is None:
-                os.kill(proc.pid, signal.SIGKILL)
-        finally:
-            proc.wait()
-
-        reference = run_smoke(**kwargs)
-        resumed = run_smoke(**kwargs, store=store_root, resume=True)
-        assert _rows_json(resumed) == _rows_json(reference)
-        assert len(_cell_files(store_root)) == 60
-        assert _manifest(store_root)["resumed"] > 0, \
-            "the kill should have left completed cells to resume from"
-
-
-class TestSharding:
-    def test_two_shards_cover_the_grid_exactly(self, tmp_path):
-        reference = _reference()
-        s0 = _reference(store=tmp_path, shard="0/2")
-        s1 = _reference(store=tmp_path, shard="1/2")
-        assert len(s0) == 3 and len(s1) == 3
-        merged = collect_store(tmp_path)
-        assert _rows_json(merged) == _rows_json(reference)
-
-    def test_shard_manifests_per_shard(self, tmp_path):
-        _reference(store=tmp_path, shard="0/2")
-        _reference(store=tmp_path, shard=(1, 2))
-        manifests = SweepStore(tmp_path).load_shard_manifests()
-        assert [(m["shard"], m["num_shards"]) for m in manifests] == \
-            [(0, 2), (1, 2)]
-        assert all(m["jobs"] == 3 for m in manifests)
-
-    def test_separate_roots_merge_with_checked_keys(self, tmp_path):
-        """The multi-host recipe: each host sweeps its shard into its own
-        store root; the roots merge through the checked concat."""
-        reference = _reference()
-        _reference(store=tmp_path / "a", shard="0/2")
-        _reference(store=tmp_path / "b", shard="1/2")
-        tables = [
-            collect_store(tmp_path / root, cell_column="_cell")
-            for root in ("a", "b")
-        ]
-        merged = ResultTable.concat(tables, keys=("_cell", "trial"))
-        final = ResultTable()
-        for row in merged.rows:
-            final.append(**{k: v for k, v in row.items() if k != "_cell"})
-        assert _rows_json(final) == _rows_json(reference)
-
-    def test_overlapping_stores_refused_on_merge(self, tmp_path):
-        from repro.analysis.sweep import DuplicateKeyError
-
-        _reference(store=tmp_path / "a")
-        _reference(store=tmp_path / "b")
-        tables = [
-            collect_store(tmp_path / root, cell_column="_cell")
-            for root in ("a", "b")
-        ]
-        with pytest.raises(DuplicateKeyError):
-            ResultTable.concat(tables, keys=("_cell", "trial"))
-
-    def test_shard_kill_and_resume(self, tmp_path):
-        """Resume composes with sharding: a killed shard resumes its own
-        cells only, and the merged result is still exact."""
-        reference = _reference()
-        _reference(store=tmp_path, shard="1/2")
-        with pytest.raises(SimulatedKill):
-            _reference(store=tmp_path, shard="0/2",
-                       faults=SweepFaultInjector(kill_after_puts=1))
-        _reference(store=tmp_path, shard="0/2", resume=True)
-        assert _rows_json(collect_store(tmp_path)) == _rows_json(reference)
+    return run_grid(_crashing_trial, GRID, num_trials=2, seed=5, **kwargs)
 
 
 class TestFaultIsolationAndRetry:
-    def test_crash_with_retry_recovers_bit_identically(self):
-        clean = _reference()
-        healed = _reference(
-            faults=SweepFaultInjector(crash={(1, 0)}), retry=1
-        )
-        assert _rows_json(healed) == _rows_json(clean)
-        assert healed.failures == []
-
-    def test_retry_accepts_resilience_policy_duck_type(self):
-        healed = _reference(
-            faults=SweepFaultInjector(crash={(1, 0)}),
-            retry=SimpleNamespace(max_retries=1),
-        )
-        assert _rows_json(healed) == _rows_json(_reference())
-
     def test_exhausted_cell_raises_with_full_context(self):
         with pytest.raises(SweepCellError) as excinfo:
-            _reference(faults=SweepFaultInjector(crash={(1, 0)},
-                                                 crash_times=99))
+            _reference()
         failure = excinfo.value.failure
         assert failure.cell_index == 1 and failure.trial_index == 0
         assert failure.params == {"size": 3}
         assert failure.error_type == "InjectedTrialCrash"
-        assert failure.attempts == 1
         assert len(failure.spawn_key) > 0
         message = str(excinfo.value)
         assert "params" in message and "seed path" in message
         assert "InjectedTrialCrash" in failure.traceback
 
-    def test_on_error_record_keeps_siblings(self):
-        table = _reference(
-            faults=SweepFaultInjector(crash={(1, 0)}, crash_times=99),
-            on_error="record",
-        )
-        assert len(table) == 5, "the five healthy cells all survive"
-        assert len(table.failures) == 1
-        assert (table.failures[0].cell_index,
-                table.failures[0].trial_index) == (1, 0)
-        # The failed cell's siblings (same config, other trial) are intact.
-        assert len(table.where(size=3)) == 1
-
     def test_failure_rows_never_pollute_aggregation(self):
-        table = _reference(
-            faults=SweepFaultInjector(crash={(1, 0)}, crash_times=99),
-            on_error="record",
-        )
+        table = _reference(on_error="record")
+        assert len(table) == 5 and len(table.failures) == 1
         means = table.group_mean("size", "value")
         assert set(means) == {2, 3, 4}
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            _reference(on_error="ignore")
-        with pytest.raises(ValueError, match="retry"):
-            _reference(retry=-1)
-        with pytest.raises(ValueError, match="quarantine_after"):
-            _reference(quarantine_after=0)
-
-    def test_worker_death_in_pool_recovers(self):
-        """A worker hard-killed mid-cell (os._exit) breaks the pool; the
-        sweep restarts it and the result is still bit-identical."""
-        clean = _reference()
-        survived = _reference(
-            workers=2, faults=SweepFaultInjector(die_worker={(1, 0)})
-        )
-        assert _rows_json(survived) == _rows_json(clean)
-
-    def test_pool_crash_retry_matches_serial(self):
-        clean = _reference()
-        pooled = _reference(
-            workers=2, faults=SweepFaultInjector(crash={(0, 1)}), retry=1
-        )
-        assert _rows_json(pooled) == _rows_json(clean)
-
-
-class TestQuarantine:
-    FAULTS = SweepFaultInjector(crash={(0, 0)}, crash_times=99)
-
-    def _run(self, store, resume=False):
-        return _reference(store=store, resume=resume, faults=self.FAULTS,
-                          on_error="record", quarantine_after=2)
-
-    def test_attempts_accumulate_across_resumes(self, tmp_path):
-        first = self._run(tmp_path)
-        assert first.failures[0].attempts == 1
-        assert not first.failures[0].quarantined
-
-        second = self._run(tmp_path, resume=True)
-        assert second.failures[0].attempts == 2
-        assert second.failures[0].quarantined
-
-        third = self._run(tmp_path, resume=True)
-        assert third.failures[0].quarantined
-        assert _manifest(tmp_path)["executed"] == 0, \
-            "a quarantined cell is never re-run"
-        assert _manifest(tmp_path)["quarantined"] == 1
-
-    def test_quarantined_cell_does_not_raise_on_resume(self, tmp_path):
-        self._run(tmp_path)
-        self._run(tmp_path, resume=True)
-        # Even under on_error="raise", a *replayed* quarantined failure
-        # surfaces on the table instead of aborting the healthy resume.
-        table = _reference(store=tmp_path, resume=True, faults=self.FAULTS,
-                           quarantine_after=2)
-        assert len(table) == 5
-        assert table.failures[0].quarantined
-
-    def test_healthy_siblings_complete_alongside(self, tmp_path):
-        table = self._run(tmp_path)
-        assert len(table) == 5
-        assert len(_cell_files(tmp_path)) == 6, \
-            "the failure record is persisted too"
-
-
-class TestCollectStore:
-    def test_collect_matches_live_table(self, tmp_path):
-        live = _reference(store=tmp_path)
-        assert _rows_json(collect_store(tmp_path)) == _rows_json(live)
-
-    def test_cell_column_prefixes_rows(self, tmp_path):
-        _reference(store=tmp_path)
-        table = collect_store(tmp_path, cell_column="_cell")
-        assert table.columns[0] == "_cell"
-        assert sorted(set(int(c) for c in table.column("_cell"))) == [0, 1, 2]
-
-    def test_failures_surface(self, tmp_path):
-        _reference(store=tmp_path, on_error="record",
-                   faults=SweepFaultInjector(crash={(2, 1)}, crash_times=99))
-        table = collect_store(tmp_path)
-        assert len(table.failures) == 1
-        assert table.failures[0].cell_index == 2
-        assert table.failures[0].error_type == "InjectedTrialCrash"
+        # The failed cell leaves no row: size 3's mean is its one survivor.
+        (survivor,) = table.where(size=3).rows
+        assert means[3] == survivor["value"]
