@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.behavior.interval import UncertaintyModel
-from repro.core.dp import maximize_separable_on_grid
-from repro.core.hull import LagrangianHull
+from repro.core.dp import grid_budget_units, maximize_separable_on_grid
+from repro.core.hull import LagrangianHull, screen_grid
 from repro.core.milp import CubisMilpSkeleton, build_cubis_milp, step_grids
 from repro.core.worst_case import WorstCaseSolution, evaluate_worst_case
 from repro.game.ssg import IntervalSecurityGame
@@ -60,6 +60,15 @@ _STEP_VALIDATION_TOL = 1e-6
 #: warm-start strategies plus the most recent feasible MILP maximisers;
 #: each certificate check is O(T), so the cap only bounds memory.
 _CERTIFICATE_POOL_LIMIT = 16
+
+
+@dataclass(frozen=True)
+class _DeferredGridSolve:
+    """Payload of a DP step the grid hull screen proved feasible: the
+    kernel that yields its strategy runs only if the step is the search's
+    last feasible one."""
+
+    c: float
 
 
 @dataclass(frozen=True)
@@ -123,14 +132,16 @@ class CubisResult:
         ``iterations`` for a cold MILP-oracle run; with ``memoise=True``
         most steps are answered by the certificate pool, the hull screen
         or the LP-relaxation screen instead, and this drops to a handful;
-        0 for the ``"dp"`` oracle.
+        0 for the ``"dp"`` oracle, which never builds a MILP.
     hull_screens:
-        Lagrangian hull screens performed (``memoise=True`` with a named
-        backend and no side constraints), counted whatever their verdict.
-        ``min B(lam)`` over the hull vertices bounds the MILP optimum
-        from above and the hull witness proves feasibility, so most steps
-        end here without a solver; the rest fall through to the LP
-        screen.
+        Lagrangian hull screens performed, counted whatever their
+        verdict: on the ``memoise=True`` MILP pipeline (named backend, no
+        side constraints) ``min B(lam)`` over the hull vertices bounds the
+        MILP optimum from above and the hull witness proves feasibility,
+        and the rest fall through to the LP screen; on a ``memoise=True``
+        ``"dp"`` solve without a resilience policy every step is screened
+        on the grid ``0..K`` and only fall-throughs run the knapsack
+        kernel.  0 under ``memoise=False`` and for resilience ladders.
     lp_solves:
         LP-relaxation screens performed (``memoise=True`` only).  The
         relaxation's optimum bounds the MILP's from above, so a
@@ -282,10 +293,14 @@ def solve_cubis(
         when the MILP would also have reported feasible — but the
         certifying strategy may replace the MILP maximiser as the step's
         witness.  ``memoise=False`` rebuilds the MILP from scratch every
-        step: the reference path and the benchmark baseline.  The
-        ``"dp"`` oracle and resilience-ladder runs keep their exact
-        step-by-step semantics either way (``memoise`` then only decides
-        whether ladder MILP rungs patch one assembled skeleton).
+        step: the reference path and the benchmark baseline.  With the
+        ``"dp"`` oracle, ``memoise=True`` screens every step on the grid
+        hull and runs the knapsack kernel only for fall-throughs plus
+        once at the end for the strategy; verdicts, bracket, trace and
+        strategy stay bit-identical to ``memoise=False``.  Resilience
+        ladder runs keep their exact step-by-step semantics either way
+        (``memoise`` then only decides whether ladder MILP rungs patch
+        one assembled skeleton).
     warm_start:
         Optional :class:`WarmStart` from a neighbouring solve (same game
         with a different ``K``/``epsilon``, or a similar game in a sweep).
@@ -312,9 +327,10 @@ def solve_cubis(
         Override for the ``"dp"`` oracle's grid kernel (defaults to
         :func:`~repro.core.dp.maximize_separable_on_grid`).  The fleet
         driver passes a :class:`~repro.solvers.fleet.DpBatcher`
-        participant here so a whole fleet's knapsack steps run as one
-        stacked batched kernel; any replacement must be bit-identical
-        to the default on its inputs.
+        participant here so a whole fleet's knapsack runs (screen
+        fall-throughs and final re-solves) batch into stacked kernels;
+        any replacement must be bit-identical to the default on its
+        inputs.
     """
     started = time.perf_counter()
     if uncertainty.num_targets != game.num_targets:
@@ -333,10 +349,12 @@ def solve_cubis(
         raise ValueError(
             f"speculation must be 1 (plain bisection), got {speculation!r}"
         )
-    # memoise alone picks the MILP pipeline: certificate pool -> LP
-    # screen -> session -> fresh-build fallback, or a fresh build per
-    # step.  The dp oracle and the resilience ladder own their semantics.
+    # memoise alone picks the MILP pipeline: certificate pool -> hull
+    # screen -> LP screen -> session -> fresh-build fallback, or a fresh
+    # build per step.  For the dp oracle it puts the grid hull screen in
+    # front of the kernel; the resilience ladder owns its semantics.
     pipeline = memoise and oracle == "milp" and resilience is None
+    grid_screen = memoise and oracle == "dp" and resilience is None
     session_mode = "incremental" if pipeline else "fresh"
     leased_session = session if isinstance(session, MilpSession) else None
     if leased_session is None and session not in (None, "incremental", "fresh"):
@@ -512,40 +530,44 @@ def solve_cubis(
             if len(pool) > _CERTIFICATE_POOL_LIMIT:
                 del pool[0]
 
-        def hull_answer(c: float):
-            # Lagrangian hull screen (docs/PERFORMANCE.md): min B bounds
-            # the MILP optimum from above, so a value below the tolerance
-            # proves infeasibility; the hull witness, evaluated exactly
-            # through a certificate, proves feasibility.  Returns None
-            # when neither fires, leaving the step to the LP screen.
+        def hull_screened(c: float, decide):
+            # One Lagrangian hull screen (docs/PERFORMANCE.md), whichever
+            # oracle it fronts: decide(c, span) returns the step's answer,
+            # or None to fall through to the next layer.
             t0 = time.perf_counter()
             with telemetry.span("cubis.hull_screen", c=float(c)) as sp:
-                screen = hull.screen(c)
-                answer = None
-                if screen.bound < -feasibility_tolerance:
-                    answer = (False, None)
-                else:
-                    cert = skeleton.certificate(screen.witness)
-                    witness_g = cert.g_bar(c)
-                    sp.set(witness_g=witness_g)
-                    if witness_g >= -feasibility_tolerance:
-                        try:
-                            validate_step_solution(cert.strategy, "hull witness")
-                        except OracleStepError:
-                            pass  # fall through to the LP screen
-                        else:
-                            add_to_pool(cert)
-                            answer = (True, cert.strategy)
+                answer = decide(c, sp)
                 verdict = (
                     "fallthrough" if answer is None
                     else "feasible" if answer[0] else "infeasible"
                 )
-                sp.set(verdict=verdict, bound=screen.bound)
+                sp.set(verdict=verdict)
             hull_counters[verdict].inc()
             telemetry.histogram("repro_oracle_seconds", kind="hull").observe(
                 time.perf_counter() - t0
             )
             return answer
+
+        def hull_answer(c: float, sp):
+            # min B bounds the MILP optimum from above, so a value below
+            # the tolerance proves infeasibility; the hull witness,
+            # evaluated exactly through a certificate, proves feasibility.
+            # Anything else is left to the LP screen.
+            screen = hull.screen(c)
+            sp.set(bound=screen.bound)
+            if screen.bound < -feasibility_tolerance:
+                return False, None
+            cert = skeleton.certificate(screen.witness)
+            witness_g = cert.g_bar(c)
+            sp.set(witness_g=witness_g)
+            if witness_g >= -feasibility_tolerance:
+                try:
+                    validate_step_solution(cert.strategy, "hull witness")
+                except OracleStepError:
+                    return None  # fall through to the LP screen
+                add_to_pool(cert)
+                return True, cert.strategy
+            return None
 
         def make_milp_oracle(milp_backend, *, validate: bool = True):
             # The pipeline runs through milp_session; without one (memoise
@@ -614,7 +636,7 @@ def solve_cubis(
                     # solver call.
                     miss_counter.inc()
                     if hull_screen:
-                        answer = hull_answer(c)
+                        answer = hull_screened(c, hull_answer)
                         if answer is not None:
                             return answer
                     model = milp_session.prepare(c)
@@ -699,27 +721,50 @@ def solve_cubis(
 
             return milp_oracle
 
-        budget_units = int(np.floor(game.num_resources * num_segments + 1e-9))
+        budget_units = grid_budget_units(game.num_resources, num_segments)
         grid_kernel = (
             dp_kernel if dp_kernel is not None else maximize_separable_on_grid
         )
 
-        def dp_oracle(c: float):
+        def step_phi(c: float) -> np.ndarray:
             # G(x, beta*) = sum_i min(f1_i, f2_i)(x_i) — separable, so the
             # grid-restricted maximum is a multiple-choice knapsack.
+            margin = ud_grid - c
+            return np.minimum(lower_grid * margin, upper_grid * margin)
+
+        def run_grid_kernel(c: float):
             t0 = time.perf_counter()
             with telemetry.span(
                 "dp.solve", kind="dp", budget_units=budget_units
             ) as sp:
-                margin = ud_grid - c
-                phi = np.minimum(lower_grid * margin, upper_grid * margin)
-                allocation = grid_kernel(phi, budget_units)
+                allocation = grid_kernel(step_phi(c), budget_units)
                 feasible = allocation.value >= -feasibility_tolerance
                 sp.set(feasible=bool(feasible))
             telemetry.histogram("repro_oracle_seconds", kind="dp").observe(
                 time.perf_counter() - t0
             )
             return feasible, allocation.coverage(num_segments)
+
+        def grid_hull_answer(c: float, sp):
+            # The grid knapsack's Lagrangian screen: min B (plus its float
+            # margin) bounds the kernel's value from above, and the
+            # witness's sum, added in the kernel's order, from below; both
+            # verdicts are therefore the kernel's own.  A feasible verdict
+            # defers the kernel: only the last one's strategy is needed.
+            screen = screen_grid(step_phi(c), budget_units)
+            sp.set(bound=screen.bound, witness_g=screen.witness_sum)
+            if screen.bound < -feasibility_tolerance - screen.margin:
+                return False, None
+            if screen.witness_sum >= -feasibility_tolerance:
+                return True, _DeferredGridSolve(float(c))
+            return None
+
+        def dp_oracle(c: float):
+            if grid_screen:
+                answer = hull_screened(c, grid_hull_answer)
+                if answer is not None:
+                    return answer
+            return run_grid_kernel(c)
 
         lo, hi = game.utility_range()
 
@@ -808,7 +853,13 @@ def solve_cubis(
             initial_guesses=tuple(guesses),
             payload_bound=certified_level if pipeline else None,
         )
-        if search.payload is None:
+        payload = search.payload
+        if isinstance(payload, _DeferredGridSolve):
+            # The one kernel run a fully screened DP solve needs: the
+            # strategy of the last feasible step, exactly as the kernel
+            # would have returned it there.
+            _, payload = run_grid_kernel(payload.c)
+        if payload is None:
             raise RuntimeError(
                 "CUBIS binary search found no feasible utility level; "
                 "the bottom of the utility range should always be "
@@ -816,14 +867,12 @@ def solve_cubis(
                 "uncertainty model"
             )
         if coverage_constraints is None:
-            strategy = game.strategy_space.project(
-                np.asarray(search.payload)
-            )
+            strategy = game.strategy_space.project(np.asarray(payload))
         else:
             # Projection onto sum(x) = R could violate the side
             # constraints; keep the MILP's (feasible) strategy,
             # clipped to the box.
-            strategy = np.clip(np.asarray(search.payload), 0.0, 1.0)
+            strategy = np.clip(np.asarray(payload), 0.0, 1.0)
         with telemetry.span("cubis.evaluate_worst_case"):
             worst = evaluate_worst_case(
                 game, uncertainty, strategy,

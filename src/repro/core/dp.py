@@ -24,6 +24,16 @@ This needs no MILP solver, evaluates the *true* ``min(f^1, f^2)`` at the
 grid points (no piecewise interpolation error there), and costs
 ``O(T K B)`` with ``B = floor(R K)`` budget units.
 
+Most binary-search steps never reach this kernel: with ``memoise=True``
+``solve_cubis`` first screens each step with
+:func:`~repro.core.hull.screen_grid`, the knapsack's Lagrangian
+relaxation over each target's upper concave hull on the grid (Sinha and
+Zoltners, 1979).  Its ``min B`` bounds the kernel's value from above and
+its greedy witness, summed in the kernel's addition order, from below,
+so the screen's verdicts are the kernel's bit for bit.  The kernel runs
+only for steps the screen leaves open, and once more after the search at
+the last feasible candidate, for the strategy.
+
 Trade-off (measured in the test suite): the DP's approximation is also
 ``O(1/K)``, but with a much larger constant than the MILP's.  The robust
 optimum typically sits at a *kink* of the worst-case value function —
@@ -44,6 +54,7 @@ import numpy as np
 
 __all__ = [
     "GridAllocation",
+    "grid_budget_units",
     "maximize_separable_on_grid",
     "maximize_separable_on_grid_batch",
 ]
@@ -63,6 +74,12 @@ class GridAllocation:
     def coverage(self, num_segments: int) -> np.ndarray:
         """The coverage vector ``x = units / K``."""
         return self.units / float(num_segments)
+
+
+def grid_budget_units(num_resources: float, num_segments: int) -> int:
+    """The budget ``floor(R K)`` in ``1/K`` units (``1e-9`` absorbs the
+    float error of ``R K`` for integral products)."""
+    return int(np.floor(num_resources * num_segments + 1e-9))
 
 
 def maximize_separable_on_grid(phi_grid, budget_units: int) -> GridAllocation:

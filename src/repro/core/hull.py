@@ -40,17 +40,27 @@ The screen's verdicts (applied in :mod:`repro.core.cubis`):
 Only the bound decides infeasibility and only the exact certificate
 decides feasibility, so the hull construction needs no special care
 for soundness: a misjudged hull vertex can only cost a fall-through.
+
+The DP oracle's step problem is the same sum restricted to the grid
+``x_i in {0, 1/K, ..., 1}``, a multiple-choice knapsack whose LP
+relaxation is the same hull fill with the integer units ``0..K`` as
+vertices (Sinha and Zoltners, 1979).  :func:`screen_grid` runs it
+through the shared :func:`fill_hull`; its witness sum, added in the
+kernel's order, and its ``min B`` plus a float-error margin bracket
+:func:`~repro.core.dp.maximize_separable_on_grid`'s value, so the DP
+screen's verdicts are the kernel's own.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.solvers.piecewise import SegmentGrid
 
-__all__ = ["HullScreen", "LagrangianHull"]
+__all__ = ["GridScreen", "HullScreen", "LagrangianHull", "fill_hull", "screen_grid"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,32 @@ class HullScreen:
     bound: float
     lam: float
     witness: np.ndarray
+
+
+@dataclass(frozen=True)
+class GridScreen:
+    """One DP step's Lagrangian screen on the grid ``0, 1, ..., K``.
+
+    Attributes
+    ----------
+    bound:
+        ``min_lam B(lam)`` with the grid units as vertices — an upper
+        bound on the step's grid knapsack optimum.
+    margin:
+        Float-error allowance: the DP kernel's computed optimum never
+        exceeds ``bound + margin``.
+    units:
+        The greedy witness allocation, ``sum(units) <= budget_units``.
+    witness_sum:
+        ``sum_i phi[i, units_i]`` added from ``0.0`` in target order, the
+        kernel's own addition order, so the kernel's optimum is at least
+        this value bit for bit.
+    """
+
+    bound: float
+    margin: float
+    units: np.ndarray
+    witness_sum: float
 
 
 class LagrangianHull:
@@ -112,7 +148,6 @@ class LagrangianHull:
         self._breakpoints = breakpoints
         self._left = breakpoints[:-1]
         self._step = np.diff(breakpoints)
-        self._pair_cache: dict[int, tuple] = {}
 
     def vertices(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """Every target's vertex positions and ``phi`` values, ``(T, K+1+m)``.
@@ -163,76 +198,132 @@ class LagrangianHull:
     def screen(self, c: float) -> HullScreen:
         """The minimising multiplier, its bound and its witness at ``c``."""
         v, phi = self.vertices(c)
-        on_hull = self._upper_hull(v, phi)
-        # Hull edges: each hull vertex after a row's first one, joined to
-        # the hull vertex before it.
-        columns = np.arange(v.shape[1])
-        last = np.maximum.accumulate(np.where(on_hull, columns, -1), axis=1)
-        rows, ends = np.nonzero(on_hull[:, 1:] & (last[:, :-1] >= 0))
-        ends = ends + 1
-        starts = last[rows, ends - 1]
-        length = v[rows, ends] - v[rows, starts]
-        edge_slope = (phi[rows, ends] - phi[rows, starts]) / length
-        if not self.equality_resources:
-            keep = edge_slope > 0.0
-            rows, ends = rows[keep], ends[keep]
-            length, edge_slope = length[keep], edge_slope[keep]
-
-        # Greedy fill from each row's first hull vertex: steepest edges
-        # first (stable, so one row's equal-slope edges stay in position
-        # order) until the budget runs out; that edge's slope is the
-        # minimising multiplier.
-        origin = v[np.arange(v.shape[0]), np.argmax(on_hull, axis=1)]
-        order = np.argsort(-edge_slope, kind="stable")
-        room = self.num_resources - origin.sum()
-        taken = int(np.searchsorted(np.cumsum(length[order]), room, side="right"))
-        if taken < len(order):
-            lam = float(edge_slope[order[taken]])
-        elif self.equality_resources and len(order):
-            lam = float(edge_slope[order[-1]])
-        else:
-            lam = 0.0
-        chosen = order[:taken]
-        reach = np.zeros_like(v)
-        reach[rows[chosen], ends[chosen]] = v[rows[chosen], ends[chosen]]
-        return HullScreen(
-            bound=_bound(v, phi, lam, self.num_resources),
-            lam=lam,
-            witness=np.maximum(origin, reach.max(axis=1)),
+        return fill_hull(
+            v, phi, self.num_resources, equality=self.equality_resources
         )
 
-    def _upper_hull(self, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Which vertices lie on each row's upper concave hull.
 
-        Vertex ``j`` is on it iff some ``lam`` makes it an argmax of
-        ``phi - lam v``, i.e. iff no later vertex's slope from ``j``
-        exceeds any earlier vertex's slope into ``j``.  Equal positions
-        give ``0/0`` (or ``+-inf``): the later copy drops out.
-        """
-        t, size = v.shape
-        pairs = self._pair_cache.get(size)
-        if pairs is None:
-            first, second = np.triu_indices(size, 1)
-            by_second = np.argsort(second, kind="stable")
-            pairs = (
-                first,
-                second,
-                np.flatnonzero(np.diff(first, prepend=-1)),
-                by_second,
-                np.flatnonzero(np.diff(second[by_second], prepend=-1)),
-            )
-            self._pair_cache[size] = pairs
-        first, second, first_starts, by_second, second_starts = pairs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (phi[:, second] - phi[:, first]) / (v[:, second] - v[:, first])
-        slope[np.isnan(slope)] = -np.inf
-        lowest = np.full((t, size), -np.inf)
-        lowest[:, :-1] = np.maximum.reduceat(slope, first_starts, axis=1)
-        highest = np.full((t, size), np.inf)
-        highest[:, 1:] = np.minimum.reduceat(
-            slope[:, by_second], second_starts, axis=1
+def fill_hull(
+    v: np.ndarray, phi: np.ndarray, budget: float, *, equality: bool = False
+) -> HullScreen:
+    """Minimise ``B(lam)`` over the rows' upper concave hulls.
+
+    ``v`` holds each row's vertex positions, increasing along the row,
+    shape ``(T, m)`` or ``(m,)`` when every row shares them; ``phi`` the
+    values there, ``(T, m)``.  Each row picks one position and the
+    positions sum to at most ``budget`` (exactly ``budget`` under
+    ``equality``, where ``lam`` is free in sign).  Returns the minimising
+    ``lam``, ``B(lam)`` and the greedy witness.
+    """
+    on_hull = _upper_hull(v, phi)
+    v = np.broadcast_to(v, phi.shape)
+    # Hull edges: each hull vertex after a row's first one, joined to
+    # the hull vertex before it.
+    columns = np.arange(v.shape[1])
+    last = np.maximum.accumulate(np.where(on_hull, columns, -1), axis=1)
+    rows, ends = np.nonzero(on_hull[:, 1:] & (last[:, :-1] >= 0))
+    ends = ends + 1
+    starts = last[rows, ends - 1]
+    length = v[rows, ends] - v[rows, starts]
+    edge_slope = (phi[rows, ends] - phi[rows, starts]) / length
+    if not equality:
+        keep = edge_slope > 0.0
+        rows, ends = rows[keep], ends[keep]
+        length, edge_slope = length[keep], edge_slope[keep]
+
+    # Greedy fill from each row's first hull vertex: steepest edges
+    # first (stable, so one row's equal-slope edges stay in position
+    # order) until the budget runs out; that edge's slope is the
+    # minimising multiplier.
+    origin = v[np.arange(v.shape[0]), np.argmax(on_hull, axis=1)]
+    order = np.argsort(-edge_slope, kind="stable")
+    room = budget - origin.sum()
+    taken = int(np.searchsorted(np.cumsum(length[order]), room, side="right"))
+    if taken < len(order):
+        lam = float(edge_slope[order[taken]])
+    elif equality and len(order):
+        lam = float(edge_slope[order[-1]])
+    else:
+        lam = 0.0
+    chosen = order[:taken]
+    reach = np.zeros_like(v)
+    reach[rows[chosen], ends[chosen]] = v[rows[chosen], ends[chosen]]
+    return HullScreen(
+        bound=_bound(v, phi, lam, budget),
+        lam=lam,
+        witness=np.maximum(origin, reach.max(axis=1)),
+    )
+
+
+def screen_grid(phi_grid: np.ndarray, budget_units: int) -> GridScreen:
+    """The Lagrangian screen of :func:`~repro.core.dp.maximize_separable_on_grid`.
+
+    ``phi_grid`` is its ``(T, K+1)`` value table and ``budget_units`` its
+    budget; the vertices are the integer units ``0..K`` (every grid
+    point), and the budget is ``<=`` because the DP allows slack.
+    """
+    phi = np.asarray(phi_grid, dtype=np.float64)
+    t, width = phi.shape
+    fill = fill_hull(np.arange(width, dtype=np.float64), phi, float(budget_units))
+    units = fill.witness.astype(np.int64)
+    # Bound error: T + 1 rounded terms of size up to |phi| + lam K, plus
+    # lam * budget; the kernel's own T-term sum adds T eps sum|phi|.
+    scale = np.abs(phi).max(axis=1).sum() + fill.lam * (
+        t * (width - 1) + budget_units
+    )
+    return GridScreen(
+        bound=fill.bound,
+        margin=float(4.0 * (t + 2) * np.finfo(np.float64).eps * scale),
+        units=units,
+        witness_sum=float(np.cumsum(phi[np.arange(t), units])[-1]),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(size: int) -> tuple:
+    # Every (first < second) column pair, with the reduceat offsets that
+    # group them by first and (through by_second) by second column.
+    first, second = np.triu_indices(size, 1)
+    by_second = np.argsort(second, kind="stable")
+    pairs = (
+        first,
+        second,
+        np.flatnonzero(np.diff(first, prepend=-1)),
+        by_second,
+        np.flatnonzero(np.diff(second[by_second], prepend=-1)),
+    )
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
+
+
+def _upper_hull(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Which vertices lie on each row's upper concave hull.
+
+    Vertex ``j`` is on it iff some ``lam`` makes it an argmax of
+    ``phi - lam v``, i.e. iff no later vertex's slope from ``j``
+    exceeds any earlier vertex's slope into ``j``.  Equal positions
+    give ``0/0`` (or ``+-inf``): the later copy drops out.
+    """
+    t, size = phi.shape
+    first, second, first_starts, by_second, second_starts = _pairs(size)
+    # Work column-major, one row per vertex: the pair gathers and the
+    # reductions then move whole contiguous rows, several times faster
+    # than gathering columns.  The arithmetic is the same either way.
+    phi_t = np.ascontiguousarray(phi.T)
+    v_t = np.ascontiguousarray(np.atleast_2d(v).T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (np.take(phi_t, second, axis=0) - np.take(phi_t, first, axis=0)) / (
+            np.take(v_t, second, axis=0) - np.take(v_t, first, axis=0)
         )
-        return lowest <= highest
+    slope[np.isnan(slope)] = -np.inf
+    lowest = np.full((size, t), -np.inf)
+    lowest[:-1] = np.maximum.reduceat(slope, first_starts, axis=0)
+    highest = np.full((size, t), np.inf)
+    highest[1:] = np.minimum.reduceat(
+        np.take(slope, by_second, axis=0), second_starts, axis=0
+    )
+    return (lowest <= highest).T
 
 
 def _bound(v: np.ndarray, phi: np.ndarray, lam: float, resources: float) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dp import maximize_separable_on_grid
+from repro.core.dp import grid_budget_units, maximize_separable_on_grid
 from repro.core.worst_case import evaluate_worst_case
 from repro.solvers.piecewise import SegmentGrid
 
@@ -250,7 +250,7 @@ def _check_dp_feasibility(
     c_test = lb - slack
     margin = ud_grid - c_test
     phi = np.minimum(lower_grid * margin, upper_grid * margin)
-    budget_units = int(np.floor(game.num_resources * num_segments + 1e-9))
+    budget_units = grid_budget_units(game.num_resources, num_segments)
     value = maximize_separable_on_grid(phi, budget_units).value
     return CertificateCheck(
         "oracle_feasibility", value >= -atol,

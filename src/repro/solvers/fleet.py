@@ -37,12 +37,14 @@ shared across the whole fleet.  This module provides the three pieces:
 
 :class:`DpBatcher`
     For ``oracle="dp"`` fleets: games run in lockstep (one thread per
-    game) and each binary-search step's knapsack lands in
+    game) and each knapsack kernel run lands in
     :func:`~repro.core.dp.maximize_separable_on_grid_batch` as one
     stacked sliding-window max-plus correlation over every game that
-    reached its next step — ``G`` small kernel launches collapse into
+    reached its next run — ``G`` small kernel launches collapse into
     one large one, and the batched kernel is bit-identical per game to
-    the scalar one.
+    the scalar one.  The grid hull screen decides most steps without
+    the kernel, so a memoised game usually submits a single run, its
+    final re-solve.
 """
 
 from __future__ import annotations
@@ -223,7 +225,8 @@ class DpBatcher:
     """Lockstep batcher for the DP oracle across a fleet of games.
 
     Each of ``num_participants`` game threads calls its
-    :meth:`participant` kernel once per binary-search step.  A *round*
+    :meth:`participant` kernel once per kernel run (a step the grid
+    hull screen left open, or the final re-solve).  A *round*
     fires when every still-active participant has a pending submission:
     the submissions are grouped by ``(phi shape, budget)`` and each
     group runs as one

@@ -27,6 +27,7 @@ from repro.verify.golden import check_fixture, load_all_fixtures
 from repro.verify.report import ConformanceReport
 from repro.verify.theorems import (
     check_beta_elimination,
+    check_dp_hull_sandwich,
     check_hull_sandwich,
     check_interval_monotonicity,
     check_segment_bound,
@@ -118,6 +119,9 @@ def verify_instance(
         ))
         checks.append(check_value_point(game, uncertainty, primary.strategy))
         checks.append(check_hull_sandwich(
+            game, uncertainty, num_segments, primary.value
+        ))
+        checks.append(check_dp_hull_sandwich(
             game, uncertainty, num_segments, primary.value
         ))
     checks.append(check_segment_bound(game, uncertainty, num_segments))

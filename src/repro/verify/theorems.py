@@ -23,6 +23,9 @@ solution and returns a :class:`~repro.verify.report.ConformanceCheck`:
 * :func:`check_hull_sandwich` — the Lagrangian hull screen's two bounds
   bracket the step MILP's optimum: ``G_bar`` of the hull witness from
   below, ``min_lam B(lam)`` from above.
+* :func:`check_dp_hull_sandwich` — the same for the DP oracle's grid
+  knapsack: the grid witness's sum from below (exactly, in float), the
+  grid ``min B`` from above.
 
 All checks but two are solver-independent and cheap enough to run on
 every ``repro verify`` instance: the monotonicity sweep runs whole CUBIS
@@ -36,7 +39,8 @@ import numpy as np
 
 from repro.behavior.interval import IntervalSUQR
 from repro.core.dual import beta_star, g_value
-from repro.core.hull import LagrangianHull
+from repro.core.dp import grid_budget_units, maximize_separable_on_grid
+from repro.core.hull import LagrangianHull, screen_grid
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.core.worst_case import evaluate_worst_case, worst_case_dual_root
 from repro.resilience.certificate import theorem_slack
@@ -51,6 +55,7 @@ __all__ = [
     "check_segment_bound",
     "check_interval_monotonicity",
     "check_hull_sandwich",
+    "check_dp_hull_sandwich",
     "scaled_uncertainty",
 ]
 
@@ -398,5 +403,50 @@ def check_hull_sandwich(
             "lp_g": float(g_lp),
             "bound": float(screen.bound),
             "lam": float(screen.lam),
+        },
+    )
+
+
+def check_dp_hull_sandwich(
+    game, uncertainty, num_segments: int, c: float
+) -> ConformanceCheck:
+    """The grid hull screen brackets the DP oracle's knapsack at ``c``.
+
+    The witness sum is added in the kernel's own order, so it may not
+    exceed the kernel's optimum by even one ulp; ``min B`` plus its float
+    margin must not fall below it.  These are the two facts that make the
+    screened DP oracle's verdicts the kernel's.
+    """
+    grid = SegmentGrid(num_segments)
+    ud_grid, lower_grid, upper_grid = step_grids(game, uncertainty, grid)
+    margin = ud_grid - c
+    phi = np.minimum(lower_grid * margin, upper_grid * margin)
+    budget = grid_budget_units(game.num_resources, num_segments)
+    screen = screen_grid(phi, budget)
+    optimum = maximize_separable_on_grid(phi, budget).value
+    violations = {
+        "witness above DP": screen.witness_sum - optimum,
+        "DP above min B": optimum - screen.bound - screen.margin,
+        "witness over budget": float(screen.units.sum() - budget),
+    }
+    broken = [name for name, excess in violations.items() if excess > 0.0]
+    return ConformanceCheck(
+        name="theorem.dp_hull_sandwich",
+        passed=not broken,
+        detail=(
+            f"grid knapsack at c={c:.6g}: witness {screen.witness_sum:.6g} "
+            f"<= DP {optimum:.6g} <= min B {screen.bound:.6g} "
+            f"(+{screen.margin:.2g})"
+            + (f"; VIOLATED: {', '.join(broken)}" if broken else "")
+        ),
+        measured=max(0.0, *violations.values()),
+        bound=0.0,
+        context={
+            "c": float(c),
+            "witness_sum": float(screen.witness_sum),
+            "dp_value": float(optimum),
+            "bound": float(screen.bound),
+            "margin": float(screen.margin),
+            "budget_units": budget,
         },
     )

@@ -7,7 +7,10 @@ once on a target.  Agreement: along a replayed bisection the hull's
 verdicts are the fresh-build MILP's wherever the optimum is not within
 the tolerance of zero.  Pipeline: a default solve decides steps with the
 screen and lands within the Theorem-1 slack of the ``memoise=False``
-reference; side constraints skip the screen.
+reference; side constraints skip the screen.  DP oracle: the grid
+screen's witness sum, the knapsack optimum and ``min B`` bracket each
+other (the lower end exactly in float), so screened DP solves, fleets
+included, equal ``memoise=False`` bit for bit.
 """
 
 import numpy as np
@@ -16,13 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.behavior.interval import UncertaintyModel
 from repro.core.cubis import solve_cubis
-from repro.core.hull import LagrangianHull
+from repro.core.dp import maximize_separable_on_grid
+from repro.core.hull import LagrangianHull, screen_grid
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.experiments.quality import default_uncertainty
 from repro.game.constraints import CoverageConstraints
 from repro.game.generator import random_interval_game
 from repro.resilience.certificate import theorem_slack
+from repro.resilience.policy import ResiliencePolicy, Rung
+from repro.solvers.fleet import solve_fleet
 from repro.solvers.milp_backend import solve_milp
 from repro.solvers.piecewise import SegmentGrid
 from repro.verify.theorems import HIGHS_MIP_REL_GAP
@@ -126,6 +133,180 @@ class TestSandwich:
             best = max(best, skeleton.certificate(np.array([a, b])).g_bar(0.0))
         assert best <= screen.bound + TOL
         assert best == pytest.approx(g_star, abs=1e-3)
+
+
+class TestGridSandwich:
+    @given(
+        t=st.integers(1, 8),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 10_000),
+        table=st.sampled_from(["random", "ties", "negative"]),
+        budget_kind=st.sampled_from(["zero", "in range", "full"]),
+    )
+    def test_witness_dp_and_bound_bracket_each_other(
+        self, t, k, seed, table, budget_kind
+    ):
+        rng = np.random.default_rng(seed)
+        if table == "random":
+            phi = rng.normal(size=(t, k + 1))
+        elif table == "ties":
+            phi = rng.integers(-2, 3, size=(t, k + 1)).astype(np.float64)
+        else:
+            phi = -np.abs(rng.normal(size=(t, k + 1)))
+        budget = {
+            "zero": 0,
+            "in range": int(rng.integers(0, t * k + 1)),
+            "full": t * k + int(rng.integers(0, 3)),
+        }[budget_kind]
+        screen = screen_grid(phi, budget)
+        optimum = maximize_separable_on_grid(phi, budget).value
+
+        assert screen.units.dtype == np.int64
+        assert np.all(screen.units >= 0) and np.all(screen.units <= k)
+        assert screen.units.sum() <= budget
+        assert screen.witness_sum == pytest.approx(
+            phi[np.arange(t), screen.units].sum()
+        )
+        # Exact in float: the witness sum follows the kernel's additions.
+        assert screen.witness_sum <= optimum
+        assert optimum <= screen.bound + screen.margin
+        assert screen.margin >= 0.0
+
+    def test_long_critical_edge_leaves_the_step_undecided(self):
+        # The hull edge 0 -> 3 (slope 1) outruns the two-unit budget: the
+        # witness stops at 0 units (-1) while min B reads 2 - 1 = 1, and
+        # the true grid optimum, -1, is only found by the kernel.
+        phi = np.array([[-1.0, -2.0, -2.0, 2.0]])
+        screen = screen_grid(phi, 2)
+        assert screen.units.tolist() == [0]
+        assert screen.witness_sum == -1.0
+        assert screen.bound == pytest.approx(1.0)
+        assert maximize_separable_on_grid(phi, 2).value == -1.0
+
+
+class DropModel(UncertaintyModel):
+    """Attractiveness that collapses past a coverage threshold, so
+    ``phi`` jumps there and its hull spans several grid units."""
+
+    def __init__(self, at, floor):
+        self.at = np.asarray(at, dtype=np.float64)
+        self.floor = float(floor)
+
+    @property
+    def num_targets(self) -> int:
+        return len(self.at)
+
+    def upper(self, x):
+        return np.where(np.asarray(x) < self.at, 1.0, self.floor)
+
+    def lower(self, x):
+        return 0.5 * self.upper(x)
+
+    def upper_on_grid(self, points):
+        return np.where(
+            np.asarray(points)[None, :] < self.at[:, None], 1.0, self.floor
+        )
+
+    def lower_on_grid(self, points):
+        return 0.5 * self.upper_on_grid(points)
+
+
+def dp_solve(game, model, **options):
+    """A DP solve plus its verdict counts and kernel runs."""
+    tele = telemetry.Telemetry()
+    with telemetry.use(tele):
+        result = solve_cubis(game, model, oracle="dp", **options)
+    fallthrough = tele.metrics.counter(
+        "repro_cubis_hull_screens_total", verdict="fallthrough"
+    ).value
+    kernel_runs = tele.metrics.histogram("repro_oracle_seconds", kind="dp").count
+    return result, fallthrough, kernel_runs
+
+
+def assert_same_solve(got, want):
+    np.testing.assert_array_equal(got.strategy, want.strategy)
+    assert got.lower_bound == want.lower_bound
+    assert got.upper_bound == want.upper_bound
+    assert got.trace == want.trace
+    assert got.iterations == want.iterations
+
+
+class TestDpScreen:
+    @pytest.mark.parametrize("k", [5, 40])
+    @pytest.mark.parametrize("t", [8, 25, 100])
+    def test_screened_solve_equals_unscreened(self, t, k):
+        game = random_interval_game(t, seed=t + k)
+        model = default_uncertainty(game.payoffs)
+        options = {"num_segments": k, "epsilon": 1e-3}
+        result, fallthrough, kernel_runs = dp_solve(game, model, **options)
+        reference = solve_cubis(game, model, oracle="dp", memoise=False,
+                                **options)
+        assert_same_solve(result, reference)
+        assert result.hull_screens == result.iterations
+        assert reference.hull_screens == 0
+        # Every step decided in numpy; the one kernel run is the final
+        # re-solve at the last feasible candidate.
+        assert fallthrough == 0
+        assert kernel_runs == 1
+
+    def test_long_hull_edge_falls_through_to_the_kernel(self):
+        game = random_interval_game(2, seed=708)
+        model = DropModel([0.83, 0.84], floor=0.17)
+        options = {"num_segments": 6, "epsilon": 1e-3}
+        result, fallthrough, kernel_runs = dp_solve(game, model, **options)
+        reference = solve_cubis(game, model, oracle="dp", memoise=False,
+                                **options)
+        assert_same_solve(result, reference)
+        assert fallthrough > 0
+        # The last feasible step fell through, so no re-solve was needed.
+        assert kernel_runs == fallthrough
+        ud, lo, hi = step_grids(game, model, SegmentGrid(6))
+        budget = 6  # R = 1 at K = 6
+        undecided = 0
+        for c, _ in reference.trace:
+            screen = screen_grid(np.minimum(lo * (ud - c), hi * (ud - c)), budget)
+            if -TOL - screen.margin <= screen.bound and screen.witness_sum < -TOL:
+                # Integer budget, yet the greedy prefix stops short: the
+                # critical hull edge spans more than one unit.
+                assert screen.units.sum() < budget
+                undecided += 1
+        assert undecided == fallthrough
+
+    def test_feasible_top_returns_early_with_a_re_solve(self):
+        # One fully coverable target: c = max reward is feasible, so the
+        # search stops after one screened step and re-solves there.
+        game = random_interval_game(1, num_resources=1.0, seed=3)
+        model = default_uncertainty(game.payoffs)
+        options = {"num_segments": 5, "epsilon": 1e-3}
+        result, fallthrough, kernel_runs = dp_solve(game, model, **options)
+        reference = solve_cubis(game, model, oracle="dp", memoise=False,
+                                **options)
+        assert_same_solve(result, reference)
+        assert result.trace == ((game.utility_range()[1], True),)
+        assert (fallthrough, kernel_runs) == (0, 1)
+
+    def test_fleet_equals_unscreened_solves(self):
+        games = [random_interval_game(8, seed=40 + i) for i in range(3)]
+        models = [default_uncertainty(g.payoffs) for g in games]
+        options = {"num_segments": 5, "epsilon": 1e-3}
+        fleet = solve_fleet(games, models, oracle="dp", **options)
+        assert fleet.dp_rounds == 1
+        for game, model, got in zip(games, models, fleet):
+            want = solve_cubis(game, model, oracle="dp", memoise=False,
+                               **options)
+            assert_same_solve(got, want)
+
+    def test_ladder_dp_rung_is_not_screened(self):
+        game = random_interval_game(8, seed=11)
+        model = default_uncertainty(game.payoffs)
+        options = {"num_segments": 5, "epsilon": 1e-3}
+        result = solve_cubis(game, model, resilience=ResiliencePolicy(
+            rungs=(Rung("dp"),)
+        ), **options)
+        assert result.hull_screens == 0
+        reference = solve_cubis(game, model, oracle="dp", memoise=False,
+                                **options)
+        assert_same_solve(result, reference)
 
 
 class TestBisectionAgreement:

@@ -373,8 +373,34 @@ class TestSolveFleetDp:
         tele = telemetry.Telemetry()
         with telemetry.use(tele):
             fleet = solve_fleet(games, models, oracle="dp", **SOLVE)
-        hist = tele.metrics.histogram("repro_oracle_seconds", kind="dp")
-        assert hist.count == sum(r.oracle_calls for r in fleet.results)
+        # Every oracle call is one grid hull screen; the kernel runs only
+        # for fall-through steps plus one final re-solve per game, which
+        # is exactly what the batcher stacked.
+        hull = tele.metrics.histogram("repro_oracle_seconds", kind="hull")
+        assert hull.count == sum(r.oracle_calls for r in fleet.results)
+        assert hull.count == sum(r.hull_screens for r in fleet.results)
+        fallthrough = tele.metrics.counter(
+            "repro_cubis_hull_screens_total", verdict="fallthrough"
+        ).value
+        dp = tele.metrics.histogram("repro_oracle_seconds", kind="dp")
+        items = sum(
+            s.attributes["items"] for s in tele.spans
+            if s.name == "fleet.dp_round"
+        )
+        assert dp.count == items
+        assert fallthrough <= dp.count <= fallthrough + len(games)
+        # The absorbed counts are the per-game solves' own, game by game.
+        solo_dp = 0
+        for game, model, got in zip(games, models, fleet):
+            alone = telemetry.Telemetry()
+            with telemetry.use(alone):
+                solve_cubis(game, model, oracle="dp", **SOLVE)
+            solo = alone.metrics.histogram
+            assert solo("repro_oracle_seconds", kind="hull").count == (
+                got.oracle_calls
+            )
+            solo_dp += solo("repro_oracle_seconds", kind="dp").count
+        assert dp.count == solo_dp
 
     def test_dp_failure_propagates(self):
         games, models = make_fleet(2)

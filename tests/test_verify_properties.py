@@ -28,6 +28,7 @@ from repro.verify import (
     check_value_point,
     differential_check,
 )
+from repro.verify.theorems import check_dp_hull_sandwich
 
 # The 1e-3 coefficient quantisation shared with tests/test_solvers_bnb.py.
 fl = st.floats(-5, 5, allow_nan=False).map(lambda v: round(v, 3))
@@ -112,6 +113,15 @@ class TestDifferentialProperty:
         x = np.full(game.num_targets, game.num_resources / game.num_targets)
         check = check_beta_elimination(game, uncertainty, x, round(c, 3),
                                        num_probes=16)
+        assert check.passed, check.detail
+
+    @given(random_games(), st.floats(-6, 6, allow_nan=False),
+           st.integers(1, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_dp_hull_sandwich_at_arbitrary_levels(self, instance, c, k):
+        """The grid screen brackets the DP knapsack at any level and K."""
+        game, uncertainty = instance
+        check = check_dp_hull_sandwich(game, uncertainty, k, round(c, 3))
         assert check.passed, check.detail
 
 
