@@ -130,20 +130,23 @@ class CubisResult:
     milp_solves:
         Full (integer) MILP solves actually performed — equals
         ``iterations`` for a cold MILP-oracle run; with ``memoise=True``
-        most steps are answered by the certificate pool, the hull screen
-        or the LP-relaxation screen instead, and this drops to a handful;
-        0 for the ``"dp"`` oracle, which never builds a MILP.
+        (ladder rungs with a named backend included) most steps are
+        answered by the certificate pool, the hull screen or the
+        LP-relaxation screen instead, and this drops to a handful; 0 for
+        the ``"dp"`` oracle, which never builds a MILP.
     hull_screens:
         Lagrangian hull screens performed, counted whatever their
-        verdict: on the ``memoise=True`` MILP pipeline (named backend, no
-        side constraints) ``min B(lam)`` over the hull vertices bounds the
-        MILP optimum from above and the hull witness proves feasibility,
-        and the rest fall through to the LP screen; on a ``memoise=True``
-        ``"dp"`` solve without a resilience policy every step is screened
-        on the grid ``0..K`` and only fall-throughs run the knapsack
-        kernel.  0 under ``memoise=False`` and for resilience ladders.
+        verdict: on ``memoise=True`` MILP steps (named backend, no side
+        constraints, pipeline or ladder rung) ``min B(lam)`` over the hull
+        vertices bounds the MILP optimum from above and the hull witness
+        proves feasibility, and the rest fall through to the LP screen;
+        on a ``memoise=True`` ``"dp"`` solve without a resilience policy
+        every step is screened on the grid ``0..K`` and only
+        fall-throughs run the knapsack kernel.  0 under
+        ``memoise=False``; a ladder's ``dp`` rung is never screened.
     lp_solves:
-        LP-relaxation screens performed (``memoise=True`` only).  The
+        LP-relaxation screens performed (``memoise=True`` with a named
+        backend only, ladder rungs included).  The
         relaxation's optimum bounds the MILP's from above, so a
         low-enough value proves infeasibility outright; its coverage,
         evaluated exactly through a certificate, usually proves
@@ -281,7 +284,10 @@ def solve_cubis(
         bounded retries and soft timeouts, and the result carries a
         :class:`~repro.resilience.policy.ResilienceReport`; the
         ``backend`` / ``oracle`` arguments are ignored in favour of the
-        policy's rungs.
+        policy's rungs.  With ``memoise=True`` a MILP rung with a named
+        backend answers each step through the certificate pool, the hull
+        screen and the LP screen before a fresh-build MILP (see
+        ``memoise``).
     memoise:
         The only switch between the two MILP pipelines (default on).
         ``memoise=True`` with the ``"milp"`` oracle and no resilience
@@ -297,10 +303,13 @@ def solve_cubis(
         ``"dp"`` oracle, ``memoise=True`` screens every step on the grid
         hull and runs the knapsack kernel only for fall-throughs plus
         once at the end for the strategy; verdicts, bracket, trace and
-        strategy stay bit-identical to ``memoise=False``.  Resilience
-        ladder runs keep their exact step-by-step semantics either way
-        (``memoise`` then only decides whether ladder MILP rungs patch
-        one assembled skeleton).
+        strategy stay bit-identical to ``memoise=False``.  Under a
+        resilience policy, ``memoise=True`` gives every MILP rung with a
+        named backend the pool, hull and LP screens (no session; the
+        MILP patches one assembled skeleton), so the bisection trace
+        equals the ``memoise=False`` ladder's while most steps skip the
+        MILP; callable rungs and the ``dp`` rung keep one exact solve
+        per step.
     warm_start:
         Optional :class:`WarmStart` from a neighbouring solve (same game
         with a different ``K``/``epsilon``, or a similar game in a sweep).
@@ -352,7 +361,8 @@ def solve_cubis(
     # memoise alone picks the MILP pipeline: certificate pool -> hull
     # screen -> LP screen -> session -> fresh-build fallback, or a fresh
     # build per step.  For the dp oracle it puts the grid hull screen in
-    # front of the kernel; the resilience ladder owns its semantics.
+    # front of the kernel.  Ladder rungs with a named MILP backend get
+    # the same screens without the session (make_milp_oracle).
     pipeline = memoise and oracle == "milp" and resilience is None
     grid_screen = memoise and oracle == "dp" and resilience is None
     session_mode = "incremental" if pipeline else "fresh"
@@ -426,9 +436,10 @@ def solve_cubis(
         # step through one live MilpSession, and keeps a pool of
         # feasible-strategy certificates that answer oracle steps in O(T)
         # when a cached strategy still certifies the candidate.  Memoised
-        # ladder runs patch the assembled skeleton too, but keep exact
-        # per-step semantics: no pool, no screen, no session
-        # (see docs/PERFORMANCE.md).
+        # ladder rungs with a named backend answer through the same pool,
+        # hull screen and LP screen, then solve a fresh skeleton.patch(c)
+        # (no session); callable and dp rungs keep one exact solve per
+        # step (see docs/PERFORMANCE.md).
         needs_milp = (
             any(r.oracle == "milp" for r in resilience.rungs)
             if resilience is not None
@@ -479,7 +490,7 @@ def solve_cubis(
                 grid,
                 equality_resources=equality_resources,
             )
-            if pipeline and coverage_constraints is None
+            if skeleton is not None and coverage_constraints is None
             else None
         )
         # A leased session carries lifetime counters from earlier games;
@@ -571,12 +582,16 @@ def solve_cubis(
 
         def make_milp_oracle(milp_backend, *, validate: bool = True):
             # The pipeline runs through milp_session; without one (memoise
-            # off, ladder rungs) every step builds and solves a fresh model.
+            # off, ladder rungs) a step that needs a model builds it fresh.
             label = milp_backend if isinstance(milp_backend, str) else getattr(
                 milp_backend, "__name__", type(milp_backend).__name__
             )
-            lp_screen = milp_session is not None and isinstance(milp_backend, str)
+            # Callable backends (fault injectors, custom solvers) skip the
+            # screens, so each step they answer is one solve; only the
+            # pipeline's pool still answers before them.
+            lp_screen = skeleton is not None and isinstance(milp_backend, str)
             hull_screen = lp_screen and hull is not None
+            pooled = lp_screen or milp_session is not None
             # The highs LP screens of this solve share one live HiGHS
             # model, warm-started from the previous screen's basis.  It
             # lives in this closure only, so it dies with the solve:
@@ -621,12 +636,10 @@ def solve_cubis(
 
             def milp_oracle(c: float):
                 # Certificate pool -> hull screen -> LP screen -> session
-                # MILP -> fresh-build fallback; each counter ticks just
-                # before the action it counts, so a raise leaves exact
-                # totals behind.
-                if milp_session is None:
-                    model = build_fresh(c)
-                else:
+                # (or fresh-build) MILP -> fresh-build fallback; each
+                # counter ticks just before the action it counts, so a
+                # raise leaves exact totals behind.
+                if pooled:
                     hit = certificate_answer(c)
                     if hit is not None:
                         hit_counter.inc()
@@ -639,7 +652,10 @@ def solve_cubis(
                         answer = hull_screened(c, hull_answer)
                         if answer is not None:
                             return answer
-                    model = milp_session.prepare(c)
+                model = (
+                    milp_session.prepare(c) if milp_session is not None
+                    else build_fresh(c)
+                )
                 if lp_screen:
                     # LP-relaxation screen.  The relaxation's optimum bounds
                     # the integer optimum from above, so a value below the
@@ -715,7 +731,8 @@ def solve_cubis(
                         )
                     validate_step_solution(strategy, f"backend {label!r}")
                 feasible = g_bar >= -feasibility_tolerance
-                if milp_session is not None and feasible:
+                # An unvalidated answer must not certify later steps.
+                if pooled and feasible and validate:
                     add_to_pool(skeleton.certificate(strategy))
                 return feasible, strategy
 
@@ -751,11 +768,15 @@ def solve_cubis(
             # witness's sum, added in the kernel's order, from below; both
             # verdicts are therefore the kernel's own.  A feasible verdict
             # defers the kernel: only the last one's strategy is needed.
+            # A witness over budget proves nothing and falls through.
             screen = screen_grid(step_phi(c), budget_units)
             sp.set(bound=screen.bound, witness_g=screen.witness_sum)
             if screen.bound < -feasibility_tolerance - screen.margin:
                 return False, None
-            if screen.witness_sum >= -feasibility_tolerance:
+            if (
+                screen.witness_sum >= -feasibility_tolerance
+                and screen.units.sum() <= budget_units
+            ):
                 return True, _DeferredGridSolve(float(c))
             return None
 

@@ -53,7 +53,6 @@ screen's verdicts are the kernel's own.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,24 +278,6 @@ def screen_grid(phi_grid: np.ndarray, budget_units: int) -> GridScreen:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _pairs(size: int) -> tuple:
-    # Every (first < second) column pair, with the reduceat offsets that
-    # group them by first and (through by_second) by second column.
-    first, second = np.triu_indices(size, 1)
-    by_second = np.argsort(second, kind="stable")
-    pairs = (
-        first,
-        second,
-        np.flatnonzero(np.diff(first, prepend=-1)),
-        by_second,
-        np.flatnonzero(np.diff(second[by_second], prepend=-1)),
-    )
-    for array in pairs:
-        array.flags.writeable = False
-    return pairs
-
-
 def _upper_hull(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Which vertices lie on each row's upper concave hull.
 
@@ -306,23 +287,21 @@ def _upper_hull(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     give ``0/0`` (or ``+-inf``): the later copy drops out.
     """
     t, size = phi.shape
-    first, second, first_starts, by_second, second_starts = _pairs(size)
-    # Work column-major, one row per vertex: the pair gathers and the
-    # reductions then move whole contiguous rows, several times faster
-    # than gathering columns.  The arithmetic is the same either way.
+    # Work column-major, one row per vertex, so each gap's slices are
+    # contiguous blocks of whole rows.
     phi_t = np.ascontiguousarray(phi.T)
     v_t = np.ascontiguousarray(np.atleast_2d(v).T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (np.take(phi_t, second, axis=0) - np.take(phi_t, first, axis=0)) / (
-            np.take(v_t, second, axis=0) - np.take(v_t, first, axis=0)
-        )
-    slope[np.isnan(slope)] = -np.inf
     lowest = np.full((size, t), -np.inf)
-    lowest[:-1] = np.maximum.reduceat(slope, first_starts, axis=0)
     highest = np.full((size, t), np.inf)
-    highest[1:] = np.minimum.reduceat(
-        np.take(slope, by_second, axis=0), second_starts, axis=0
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for gap in range(1, size):
+            # Slopes from every vertex to the one ``gap`` columns later.
+            # A 0/0 slope counts as -inf: fmax skips it, and the minimum
+            # keeps the NaN until it is mapped below.
+            slope = (phi_t[gap:] - phi_t[:-gap]) / (v_t[gap:] - v_t[:-gap])
+            np.fmax(lowest[:-gap], slope, out=lowest[:-gap])
+            np.minimum(highest[gap:], slope, out=highest[gap:])
+    highest[np.isnan(highest)] = -np.inf
     return (lowest <= highest).T
 
 

@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import telemetry
 from repro.behavior.interval import UncertaintyModel
+from repro.core import hull as hull_module
 from repro.core.cubis import solve_cubis
 from repro.core.dp import maximize_separable_on_grid
-from repro.core.hull import LagrangianHull, screen_grid
+from repro.core.hull import HullScreen, LagrangianHull, _upper_hull, screen_grid
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.experiments.quality import default_uncertainty
 from repro.game.constraints import CoverageConstraints
@@ -133,6 +135,66 @@ class TestSandwich:
             best = max(best, skeleton.certificate(np.array([a, b])).g_bar(0.0))
         assert best <= screen.bound + TOL
         assert best == pytest.approx(g_star, abs=1e-3)
+
+
+def reference_upper_hull(v, phi):
+    """``_upper_hull`` one pair at a time: vertex ``j`` is on the hull iff
+    its steepest slope out to a later vertex is no steeper than its
+    shallowest slope in from an earlier one (``0/0`` reads ``-inf``)."""
+    v = np.broadcast_to(v, phi.shape)
+    t, size = phi.shape
+    mask = np.zeros((t, size), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row in range(t):
+            for j in range(size):
+                out_max, in_min = -np.inf, np.inf
+                for k in range(size):
+                    first, second = min(j, k), max(j, k)
+                    if first == second:
+                        continue
+                    slope = (phi[row, second] - phi[row, first]) / (
+                        v[row, second] - v[row, first]
+                    )
+                    if np.isnan(slope):
+                        slope = -np.inf
+                    if k > j:
+                        out_max = max(out_max, slope)
+                    else:
+                        in_min = min(in_min, slope)
+                mask[row, j] = out_max <= in_min
+    return mask
+
+
+class TestUpperHull:
+    @given(
+        t=st.integers(1, 4),
+        size=st.integers(1, 8),
+        shared=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_the_pairwise_reference(self, t, size, shared, data):
+        # Small integer positions and values: repeated positions and
+        # equal slopes (collinear runs) come up often.
+        v = np.sort(data.draw(arrays(
+            np.float64, (size,) if shared else (t, size),
+            elements=st.integers(0, 4).map(float),
+        )), axis=-1)
+        phi = data.draw(arrays(
+            np.float64, (t, size), elements=st.integers(-3, 3).map(float)
+        ))
+        np.testing.assert_array_equal(
+            _upper_hull(v, phi), reference_upper_hull(v, phi)
+        )
+
+    def test_collinear_and_repeated_vertices(self):
+        v = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
+        phi = np.array([[0.0, 1.0, 1.0, 2.0, 2.0]])
+        # Collinear 0-1-3 stay on; the repeated position's later copy
+        # drops out; the flat last edge keeps its end.
+        assert _upper_hull(v, phi).tolist() == [[True, True, False, True, True]]
+        np.testing.assert_array_equal(
+            _upper_hull(v, phi), reference_upper_hull(v, phi)
+        )
 
 
 class TestGridSandwich:
@@ -295,6 +357,42 @@ class TestDpScreen:
             want = solve_cubis(game, model, oracle="dp", memoise=False,
                                **options)
             assert_same_solve(got, want)
+
+    def test_over_budget_witness_falls_through_to_the_kernel(
+        self, monkeypatch
+    ):
+        # A witness that spends every unit breaks the budget: its sum may
+        # read feasible, but only the kernel can decide such a step.  The
+        # bound says nothing, so no step is decided by it instead.
+        fill_hull = hull_module.fill_hull
+
+        def overspend(v, phi, budget, **kwargs):
+            fill = fill_hull(v, phi, budget, **kwargs)
+            return HullScreen(
+                bound=np.inf, lam=fill.lam,
+                witness=np.full(phi.shape[0], float(phi.shape[1] - 1)),
+            )
+
+        monkeypatch.setattr(hull_module, "fill_hull", overspend)
+        game = random_interval_game(8, seed=11)
+        model = default_uncertainty(game.payoffs)
+        options = {"num_segments": 5, "epsilon": 1e-3}
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            result = solve_cubis(game, model, oracle="dp", **options)
+        reference = solve_cubis(game, model, oracle="dp", memoise=False,
+                                **options)
+        assert_same_solve(result, reference)
+        screens = [s for s in tele.spans if s.name == "cubis.hull_screen"]
+        over_budget = [
+            s for s in screens
+            if s.attributes["verdict"] == "fallthrough"
+            and s.attributes["witness_g"] >= -TOL
+        ]
+        assert over_budget, "the overspent witness must read feasible somewhere"
+        assert all(s.attributes["verdict"] == "fallthrough" for s in screens)
+        kernel_runs = tele.metrics.histogram("repro_oracle_seconds", kind="dp").count
+        assert kernel_runs == result.iterations
 
     def test_ladder_dp_rung_is_not_screened(self):
         game = random_interval_game(8, seed=11)

@@ -1,5 +1,6 @@
 """End-to-end tests of the fault-tolerant solve pipeline: injected
-failures, ladder recovery, certificates, and the converged flag."""
+failures, ladder recovery, screened ladder rungs, certificates, and the
+converged flag."""
 
 import numpy as np
 import pytest
@@ -79,14 +80,79 @@ class TestFaultyEqualsFaultFree:
         )
         assert not result.degraded
         assert result.resilience.rung_counts[1:] == (0, 0)
-        # Ladder runs answer every step with an exact MILP solve, so the
-        # strategy must match the plain exact path (memoise=False); the
-        # default memoised path may return a different — equally valid —
-        # witness from the LP-relaxation screen.
+        # Ladder screens may answer a step with a different, equally
+        # valid, witness than the MILP maximiser (TestScreenedLadder
+        # compares traces); on this game the strategy still matches the
+        # plain exact path (memoise=False).
         exact = solve_cubis(
             game, uncertainty, num_segments=10, epsilon=1e-3, memoise=False,
         )
         np.testing.assert_allclose(result.strategy, exact.strategy, atol=1e-8)
+
+
+def suqr_instance(t, seed):
+    from repro.game.generator import random_interval_game
+
+    game = random_interval_game(t, seed=seed)
+    uncertainty = IntervalSUQR(
+        game.payoffs, w1=(-4.0, -1.0), w2=(0.6, 0.9), w3=(0.3, 0.6),
+        convention="tight",
+    )
+    return game, uncertainty
+
+
+class TestScreenedLadder:
+    """Named MILP rungs answer through the certificate pool, the hull
+    screen and the LP screen before any MILP.  Screen verdicts are the
+    MILP's own, so the bisection is the unscreened ladder's; callable
+    rungs keep one solver call per step."""
+
+    @pytest.mark.parametrize("t,seed", [(6, 1), (12, 2), (25, 3)])
+    def test_trace_equals_unscreened_ladder(self, t, seed):
+        game, uncertainty = suqr_instance(t, seed)
+        options = {"num_segments": 10, "epsilon": 1e-3}
+        screened = solve_cubis(
+            game, uncertainty, resilience=ResiliencePolicy(), **options
+        )
+        unscreened = solve_cubis(
+            game, uncertainty, resilience=ResiliencePolicy(), memoise=False,
+            **options,
+        )
+        assert screened.trace == unscreened.trace
+        assert unscreened.hull_screens == unscreened.lp_solves == 0
+        assert unscreened.milp_solves == unscreened.iterations
+        certificate = certify_result(game, uncertainty, screened)
+        assert certificate.valid, certificate.summary()
+        slack = theorem_slack(game, screened.epsilon, screened.num_segments)
+        assert abs(
+            screened.worst_case_value - unscreened.worst_case_value
+        ) <= slack
+
+    def test_clean_default_policy_needs_no_milp(self):
+        game, uncertainty = suqr_instance(25, 4)
+        result = solve_cubis(
+            game, uncertainty, num_segments=10, epsilon=1e-3,
+            resilience=ResiliencePolicy(),
+        )
+        assert result.hull_screens > 0
+        assert result.milp_solves == 0
+        report = result.resilience
+        assert sum(report.rung_counts) == result.iterations
+        assert report.rung_counts[0] == result.iterations
+        ok_events = [e for e in report.events if e.outcome == "ok"]
+        assert len(ok_events) == result.iterations
+
+    def test_injected_rungs_see_every_step(self):
+        game, uncertainty = suqr_instance(12, 5)
+        injector = FaultInjector(0.5, seed=4)
+        policy = injected_policy(injector, ResiliencePolicy(max_retries=1))
+        result = solve_cubis(
+            game, uncertainty, num_segments=10, epsilon=1e-3,
+            resilience=policy,
+        )
+        assert injector.faults > 0
+        assert injector.calls >= result.iterations
+        assert result.hull_screens == result.lp_solves == result.cache_hits == 0
 
 
 class TestCrossBackendLadderEquality:
