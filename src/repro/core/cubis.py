@@ -231,7 +231,6 @@ def solve_cubis(
     warm_start: WarmStart | None = None,
     session: str | MilpSession | None = None,
     speculation: int = 1,
-    dp_kernel=None,
 ) -> CubisResult:
     """Run CUBIS on an interval security game.
 
@@ -332,14 +331,6 @@ def solve_cubis(
         Must be 1: the search is plain bisection, one oracle call per
         step (docs/PERFORMANCE.md explains why).  Accepted so callers and
         service requests that spell this value out stay valid.
-    dp_kernel:
-        Override for the ``"dp"`` oracle's grid kernel (defaults to
-        :func:`~repro.core.dp.maximize_separable_on_grid`).  The fleet
-        driver passes a :class:`~repro.solvers.fleet.DpBatcher`
-        participant here so a whole fleet's knapsack runs (screen
-        fall-throughs and final re-solves) batch into stacked kernels;
-        any replacement must be bit-identical to the default on its
-        inputs.
     """
     started = time.perf_counter()
     if uncertainty.num_targets != game.num_targets:
@@ -739,9 +730,6 @@ def solve_cubis(
             return milp_oracle
 
         budget_units = grid_budget_units(game.num_resources, num_segments)
-        grid_kernel = (
-            dp_kernel if dp_kernel is not None else maximize_separable_on_grid
-        )
 
         def step_phi(c: float) -> np.ndarray:
             # G(x, beta*) = sum_i min(f1_i, f2_i)(x_i) — separable, so the
@@ -754,7 +742,9 @@ def solve_cubis(
             with telemetry.span(
                 "dp.solve", kind="dp", budget_units=budget_units
             ) as sp:
-                allocation = grid_kernel(step_phi(c), budget_units)
+                allocation = maximize_separable_on_grid(
+                    step_phi(c), budget_units
+                )
                 feasible = allocation.value >= -feasibility_tolerance
                 sp.set(feasible=bool(feasible))
             telemetry.histogram("repro_oracle_seconds", kind="dp").observe(

@@ -12,7 +12,7 @@ actually asks:
   root duration.
 * :func:`self_time_by_name` — wall/CPU self-time aggregated per span
   name: where did the time actually go, with ``wall >> cpu`` exposing
-  lock/queue waits (e.g. in the fleet ``DpBatcher``).
+  lock/queue waits (e.g. a ``service.request`` waiting on the engine).
 * :func:`flamegraph_lines` — collapsed-stack output (``a;b;c value``)
   compatible with flamegraph.pl and speedscope, weighted by self-time
   in integer microseconds.

@@ -184,7 +184,7 @@ class TestVectorisedTransitionMatchesLoop:
 
 
 class TestBatchKernelMatchesScalar:
-    """The stacked fleet kernel must equal per-game scalar calls bitwise
+    """The batch entry point must equal per-game scalar calls bitwise
     — same values, same units, same tie-breaks at every batch index."""
 
     @pytest.mark.parametrize("seed", range(15))

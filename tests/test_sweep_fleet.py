@@ -51,7 +51,7 @@ class TestFleetRunGridBitIdentity:
 
 def _fleet_dp_trial(rng, trial_index, *, num_targets, **params):
     """A trial that solves a small DP-oracle fleet, so each cell's trace
-    carries ``fleet.solve`` spans and ``fleet.dp_round`` events."""
+    carries ``fleet.solve`` spans with the per-game solves under them."""
     from repro.experiments.quality import default_uncertainty
     from repro.game.generator import random_interval_game
     from repro.solvers.fleet import solve_fleet
@@ -67,8 +67,7 @@ def _fleet_dp_trial(rng, trial_index, *, num_targets, **params):
 
 class TestFleetTraceAdoption:
     """Worker-process traces adopt into the same tree the serial run
-    records — including the lockstep batcher's round events, which are
-    re-emitted on the caller thread after the join."""
+    records, down to each fleet game's hull-screen spans."""
 
     GRID = [{"num_targets": 3}, {"num_targets": 4}]
 
@@ -106,7 +105,19 @@ class TestFleetTraceAdoption:
         assert sig == ref_sig, "adopted span tree must match serial run"
         assert metrics == ref_metrics
 
-    def test_dp_round_events_present(self):
+    def test_per_game_hull_screen_spans_present(self):
         _, sig, _ = self._traced(workers=1)
-        round_names = [entry for entry in sig if entry[1] == "fleet.dp_round"]
-        assert round_names, "lockstep rounds must appear in the span tree"
+        fleets = {i for i, entry in enumerate(sig) if entry[1] == "fleet.solve"}
+        solves = {
+            i for i, entry in enumerate(sig)
+            if entry[1] == "cubis.solve" and entry[0] in fleets
+        }
+        # 2 cells x 2 trials, 3 games per fleet.
+        assert len(fleets) == 4 and len(solves) == 12
+        screens = [entry for entry in sig if entry[1] == "cubis.hull_screen"]
+        assert screens, "each game's grid hull screens must be traced"
+        for parent, *_ in screens:
+            # A screen sits somewhere below one of the fleet's solves.
+            while parent is not None and parent not in solves:
+                parent = sig[parent][0]
+            assert parent in solves
