@@ -11,24 +11,14 @@ competitive at small T, and its time grows faster with T.
 Run:  pytest benchmarks/bench_runtime.py --benchmark-only
 """
 
-import pathlib
-
 import numpy as np
 import pytest
 
 from repro.core.cubis import solve_cubis
 from repro.core.exact import solve_exact
-from repro.experiments.perf import (
-    compare_bench,
-    format_bench,
-    run_bench_runtime,
-    write_bench_json,
-)
 from repro.experiments.quality import default_uncertainty
 from repro.experiments.runtime import format_runtime, run_runtime
 from repro.game.generator import random_interval_game
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _instance(num_targets: int):
@@ -53,46 +43,6 @@ def test_f2_memoisation(benchmark, memoise):
         num_segments=10, epsilon=0.01, memoise=memoise,
     )
     assert np.isfinite(result.worst_case_value)
-
-
-def test_f2_bench_runtime_json(benchmark, report):
-    """Emit BENCH_runtime.json (repo root) and assert the deterministic
-    wins: fewer full MILP solves on the warm path, the Lagrangian hull
-    screen deciding the session pass's steps, parallel == serial.
-
-    The configuration matches the ``repro bench`` CLI defaults so the
-    emitted file is byte-compatible with the committed reference the CI
-    regression gate compares against.
-    """
-    payload = run_bench_runtime(
-        num_targets=50, num_segments=10, epsilon=1e-2,
-        num_games=6, seed=2016, workers=2,
-    )
-    write_bench_json(payload, REPO_ROOT / "BENCH_runtime.json")
-
-    # Give the benchmark fixture something cheap but real to time.
-    game, uncertainty = _instance(10)
-    benchmark(solve_cubis, game, uncertainty, num_segments=5, epsilon=0.1)
-
-    report("f2_bench_runtime", format_bench(payload))
-
-    # Count-based assertions only — wall-clock ratios are hardware noise,
-    # solver-call counts are not.
-    assert payload["warm"]["milp_solves"] < payload["cold"]["milp_solves"]
-    assert payload["cold"]["milp_solves"] == payload["cold"]["oracle_calls"]
-    assert payload["parallel"]["identical_to_serial"]
-    # Session pass: every game ran incrementally, the hull screen decided
-    # steps in numpy, and no step fell through to a full MILP solve.
-    # (Session patching is covered by tests/test_solvers_session.py.)
-    session = payload["session"]
-    assert all(g["session_mode"] == "incremental" for g in session["per_game"])
-    assert all(g["session_mode"] == "fresh" for g in payload["cold"]["per_game"])
-    assert all(g["backend"] == "highs" for g in session["per_game"])
-    assert session["hull_screens"] > 0
-    assert session["milp_solves"] == 0
-    assert session["milp_solves"] <= payload["cold"]["milp_solves"]
-    # A payload can never regress against itself.
-    assert compare_bench(payload, payload, max_regression=1.25) == []
 
 
 @pytest.mark.parametrize("num_targets", [5, 10, 20])

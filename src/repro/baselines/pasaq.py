@@ -42,7 +42,7 @@ from repro.solvers.binary_search import binary_search_max
 from repro.solvers.milp_backend import MILPProblem, solve_milp
 from repro.solvers.piecewise import SegmentGrid
 from repro.utils.timing import Timer
-from repro.utils.validation import check_int_at_least
+from repro.utils.validation import check_int_at_least, check_positive
 
 __all__ = ["PasaqResult", "solve_pasaq"]
 
@@ -144,8 +144,7 @@ def solve_pasaq(
         raise ValueError(
             f"model covers {model.num_targets} targets but the game has {game.num_targets}"
         )
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    check_positive(epsilon, "epsilon")
     num_segments = check_int_at_least(num_segments, 1, "num_segments")
     max_iterations = check_int_at_least(max_iterations, 1, "max_iterations")
 

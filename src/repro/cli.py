@@ -26,21 +26,17 @@ and ``--fleet`` settings::
 ``--resilience`` routes every oracle step through the highs -> bnb -> dp
 fallback ladder, ``--certify`` validates the machine-checkable solution
 certificate, and ``--inject-faults RATE`` exercises the ladder with
-seeded solver failures (see docs/RESILIENCE.md); ``bench
---compare REF --max-regression F`` gates a run against a saved payload on
-hardware-independent metrics.
+seeded solver failures (see docs/RESILIENCE.md).
 
 Every invocation runs under a telemetry context (docs/OBSERVABILITY.md):
-``--telemetry out.jsonl`` (on ``solve``, ``sweep``, and ``bench``)
-dumps the span tree and metrics as JSONL, ``bench`` folds a ``spans``
-summary into BENCH_runtime.json and appends a one-line summary to
-BENCH_history.jsonl, and a run manifest (git SHA, seed, config,
-aggregate metrics, slowest spans) is written at the end of every run —
-``--manifest PATH`` moves it, ``--no-manifest`` suppresses it,
+``--telemetry out.jsonl`` (on ``solve``, ``sweep`` and ``serve``) dumps
+the span tree and metrics as JSONL, and a run manifest (git SHA, seed,
+config, aggregate metrics, slowest spans) is written at the end of every
+run — ``--manifest PATH`` moves it, ``--no-manifest`` suppresses it,
 ``--no-telemetry`` disables span recording entirely (both are top-level
 flags: ``repro --no-manifest table1``).
 
-``--serve [PORT]`` (on ``sweep``, ``bench``, ``solve``, ``verify``)
+``--serve [PORT]`` (on ``sweep``, ``solve``, ``verify``)
 serves live ``/healthz``, ``/metrics``, and ``/progress`` over HTTP
 while the command runs, and ``trace`` analyses any ``--telemetry``
 JSONL after the fact::
@@ -191,44 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the sweep's merged span tree and metrics "
                          "as JSONL (feeds `repro trace`)")
     _add_serve(sw)
-
-    b = sub.add_parser(
-        "bench",
-        help="benchmark the performance layer and emit BENCH_runtime.json",
-    )
-    b.add_argument("--targets", type=int, default=50, help="random-game size T")
-    b.add_argument("--segments", type=int, default=10, help="piecewise segments K")
-    b.add_argument("--epsilon", type=float, default=1e-2)
-    b.add_argument("--games", type=int, default=6, help="games in the solve chain")
-    b.add_argument("--seed", type=int, default=2016)
-    b.add_argument("--workers", type=int, default=4,
-                   help="process-pool size for the parallel determinism check")
-    b.add_argument("--warm-start", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="chain warm starts across games in the warm pass "
-                        "(--no-warm-start isolates memoisation alone)")
-    b.add_argument("--backend", type=str, default="highs",
-                   choices=["highs", "bnb"],
-                   help="MILP backend for every pass")
-    b.add_argument("--out", type=str, default="BENCH_runtime.json",
-                   help="output JSON path")
-    b.add_argument("--compare", type=str, default=None, metavar="REF",
-                   help="compare against a saved reference payload and "
-                        "exit nonzero on regression (hardware-independent "
-                        "metrics only, see docs/PERFORMANCE.md)")
-    b.add_argument("--max-regression", type=float, default=1.25,
-                   metavar="FACTOR",
-                   help="tolerated factor for --compare: counts may grow "
-                        "to ref*FACTOR, speedups may fall to ref/FACTOR")
-    b.add_argument("--telemetry", type=str, default=None, metavar="PATH",
-                   help="write the bench's span tree and metrics as JSONL "
-                        "(feeds `repro trace`)")
-    b.add_argument("--history", type=str, default="BENCH_history.jsonl",
-                   metavar="PATH",
-                   help="append a compact summary record (git SHA, date, "
-                        "speedups, key span self-times) to this JSONL "
-                        "perf trajectory ('none' to skip)")
-    _add_serve(b)
 
     c = sub.add_parser(
         "calibrate",
@@ -494,54 +452,6 @@ def _run_sweep(args) -> str:
         pathlib.Path(args.out).write_text(_table_json(table))
         lines.append(f"table written to {args.out}")
     return "\n".join(lines)
-
-
-def _run_bench(args) -> str:
-    import json
-    import pathlib
-
-    from repro.experiments.perf import (
-        compare_bench,
-        format_bench,
-        run_bench_runtime,
-        write_bench_json,
-    )
-
-    payload = run_bench_runtime(
-        num_targets=args.targets,
-        num_segments=args.segments,
-        epsilon=args.epsilon,
-        num_games=args.games,
-        seed=args.seed,
-        workers=args.workers,
-        warm_start=args.warm_start,
-        backend=args.backend,
-    )
-    path = write_bench_json(payload, args.out)
-    text = format_bench(payload) + f"\nwritten to {path}"
-    if args.history and args.history != "none":
-        from repro.experiments.perf import append_bench_history
-
-        history_path = append_bench_history(payload, args.history)
-        text += f"\nhistory appended to {history_path}"
-    if not payload["parallel"]["identical_to_serial"]:
-        # Determinism is a hard guarantee; fail the process so CI catches it.
-        raise SystemExit(text)
-    if args.compare:
-        reference = json.loads(pathlib.Path(args.compare).read_text())
-        problems = compare_bench(
-            payload, reference, max_regression=args.max_regression
-        )
-        if problems:
-            raise SystemExit(
-                text + f"\nregression vs {args.compare} "
-                f"(max {args.max_regression:g}x):\n  " + "\n  ".join(problems)
-            )
-        text += (
-            f"\ncompare vs {args.compare}: within {args.max_regression:g}x "
-            "on all hardware-independent metrics"
-        )
-    return text
 
 
 def _run_calibrate(args) -> str:
@@ -862,7 +772,6 @@ def main(argv=None) -> int:
         "calibrate": _run_calibrate,
         "report": _run_report,
         "solve": _run_solve,
-        "bench": _run_bench,
         "verify": _run_verify,
         "trace": _run_trace,
         "serve": _run_serve,

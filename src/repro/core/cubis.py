@@ -46,7 +46,7 @@ from repro.resilience.policy import (
     ResilienceReport,
 )
 from repro import telemetry
-from repro.utils.validation import check_int_at_least
+from repro.utils.validation import check_int_at_least, check_positive
 
 __all__ = ["CubisResult", "WarmStart", "solve_cubis"]
 
@@ -273,7 +273,7 @@ def solve_cubis(
         returned ``worst_case_value`` is likewise execution-adjusted.
     feasibility_tolerance:
         Numerical slack on Proposition 2's sign test (``G_bar >= -tol``
-        counts as feasible).
+        counts as feasible); finite and ``>= 0``.
     max_iterations:
         Hard cap on binary-search steps.
     resilience:
@@ -338,11 +338,9 @@ def solve_cubis(
             f"uncertainty model covers {uncertainty.num_targets} targets but the "
             f"game has {game.num_targets}"
         )
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-
-    if execution_alpha < 0:
-        raise ValueError(f"execution_alpha must be >= 0, got {execution_alpha}")
+    check_positive(epsilon, "epsilon")
+    check_positive(execution_alpha, "execution_alpha", strict=False)
+    check_positive(feasibility_tolerance, "feasibility_tolerance", strict=False)
     num_segments = check_int_at_least(num_segments, 1, "num_segments")
     max_iterations = check_int_at_least(max_iterations, 1, "max_iterations")
     if speculation != 1:

@@ -12,7 +12,6 @@ from repro.experiments.calibration import (
 )
 from repro.experiments.intervals import format_intervals, run_intervals
 from repro.experiments.landscape import format_landscape, run_landscape
-from repro.experiments.perf import format_bench, run_bench_runtime, write_bench_json
 from repro.experiments.quality import format_quality, run_quality
 from repro.experiments.report import FULL, QUICK, ReportSettings, generate_report
 from repro.experiments.runtime import format_runtime, run_runtime
@@ -33,7 +32,6 @@ __all__ = [
     "Table1Result",
     "calibrate_table1",
     "format_ablation",
-    "format_bench",
     "format_intervals",
     "format_landscape",
     "format_quality",
@@ -43,7 +41,6 @@ __all__ = [
     "generate_report",
     "run_ablation_epsilon",
     "run_ablation_k",
-    "run_bench_runtime",
     "run_intervals",
     "run_landscape",
     "run_quality",
@@ -51,5 +48,4 @@ __all__ = [
     "run_smoke",
     "run_table1",
     "score_candidate",
-    "write_bench_json",
 ]

@@ -109,6 +109,9 @@ def _normalise_option(name: str, value: Any) -> Any:
             raise RequestError(
                 f"option {name!r} must be a number, got {type(value).__name__}"
             )
+        if not np.isfinite(value):
+            # Python's json parses NaN and Infinity; neither is a setting.
+            raise RequestError(f"option {name!r} must be finite, got {value!r}")
         return float(value)
     if not isinstance(value, str):
         raise RequestError(

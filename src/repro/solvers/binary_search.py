@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro import telemetry
+from repro.utils.validation import check_positive
 
 __all__ = ["BinarySearchResult", "binary_search_max"]
 
@@ -126,8 +127,7 @@ def binary_search_max(
     """
     if hi < lo:
         raise ValueError(f"binary search requires lo <= hi, got [{lo}, {hi}]")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    check_positive(tolerance, "tolerance")
     trace: list[tuple[float, bool]] = []
     payload = None
     iterations = 0

@@ -5,8 +5,8 @@ the fact: the command and its full config, the git SHA the tree was at,
 the seed, aggregate metrics, a per-name span rollup, and the ten slowest
 individual spans.  ``python -m repro <cmd>`` writes one at the end of
 every invocation (``--manifest PATH`` / ``--no-manifest``), and the CI
-telemetry-smoke job uploads it as a build artefact next to
-``BENCH_runtime.json``.
+telemetry-smoke job uploads it as a build artefact next to the trace
+it summarises.
 """
 
 from __future__ import annotations

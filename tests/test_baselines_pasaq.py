@@ -73,8 +73,9 @@ class TestPasaqMechanics:
 
     def test_invalid_epsilon(self, simple_game):
         model = SUQR(simple_game.payoffs, (-2.0, 0.7, 0.4))
-        with pytest.raises(ValueError, match="epsilon"):
-            solve_pasaq(simple_game, model, epsilon=-1.0)
+        for epsilon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                solve_pasaq(simple_game, model, epsilon=epsilon)
 
     def test_backends_agree(self, simple_game):
         model = SUQR(simple_game.payoffs, (-2.0, 0.7, 0.4))

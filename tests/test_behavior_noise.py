@@ -113,5 +113,7 @@ class TestUnifiedRobustCubis:
         assert result.worst_case_value <= base.worst_case_value + 0.02
 
     def test_negative_alpha_rejected(self, small_interval_game, small_uncertainty):
-        with pytest.raises(ValueError, match="execution_alpha"):
-            solve_cubis(small_interval_game, small_uncertainty, execution_alpha=-0.1)
+        for alpha in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="execution_alpha"):
+                solve_cubis(small_interval_game, small_uncertainty,
+                            execution_alpha=alpha)

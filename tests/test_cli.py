@@ -38,8 +38,15 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_unknown_experiment_errors(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bogus"])
+        for name in ("bogus", "bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([name])
+
+    def test_workers_flag_on_experiments(self):
+        for sub in ("quality", "runtime", "intervals", "ablation", "landscape"):
+            args = build_parser().parse_args([sub, "--workers", "3"])
+            assert args.workers == 3, sub
+            assert build_parser().parse_args([sub]).workers is None
 
 
 class TestMain:
@@ -219,69 +226,6 @@ class TestTelemetryFlags:
         assert manifest["command"] == "solve"
 
 
-class TestBenchSubcommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.targets == 50 and args.segments == 10
-        assert args.games == 6 and args.workers == 4
-        assert args.warm_start is True
-        assert args.out == "BENCH_runtime.json"
-
-    def test_parser_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--targets", "12", "--games", "2", "--workers", "1",
-             "--no-warm-start", "--out", "x.json"]
-        )
-        assert args.targets == 12 and args.games == 2 and args.workers == 1
-        assert args.warm_start is False and args.out == "x.json"
-
-    def test_workers_flag_on_experiments(self):
-        for sub in ("quality", "runtime", "intervals", "ablation", "landscape"):
-            args = build_parser().parse_args([sub, "--workers", "3"])
-            assert args.workers == 3, sub
-            assert build_parser().parse_args([sub]).workers is None
-
-    def test_bench_runs_small(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--targets", "8", "--segments", "6", "--games", "2",
-             "--epsilon", "0.05", "--workers", "1", "--out", str(out_path),
-             "--history", str(tmp_path / "hist.jsonl")]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["parallel"]["identical_to_serial"]
-        for section in ("cold", "warm"):
-            assert "wall_clock_seconds" in payload[section]
-            assert "oracle_calls" in payload[section]
-            assert "cache_hit_rate" in payload[section]
-        # solve_fleet solves its games one at a time, so each fleet row
-        # carries that game's own clock.
-        assert all(row["wall_clock_seconds"] > 0.0
-                   for row in payload["fleet"]["per_game"])
-        # The telemetry rollup rides along in the payload (and the
-        # printed summary) unless --no-telemetry was given.
-        span_names = {a["name"] for a in payload["spans"]["by_name"]}
-        assert {"bench.cold_pass", "bench.warm_pass"} <= span_names
-        assert "spans:" in out
-
-    def test_bench_no_telemetry_omits_spans(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        code = main(
-            ["--no-telemetry", "--manifest", str(tmp_path / "m.json"),
-             "bench", "--targets", "8", "--segments", "6", "--games", "2",
-             "--epsilon", "0.05", "--workers", "1", "--out", str(out_path),
-             "--history", str(tmp_path / "hist.jsonl")]
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["spans"] is None
-
-
 class TestSweepSubcommand:
     SMOKE = ["sweep", "smoke", "--targets", "3", "3", "--trials", "1"]
 
@@ -375,7 +319,7 @@ class TestTraceSubcommand:
 
 class TestServeFlag:
     def test_parser_semantics(self):
-        for cmd in (["sweep", "smoke"], ["bench"], ["solve"], ["verify"]):
+        for cmd in (["sweep", "smoke"], ["solve"], ["verify"]):
             assert build_parser().parse_args(cmd).serve is None, cmd
             assert build_parser().parse_args(cmd + ["--serve"]).serve == 0
             assert build_parser().parse_args(
@@ -387,32 +331,3 @@ class TestServeFlag:
         assert code == 0
         err = capsys.readouterr().err
         assert "obs server listening on http://127.0.0.1:" in err
-
-
-class TestBenchHistory:
-    BENCH = ["--no-manifest", "bench", "--targets", "8", "--segments", "6",
-             "--games", "2", "--epsilon", "0.05", "--workers", "1"]
-
-    def test_history_appended(self, capsys, tmp_path):
-        out_path, history = tmp_path / "bench.json", tmp_path / "hist.jsonl"
-        for _ in range(2):
-            assert main([*self.BENCH, "--out", str(out_path),
-                         "--history", str(history)]) == 0
-        assert "history appended to" in capsys.readouterr().out
-        lines = history.read_text().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            record = json.loads(line)
-            assert record["git_sha"]
-            assert record["created"]
-            assert record["speedup"] > 0
-            assert record["counts"]["cold"]["oracle_calls"] > 0
-            top = record["top_spans_by_self_time"]
-            assert top and all("wall_self_seconds" in s for s in top)
-
-    def test_history_none_skips(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert main([*self.BENCH, "--out", str(out_path),
-                     "--history", "none"]) == 0
-        assert "history appended" not in capsys.readouterr().out
-        assert not (tmp_path / "BENCH_history.jsonl").exists()

@@ -147,8 +147,15 @@ class TestKnobs:
         assert loose.upper_bound - loose.lower_bound <= 0.5 + 1e-12
 
     def test_invalid_epsilon(self, small_interval_game, small_uncertainty):
-        with pytest.raises(ValueError, match="epsilon"):
-            solve_cubis(small_interval_game, small_uncertainty, epsilon=0.0)
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                solve_cubis(small_interval_game, small_uncertainty, epsilon=epsilon)
+
+    def test_invalid_feasibility_tolerance(self, small_interval_game, small_uncertainty):
+        for tolerance in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="feasibility_tolerance"):
+                solve_cubis(small_interval_game, small_uncertainty,
+                            feasibility_tolerance=tolerance)
 
     def test_target_mismatch(self, small_uncertainty):
         other = random_interval_game(7, seed=0)

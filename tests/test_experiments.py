@@ -4,8 +4,6 @@ Each experiment must run end-to-end, produce the schema its formatter
 expects, and exhibit the qualitative shape claimed in DESIGN.md §2.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -238,96 +236,3 @@ class TestLandscape:
 
         out = format_landscape(table)
         assert "F5" in out and "cubis" in out and "sse" in out
-
-
-class TestBenchHistory:
-    """Each ledger line is keyed by the hash of its run's config."""
-
-    @staticmethod
-    def history_line(tmp_path, name, config):
-        from repro.experiments.perf import append_bench_history
-
-        path = append_bench_history({"config": config}, tmp_path / name)
-        return json.loads(path.read_text().splitlines()[-1])
-
-    def test_config_hash_separates_configs(self, tmp_path):
-        ci = {"num_targets": 8, "num_games": 2, "epsilon": 0.01}
-        reference = dict(ci, num_targets=50)
-        a = self.history_line(tmp_path, "a.jsonl", ci)
-        b = self.history_line(tmp_path, "b.jsonl", reference)
-        again = self.history_line(tmp_path, "a.jsonl", dict(reversed(ci.items())))
-        assert a["config"] == ci
-        assert a["config_hash"] != b["config_hash"]
-        assert again["config_hash"] == a["config_hash"]
-
-
-class TestCompareBench:
-    """The CI regression gate: counts may not grow, speedups may not
-    shrink, wall-clock never enters the comparison."""
-
-    @staticmethod
-    def payload(**overrides):
-        base = {
-            "cold": {"oracle_calls": 80, "milp_solves": 80, "lp_solves": 0,
-                     "wall_clock_seconds": 9.0},
-            "warm": {"oracle_calls": 80, "milp_solves": 10, "lp_solves": 70,
-                     "wall_clock_seconds": 0.7},
-            "session": {"oracle_calls": 120, "milp_solves": 0, "lp_solves": 110,
-                        "wall_clock_seconds": 1.0},
-            "speedup": 13.0,
-            "speedup_session": 9.0,
-        }
-        base.update(overrides)
-        return base
-
-    def test_identical_payload_passes(self):
-        from repro.experiments.perf import compare_bench
-
-        p = self.payload()
-        assert compare_bench(p, p) == []
-
-    def test_count_regression_detected(self):
-        from repro.experiments.perf import compare_bench
-
-        ref = self.payload()
-        cur = self.payload(session={"oracle_calls": 120, "milp_solves": 50,
-                                    "lp_solves": 110})
-        problems = compare_bench(cur, ref, max_regression=1.25)
-        assert len(problems) == 1
-        assert "session.milp_solves" in problems[0]
-
-    def test_speedup_regression_detected(self):
-        from repro.experiments.perf import compare_bench
-
-        problems = compare_bench(
-            self.payload(speedup_session=2.0), self.payload(), max_regression=1.25
-        )
-        assert problems and "speedup_session" in problems[0]
-
-    def test_counts_within_factor_pass(self):
-        from repro.experiments.perf import compare_bench
-
-        ref = self.payload()
-        cur = self.payload(cold={"oracle_calls": 99, "milp_solves": 99,
-                                 "lp_solves": 0})
-        assert compare_bench(cur, ref, max_regression=1.25) == []
-
-    def test_wall_clock_never_compared(self):
-        from repro.experiments.perf import compare_bench
-
-        slow = self.payload()
-        slow["cold"] = dict(slow["cold"], wall_clock_seconds=900.0)
-        assert compare_bench(slow, self.payload()) == []
-
-    def test_absent_sections_and_keys_skipped(self):
-        from repro.experiments.perf import compare_bench
-
-        old_ref = {"cold": {"oracle_calls": 80}, "speedup": 13.0}
-        assert compare_bench(self.payload(), old_ref) == []
-        assert compare_bench(old_ref, self.payload()) == []
-
-    def test_invalid_factor_rejected(self):
-        from repro.experiments.perf import compare_bench
-
-        with pytest.raises(ValueError, match="max_regression"):
-            compare_bench(self.payload(), self.payload(), max_regression=0.8)

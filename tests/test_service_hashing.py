@@ -262,6 +262,13 @@ class TestValidation:
         with pytest.raises(RequestError, match="'game'"):
             canonicalize_request({"options": {}})
 
+    def test_non_finite_options_rejected(self):
+        # Python's json parses NaN and Infinity, so a body can carry them.
+        for text in ('{"epsilon": NaN}', '{"execution_alpha": NaN}',
+                     '{"epsilon": Infinity}'):
+            with pytest.raises(RequestError, match="must be finite"):
+                canonicalize_request(_body(options=json.loads(text)))
+
     def test_non_finite_payoffs_rejected(self):
         body = _body()
         body["game"]["defender_reward"][0] = float("inf")

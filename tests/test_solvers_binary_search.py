@@ -79,8 +79,10 @@ class TestBinarySearchMax:
             binary_search_max(threshold_oracle(0.0), 1.0, 0.0)
 
     def test_invalid_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            binary_search_max(threshold_oracle(0.0), 0.0, 1.0, tolerance=0.0)
+        for tolerance in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                binary_search_max(threshold_oracle(0.0), 0.0, 1.0,
+                                  tolerance=tolerance)
 
     def test_no_endpoint_checks(self):
         """Without endpoint checks, the search assumes lo feasible."""

@@ -12,12 +12,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import ResultTable, run_grid
-from repro.experiments.perf import _bench_trial
+from repro.core.cubis import solve_cubis
+from repro.experiments.quality import default_uncertainty
+from repro.game.generator import random_interval_game
 
 GRID = [
     {"num_targets": 4, "num_segments": 4, "epsilon": 0.05, "backend": "highs"},
     {"num_targets": 5, "num_segments": 4, "epsilon": 0.05, "backend": "highs"},
 ]
+
+
+def _bench_trial(
+    rng, trial_index: int, *, num_targets: int, num_segments: int,
+    epsilon: float, backend: str = "highs",
+):
+    """One sweep cell for the bit-identity checks.
+
+    Module-level (picklable) so ``run_grid`` can ship it to pool workers;
+    yields only deterministic columns — no timings — because the checks
+    assert bit-identical tables.
+    """
+    game = random_interval_game(num_targets, seed=rng)
+    result = solve_cubis(
+        game, default_uncertainty(game.payoffs),
+        num_segments=num_segments, epsilon=epsilon, backend=backend,
+    )
+    yield {
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
+        "worst_case": result.worst_case_value,
+        "oracle_calls": result.oracle_calls,
+        "milp_solves": result.milp_solves,
+    }
 
 
 def _solve_run(**kwargs) -> ResultTable:
@@ -52,8 +78,6 @@ class TestFleetRunGridBitIdentity:
 def _fleet_dp_trial(rng, trial_index, *, num_targets, **params):
     """A trial that solves a small DP-oracle fleet, so each cell's trace
     carries ``fleet.solve`` spans with the per-game solves under them."""
-    from repro.experiments.quality import default_uncertainty
-    from repro.game.generator import random_interval_game
     from repro.solvers.fleet import solve_fleet
 
     games = [random_interval_game(num_targets, seed=100 * trial_index + i)
