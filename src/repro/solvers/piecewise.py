@@ -99,7 +99,7 @@ class SegmentGrid:
         if np.any(x < -1e-9) or np.any(x > 1.0 + 1e-9):
             raise ValueError("coverage values must lie in [0, 1]")
         filled = np.minimum(np.clip(x, 0.0, 1.0)[..., None], self._breakpoints)
-        return np.diff(filled, axis=-1)
+        return filled[..., 1:] - filled[..., :-1]
 
     def reconstruct(self, segments) -> np.ndarray:
         """Inverse of :meth:`decompose`: sum the per-segment portions.

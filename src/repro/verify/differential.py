@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.cubis import solve_cubis
 from repro.core.exact import solve_exact
-from repro.core.milp import CubisMilpSkeleton, step_grids
+from repro.core.milp import step_grids
 from repro.core.worst_case import evaluate_worst_case
 from repro.resilience.certificate import theorem_slack
 from repro.resilience.faults import FaultInjector
@@ -105,13 +105,36 @@ class PathOutcome:
 
 def _certified_level(game, uncertainty, strategy, num_segments: int) -> float:
     """The utility level ``strategy`` provably certifies on the K-segment
-    piecewise model — re-derived from the game data alone (no solver)."""
+    piecewise model — re-derived from the game data alone (no solver).
+
+    Deliberately independent of the fast path it checks: the four
+    interpolants come straight from :meth:`SegmentGrid.interpolate`, not
+    the skeleton's tabulated certificate, and the level from a 64-step
+    bisection of ``G_bar``, not the closed form of
+    :meth:`~repro.core.milp.StrategyCertificate.guaranteed_level`.
+    """
     grid = SegmentGrid(num_segments)
-    skeleton = CubisMilpSkeleton(
-        *step_grids(game, uncertainty, grid), game.num_resources, grid
+    ud, lower, upper = step_grids(game, uncertainty, grid)
+    x = np.clip(np.asarray(strategy, dtype=np.float64), 0.0, 1.0)
+    p1, q1, p2, q2 = (
+        grid.interpolate(values, x) for values in (lower * ud, lower, upper * ud, upper)
     )
-    lo, hi = game.utility_range()
-    return float(skeleton.certificate(strategy).guaranteed_level(lo, hi))
+
+    def g_bar(c: float) -> float:
+        return float(np.minimum(p1 - c * q1, p2 - c * q2).sum())
+
+    feasible, infeasible = game.utility_range()
+    if g_bar(feasible) < 0.0:
+        return -float("inf")
+    if g_bar(infeasible) >= 0.0:
+        return float(infeasible)
+    for _ in range(64):
+        mid = 0.5 * (feasible + infeasible)
+        if g_bar(mid) >= 0.0:
+            feasible = mid
+        else:
+            infeasible = mid
+    return float(feasible)
 
 
 def run_paths(

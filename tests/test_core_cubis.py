@@ -9,15 +9,19 @@ The key checks:
 * quality improves (weakly) with finer K / epsilon.
 """
 
+import collections
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from repro.behavior.interval import IntervalSUQR
-from repro.core.cubis import WarmStart, solve_cubis
+from repro.core.cubis import _CERTIFICATE_POOL_LIMIT, WarmStart, solve_cubis
+from repro.core.milp import CubisMilpSkeleton, StrategyCertificate, step_grids
 from repro.core.worst_case import evaluate_worst_case
 from repro.game.generator import random_interval_game, table1_game
+from repro.solvers.piecewise import SegmentGrid
 
 
 class TestTable1:
@@ -277,6 +281,46 @@ class TestPerformanceLayer:
             baseline.lower_bound, abs=baseline.epsilon
         )
         assert result.converged
+
+    def test_large_warm_start_respects_the_pool_cap(self, monkeypatch):
+        """Warm-start strategies join the pool through its cap, so a pool
+        check scans at most the cap however many arrive; the level guess
+        still takes the best of all of them."""
+        game = random_interval_game(8, payoff_halfwidth=0.5, seed=4)
+        model = IntervalSUQR(
+            game.payoffs, w1=(-4.0, -2.0), w2=(0.6, 0.9), w3=(0.3, 0.6),
+            convention="tight",
+        )
+        options = {"num_segments": 8, "epsilon": 0.01}
+        rng = np.random.default_rng(0)
+        # The best strategy comes first, so the cap evicts it.
+        strategies = (solve_cubis(game, model, **options).strategy,) + tuple(
+            np.minimum(rng.dirichlet(np.ones(8)) * game.num_resources, 1.0)
+            for _ in range(39)
+        )
+        scanned = collections.Counter()
+        g_bar = StrategyCertificate.g_bar
+
+        def spy(cert, c):
+            if sys._getframe(1).f_code.co_name == "certificate_answer":
+                scanned[c] += 1
+            return g_bar(cert, c)
+
+        monkeypatch.setattr(StrategyCertificate, "g_bar", spy)
+        result = solve_cubis(
+            game, model, warm_start=WarmStart(strategies=strategies), **options
+        )
+        assert scanned
+        assert max(scanned.values()) <= _CERTIFICATE_POOL_LIMIT
+
+        grid = SegmentGrid(8)
+        skeleton = CubisMilpSkeleton(
+            *step_grids(game, model, grid), game.num_resources, grid
+        )
+        lo, hi = game.utility_range()
+        best = max(skeleton.certificate(s).guaranteed_level(lo, hi) for s in strategies)
+        assert result.guess_probes == 1
+        assert result.trace[2] == (best, True)
 
     def test_as_warm_start_round_trip(self, small_interval_game, small_uncertainty):
         result = self.solve(small_interval_game, small_uncertainty)
