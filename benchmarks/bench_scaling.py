@@ -9,15 +9,23 @@ Expected shape: both scale roughly linearly in T at fixed K (the MILP has
 T·(2K+1) variables; the DP costs O(T·K·RK)); the DP's constant is far
 smaller.
 
-The report adds a per-call view of the MILP pipeline's numpy layers at
+The report's solve times are medians of 5 solves after one warm-up
+solve.  It adds a per-call view of the MILP pipeline's layers at
 T = 25..200 (K = 10, best of 5 ``timeit`` repeats): one strategy
-certificate, the level it certifies, one Lagrangian hull screen and one
-hull bound evaluation.  A feasible step the hull decides costs one
-screen, one certificate and one level.
+certificate, the level it certifies, one Lagrangian hull screen, one
+hull bound evaluation, and one HiGHS LP-relaxation screen on a
+:class:`~repro.solvers.milp_backend.LiveLp`.  A feasible step the hull
+decides costs one screen, one certificate and one level; a step the
+hull leaves open adds one LP screen.  The cold LP screen builds a new
+live model, as the first screen of a solve does; the warm one
+alternates between two candidates 1/64 of the utility range apart, each
+solve starting from the other's optimal basis.
 
 Run:  pytest benchmarks/bench_scaling.py --benchmark-only
 """
 
+import statistics
+import time
 import timeit
 
 import numpy as np
@@ -29,8 +37,8 @@ from repro.core.hull import LagrangianHull
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game
+from repro.solvers.milp_backend import LiveLp, relax_integrality
 from repro.solvers.piecewise import SegmentGrid
-from repro.utils.timing import Timer
 
 
 def _instance(num_targets):
@@ -83,9 +91,21 @@ def _per_call_ms(call, number: int = 200) -> float:
     return min(timeit.repeat(call, number=number, repeat=5)) / number * 1e3
 
 
+def _median_solve_s(solve, runs: int = 5):
+    """``(median wall seconds, result)`` of ``runs`` calls to ``solve``
+    after one untimed warm-up call."""
+    result = solve()
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        solve()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
+
+
 def per_call_costs(num_targets: int, num_segments: int = 10) -> list:
-    """Milliseconds per call of the certificate layer and the hull screen
-    at one mid-range candidate of a ``num_targets`` game."""
+    """Milliseconds per call of the certificate layer, the hull screen and
+    the LP screen at one mid-range candidate of a ``num_targets`` game."""
     game, uncertainty = _instance(num_targets)
     grid = SegmentGrid(num_segments)
     grids = step_grids(game, uncertainty, grid)
@@ -95,12 +115,23 @@ def per_call_costs(num_targets: int, num_segments: int = 10) -> list:
     c = 0.5 * (lo + hi)
     screen = hull.screen(c)
     cert = skeleton.certificate(screen.witness)
+    near = [relax_integrality(skeleton.patch(c + d).problem)
+            for d in (0.0, (hi - lo) / 64)]
+    warm = LiveLp()
+    warm.solve(near[1])
+
+    def warm_pair():
+        warm.solve(near[0])
+        warm.solve(near[1])
+
     return [
         num_targets,
         _per_call_ms(lambda: skeleton.certificate(screen.witness)),
         _per_call_ms(lambda: cert.guaranteed_level(lo, hi)),
         _per_call_ms(lambda: hull.screen(c)),
         _per_call_ms(lambda: hull.bound_at(c, screen.lam)),
+        _per_call_ms(lambda: LiveLp().solve(near[0]), number=10),
+        _per_call_ms(warm_pair, number=5) / 2,
     ]
 
 
@@ -111,30 +142,26 @@ def test_a4_report(benchmark, report):
     rows = []
     for t in (25, 50, 100):
         game, uncertainty = _instance(t)
-        timer_m = Timer()
-        with timer_m:
-            milp = solve_cubis(game, uncertainty, num_segments=10, epsilon=0.02)
-        timer_d = Timer()
-        with timer_d:
-            dp = solve_cubis(
-                game, uncertainty, num_segments=40, epsilon=0.02, oracle="dp"
-            )
-        rows.append(
-            [t, timer_m.elapsed, milp.worst_case_value, timer_d.elapsed, dp.worst_case_value]
-        )
+        milp_s, milp = _median_solve_s(lambda: solve_cubis(
+            game, uncertainty, num_segments=10, epsilon=0.02
+        ))
+        dp_s, dp = _median_solve_s(lambda: solve_cubis(
+            game, uncertainty, num_segments=40, epsilon=0.02, oracle="dp"
+        ))
+        rows.append([t, milp_s, milp.worst_case_value, dp_s, dp.worst_case_value])
         # Quality cross-check: the two oracles agree within the envelope.
         assert abs(milp.worst_case_value - dp.worst_case_value) < 0.25
     solves = format_table(
         ["targets", "MILP s (K=10)", "MILP value", "DP s (K=40)", "DP value"],
         rows,
-        title="A4: CUBIS scaling — MILP vs grid-DP oracle",
+        title="A4: CUBIS scaling — MILP vs grid-DP oracle (median of 5 solves)",
         float_format="{:.3f}",
     )
     per_call = format_table(
         ["targets", "certificate ms", "guaranteed_level ms", "hull screen ms",
-         "hull bound_at ms"],
+         "hull bound_at ms", "LP screen cold ms", "LP screen warm ms"],
         [per_call_costs(t) for t in (25, 50, 100, 200)],
-        title="A4: per-call cost of the MILP pipeline's numpy layers (K=10)",
+        title="A4: per-call cost of the MILP pipeline's layers (K=10)",
         float_format="{:.3f}",
     )
     report("a4_scaling", solves + "\n\n" + per_call)

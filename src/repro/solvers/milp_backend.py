@@ -17,28 +17,25 @@ LP-relaxation screens on the ``"highs"`` backend can instead run through
 a :class:`LiveLp`: one HiGHS instance from scipy's private binding
 (``scipy.optimize._highspy._core``), kept alive for the screens of one
 solve and warm-started from the previous screen's optimal basis.  The
-binding is feature-detected at import; without it, and for any live
-solve that fails, the screen runs through :func:`scipy.optimize.milp`.
+binding and the array form of its ``passModel`` are feature-detected at
+import; without them, and for any live solve that fails, the screen runs
+through :func:`scipy.optimize.milp`.  LP screens run with presolve off on
+both paths: it saves no simplex iterations here, yet doubles the cost.
+MILPs keep the HiGHS defaults.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro import telemetry
 
 __all__ = ["LiveLp", "MILPProblem", "MILPResult", "relax_integrality", "solve_milp"]
-
-
-try:  # scipy's private HiGHS binding, absent on older scipy
-    from scipy.optimize._highspy import _core as _HIGHS
-except ImportError:
-    _HIGHS = None
 
 
 @dataclass
@@ -62,18 +59,12 @@ class MILPProblem:
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=np.float64)
         n = len(self.c)
-        if self.lb is None:
-            self.lb = np.zeros(n)
-        else:
-            self.lb = np.asarray(self.lb, dtype=np.float64)
-        if self.ub is None:
-            self.ub = np.full(n, np.inf)
-        else:
-            self.ub = np.asarray(self.ub, dtype=np.float64)
-        if self.integrality is None:
-            self.integrality = np.zeros(n, dtype=np.int64)
-        else:
-            self.integrality = np.asarray(self.integrality, dtype=np.int64)
+        lb, ub, marks = self.lb, self.ub, self.integrality
+        self.lb = np.asarray(np.zeros(n) if lb is None else lb, dtype=np.float64)
+        self.ub = np.asarray(np.full(n, np.inf) if ub is None else ub, dtype=np.float64)
+        self.integrality = np.asarray(
+            np.zeros(n) if marks is None else marks, dtype=np.int64
+        )
         for name, arr in (("lb", self.lb), ("ub", self.ub), ("integrality", self.integrality)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
@@ -243,29 +234,30 @@ def _solve_highs(problem: MILPProblem) -> MILPResult:
         c=problem.c,
         constraints=constraints or None,
         integrality=problem.integrality,
-        bounds=_as_bounds(problem),
+        bounds=Bounds(problem.lb, problem.ub),
+        # LPs run without presolve, as on the live screen; MILPs keep the
+        # HiGHS defaults.
+        options={"presolve": False} if problem.num_integer == 0 else None,
     )
     if res.status == 0:
         return MILPResult("optimal", np.asarray(res.x), float(res.fun), message=res.message)
-    if res.status == 2:
-        return MILPResult("infeasible", None, None, message=res.message)
-    if res.status == 3:
-        return MILPResult("unbounded", None, None, message=res.message)
-    return MILPResult("error", None, None, message=res.message)
+    status = {2: "infeasible", 3: "unbounded"}.get(res.status, "error")
+    return MILPResult(status, None, None, message=res.message)
 
 
 class LiveLp:
     """One HiGHS LP kept alive across the LP-relaxation screens of a solve.
 
     Each :meth:`solve` passes the problem's current arrays to the same
-    HiGHS instance (``passModel``), hands it the previous optimal basis
-    (``setBasis``) and runs the simplex from there.  Consecutive
-    binary-search screens differ only in their ``c``-dependent
-    coefficients, so the old basis is a few pivots from the new optimum.
-    A cold solve (the first, or the first after a failure) is
-    bit-identical to :func:`scipy.optimize.milp` on the same problem; a
-    warm one reaches the same optimal value, possibly at another vertex
-    of a degenerate optimal face.
+    presolve-free HiGHS instance (``passModel``'s array form), hands it
+    the previous optimal basis (``setBasis``) and runs the simplex from
+    there.  Consecutive binary-search screens differ only in their
+    ``c``-dependent coefficients, so the old basis is a few pivots from
+    the new optimum.  A cold solve (the first, or the first after a
+    failure) is bit-identical to ``scipy.optimize.milp(..., options=
+    {"presolve": False})`` on the same problem; a warm one reaches the
+    same optimal value, possibly at another vertex of a degenerate
+    optimal face.
 
     The instance is created on the first solve and lives as long as the
     :class:`LiveLp` does; callers scope one to a single solve.
@@ -295,8 +287,9 @@ class LiveLp:
         if highs is None:
             highs = self._highs = _HIGHS._Highs()
             highs.setOptionValue("log_to_console", False)
+            highs.setOptionValue("presolve", "off")
         error = _HIGHS.HighsStatus.kError
-        if highs.passModel(_highs_lp(problem)) == error:
+        if highs.passModel(*_lp_arrays(problem)) == error:
             return None
         warm = self._basis is not None and highs.setBasis(self._basis) != error
         if highs.run() == error:
@@ -315,9 +308,10 @@ class LiveLp:
         return result, warm, int(info.simplex_iteration_count)
 
 
-def _highs_lp(problem: MILPProblem):
-    """``problem`` as a row-wise HiGHS LP (``lhs <= A x <= rhs``); the
-    integrality marks are not passed."""
+def _lp_arrays(problem: MILPProblem) -> tuple:
+    """``problem`` as the arguments of the array ``passModel``: a
+    row-wise minimisation ``lhs <= A x <= rhs`` with every column
+    continuous (HiGHS rejects an empty integrality array)."""
     n = problem.num_variables
     blocks = []
     if problem.A_ub is not None:
@@ -325,28 +319,31 @@ def _highs_lp(problem: MILPProblem):
     if problem.A_eq is not None:
         blocks.append((problem.A_eq, problem.b_eq, problem.b_eq))
     mats, lower, upper = zip(*blocks)
-    if len(mats) == 1 and getattr(mats[0], "format", None) == "csr":
-        A = mats[0]
-    else:
-        A = sp.vstack([sp.csr_array(m) for m in mats], format="csr")
-    lp = _HIGHS.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = A.shape[0]
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = A.shape[0]
-    lp.a_matrix_.format_ = _HIGHS.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
-    lp.col_cost_ = problem.c
-    lp.col_lower_ = problem.lb
-    lp.col_upper_ = problem.ub
-    lp.row_lower_ = np.concatenate(lower)
-    lp.row_upper_ = np.concatenate(upper)
-    return lp
+    one_csr = len(mats) == 1 and getattr(mats[0], "format", None) == "csr"
+    A = mats[0] if one_csr else sp.vstack([sp.csr_array(m) for m in mats], format="csr")
+    # 2 and 1 are HiGHS's kRowwise matrix format and kMinimize sense.
+    return (
+        n, A.shape[0], A.nnz, 2, 1, 0.0, problem.c, problem.lb, problem.ub,
+        np.concatenate(lower), np.concatenate(upper), A.indptr, A.indices,
+        A.data, np.zeros(n, dtype=np.int32),
+    )
 
 
-def _as_bounds(problem: MILPProblem):
-    from scipy.optimize import Bounds
+def _array_form(core):
+    """``core`` if its ``passModel`` takes the arrays :func:`_lp_arrays`
+    builds (some scipy releases lack that overload), else ``None``."""
+    probe = MILPProblem(np.ones(1), A_ub=sp.csr_array(np.ones((1, 1))), b_ub=np.ones(1))
+    try:
+        highs = core._Highs()
+        highs.setOptionValue("log_to_console", False)
+        status = highs.passModel(*_lp_arrays(probe))
+    except (AttributeError, TypeError):  # no binding API or no such overload
+        return None
+    return None if status == core.HighsStatus.kError else core
 
-    return Bounds(problem.lb, problem.ub)
+
+try:  # scipy's private HiGHS binding, absent on older scipy
+    from scipy.optimize._highspy import _core
+    _HIGHS = _array_form(_core)
+except ImportError:
+    _HIGHS = None

@@ -1,8 +1,11 @@
 """The live HiGHS LP screen (repro.solvers.milp_backend.LiveLp).
 
-Parity: a cold live solve is bit-identical to ``scipy.optimize.milp``,
-and a warm-basis chain over bisection-like candidates gives the same
-statuses and objectives within float noise.  Fault injection: a live
+Parity: a cold live solve is bit-identical to ``scipy.optimize.milp``
+with presolve off, and a warm-basis chain over bisection-like candidates
+gives the same statuses and objectives within float noise.  Presolve:
+LP screens run without it on both paths, MILPs keep the HiGHS defaults.
+Detection: a binding whose ``passModel`` lacks the array form counts as
+absent, and its solves take the scipy path.  Fault injection: a live
 solve that raises or ends non-optimal is answered by the
 ``scipy.optimize.milp`` path with an unchanged verdict, and the next
 screen runs cold.  Lifetime: the live model dies with the solve that
@@ -26,7 +29,12 @@ from repro.game.constraints import CoverageConstraints
 from repro.game.generator import random_interval_game
 from repro.resilience.certificate import certify_result
 from repro.solvers import milp_backend
-from repro.solvers.milp_backend import LiveLp, _solve_highs, relax_integrality
+from repro.solvers.milp_backend import (
+    LiveLp,
+    _solve_highs,
+    relax_integrality,
+    solve_milp,
+)
 from repro.solvers.piecewise import SegmentGrid
 from repro.solvers.resolve import resolve, start_resolve
 from repro.solvers.session import MilpSession
@@ -94,14 +102,24 @@ class Binding:
     """Stands in for scipy's HiGHS binding: forwards every name to it,
     keeps a weak reference to each solver it makes, and can fail the
     ``fail_at``-th ``run`` across them by raising or by reporting a
-    non-optimal model status."""
+    non-optimal model status.  With ``arrays`` set to ``"raise"`` or
+    ``"error"``, ``passModel`` rejects a model given as arrays the way a
+    binding without that overload would (``TypeError``) or with a
+    ``kError`` status."""
 
-    def __init__(self, fail_at=None, mode="raise"):
-        self.fail_at, self.mode = fail_at, mode
+    def __init__(self, fail_at=None, mode="raise", arrays=None):
+        self.fail_at, self.mode, self.arrays = fail_at, mode, arrays
         self.runs, self.made = 0, []
         binding = self
 
         class Highs(HIGHS._Highs):
+            def passModel(self, *args):
+                if len(args) > 1 and binding.arrays == "raise":
+                    raise TypeError("passModel(): incompatible function arguments")
+                if len(args) > 1 and binding.arrays == "error":
+                    return HIGHS.HighsStatus.kError
+                return super().passModel(*args)
+
             def run(self):
                 binding.runs += 1
                 if binding.failing and binding.mode == "raise":
@@ -196,6 +214,60 @@ class TestParity:
             live.worst_case_value, abs=1e-9
         )
         assert certify_result(game, model, result).valid
+
+
+class TestPresolve:
+    def test_lp_screens_run_presolve_off_and_milps_keep_defaults(
+        self, monkeypatch, scipy_calls
+    ):
+        problem = random_skeleton(6, 4, 1).patch(0.0).problem
+        assert problem.num_integer > 0
+        monkeypatch.setattr(milp_backend, "_HIGHS", None)
+        lp = solve_milp(relax_integrality(problem), live=LiveLp())
+        mip = solve_milp(problem)
+        assert lp.optimal and mip.optimal
+        assert len(scipy_calls) == 2
+        assert scipy_calls[0]["options"] == {"presolve": False}
+        assert scipy_calls[1]["options"] is None
+
+    def test_live_instance_runs_presolve_off(self):
+        problem = relax_integrality(random_skeleton(6, 4, 1).patch(0.0).problem)
+        live = LiveLp()
+        assert live.solve(problem) is not None
+        assert live._highs.getOptionValue("presolve")[1] == "off"
+
+
+class TestArrayFormDetection:
+    def test_binding_with_the_array_form_is_kept(self):
+        binding = Binding()
+        assert milp_backend._array_form(binding) is binding
+
+    @pytest.mark.parametrize("arrays", ["raise", "error"])
+    def test_binding_without_the_array_form_takes_the_scipy_path(
+        self, monkeypatch, scipy_calls, arrays
+    ):
+        game = random_interval_game(8, seed=5)
+        model = default_uncertainty(game.payoffs)
+        ref = solve_cubis(game, model, **lp_screened(8))
+        assert ref.lp_solves > 0 and len(scipy_calls) == ref.milp_solves
+        scipy_calls.clear()
+
+        detected = milp_backend._array_form(Binding(arrays=arrays))
+        assert detected is None
+        monkeypatch.setattr(milp_backend, "_HIGHS", detected)
+        result = solve_cubis(game, model, **lp_screened(8))
+        assert len(scipy_calls) == result.lp_solves + result.milp_solves
+        presolve_off = [call["options"] == {"presolve": False} for call in scipy_calls]
+        assert sum(presolve_off) == result.lp_solves
+        # Warm live screens may end at another vertex of a degenerate
+        # optimal face, so candidates agree within float noise.
+        assert [f for _, f in result.trace] == [f for _, f in ref.trace]
+        np.testing.assert_allclose(
+            [c for c, _ in result.trace], [c for c, _ in ref.trace], atol=1e-9
+        )
+        assert result.lp_solves == ref.lp_solves
+        assert result.milp_solves == ref.milp_solves
+        np.testing.assert_allclose(result.strategy, ref.strategy, atol=1e-9)
 
 
 class TestFaultInjection:
