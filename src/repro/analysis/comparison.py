@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng import as_generator, spawn_generators
 
@@ -102,6 +101,8 @@ def compare_planners(
         # the t statistic is undefined.
         p_value = 1.0 if abs(diffs[0]) < 1e-12 else 0.0
     else:
+        from scipy import stats
+
         p_value = float(stats.ttest_rel(diffs, np.zeros(num_games)).pvalue)
 
     boot_rng = as_generator(seed)

@@ -725,7 +725,7 @@ class CubisMilpSkeleton:
                 f"strategy must have shape ({self.num_targets},), got {x.shape}"
             )
         p1, q1, p2, q2 = self._cert_base + (
-            self._cert_slopes * self.grid.decompose(x)
+            self._cert_slopes * self.grid._fill(x)
         ).sum(axis=-1)
         return StrategyCertificate(strategy=x, p1=p1, q1=q1, p2=p2, q2=q2)
 

@@ -23,8 +23,8 @@ scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.game.constraints import CoverageConstraints
@@ -32,7 +32,22 @@ from repro.game.payoffs import IntervalPayoffs
 from repro.game.ssg import IntervalSecurityGame
 from repro.utils.rng import as_generator
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = ["GraphLayout", "diffuse_density", "geographic_game", "station_zones"]
+
+
+def _networkx():
+    """Import networkx, the optional ``repro[graph]`` extra, on first use
+    rather than with the package: no solve needs it."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "geographic games need networkx: pip install 'repro[graph]'"
+        ) from exc
+    return networkx
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,7 @@ def station_zones(graph: nx.Graph, stations) -> np.ndarray:
     n = graph.number_of_nodes()
     best_dist = np.full(n, np.inf)
     zone_of = np.zeros(n, dtype=np.int64)
+    nx = _networkx()
     for z, s in enumerate(stations):
         lengths = nx.single_source_shortest_path_length(graph, s)
         for node, d in lengths.items():
@@ -131,6 +147,7 @@ def geographic_game(
         raise ValueError("need at least one station and one team per station")
 
     # Connected random geometric graph (retry with growing radius).
+    nx = _networkx()
     r = radius
     for _ in range(20):
         graph = nx.random_geometric_graph(num_sites, r, seed=int(rng.integers(2**31)))

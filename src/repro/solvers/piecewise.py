@@ -98,7 +98,12 @@ class SegmentGrid:
         x = np.asarray(x, dtype=np.float64)
         if np.any(x < -1e-9) or np.any(x > 1.0 + 1e-9):
             raise ValueError("coverage values must lie in [0, 1]")
-        filled = np.minimum(np.clip(x, 0.0, 1.0)[..., None], self._breakpoints)
+        return self._fill(np.clip(x, 0.0, 1.0))
+
+    def _fill(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`decompose` without its checks: ``x`` is a float64 array
+        already clipped to ``[0, 1]``."""
+        filled = np.minimum(x[..., None], self._breakpoints)
         return filled[..., 1:] - filled[..., :-1]
 
     def reconstruct(self, segments) -> np.ndarray:

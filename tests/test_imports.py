@@ -1,0 +1,98 @@
+"""What importing and solving load.
+
+``scipy.stats`` serves one t-test (``analysis.comparison``) and
+``networkx`` serves only geographic games (``game.graph``); both are
+imported inside the functions that call them.  A solve, and ``import
+repro`` itself, must load neither.  Each check runs in a fresh
+interpreter, since the test process may already have imported both.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parents[1]
+DEFERRED = ("scipy.stats", "networkx")
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def assert_ran(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().endswith("ok"), proc.stdout + proc.stderr
+
+
+class TestImportGuard:
+    def test_solve_paths_load_neither(self):
+        proc = run_python(f"""
+            import sys
+
+            DEFERRED = {DEFERRED!r}
+
+            def check(where):
+                loaded = [m for m in DEFERRED if m in sys.modules]
+                assert not loaded, f"{{where}} loaded {{loaded}}"
+
+            import repro
+            check("import repro")
+
+            from repro.experiments.quality import default_uncertainty
+            from repro.solvers.fleet import solve_fleet
+            from repro.solvers.resolve import resolve, start_resolve
+            from repro.behavior import BandScaledModel
+
+            options = dict(num_segments=6, epsilon=1e-2)
+            game = repro.random_interval_game(6, seed=3)
+            model = default_uncertainty(game.payoffs)
+            repro.solve_cubis(game, model, **options)
+            check("a default MILP solve")
+            repro.solve_cubis(game, model, oracle="dp", **options)
+            check("a dp solve")
+            handle = start_resolve(game, model, **options)
+            resolve(handle, BandScaledModel(model, 0.9))
+            check("start_resolve and resolve")
+            games = [repro.random_interval_game(5, seed=s) for s in (1, 2)]
+            solve_fleet(games, [default_uncertainty(g.payoffs) for g in games],
+                        **options)
+            check("solve_fleet")
+            print("ok")
+        """)
+        assert_ran(proc)
+
+
+class TestWithoutNetworkx:
+    def test_solves_and_hints_the_extra(self):
+        proc = run_python("""
+            import sys
+
+            sys.modules["networkx"] = None  # makes `import networkx` fail
+            import repro
+            from repro.experiments.quality import default_uncertainty
+
+            game = repro.random_interval_game(8)
+            result = repro.solve_cubis(game, default_uncertainty(game.payoffs))
+            assert result.strategy.shape == (8,)
+            try:
+                repro.geographic_game(num_sites=8, seed=0)
+            except ImportError as exc:
+                assert "repro[graph]" in str(exc), exc
+            else:
+                raise AssertionError("geographic_game ran without networkx")
+            print("ok")
+        """)
+        assert_ran(proc)
