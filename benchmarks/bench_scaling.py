@@ -6,11 +6,18 @@ grid-DP path (which trades a finer grid for no MILP) up to T = 200;
 solution quality is cross-checked where both run.
 
 Expected shape: both scale roughly linearly in T at fixed K (the MILP has
-T·(2K+1) variables; the DP costs O(T·K·RK)); the DP's constant is far
-smaller.
+T·(2K+1) variables; the DP kernel keeps only the few budget states that
+can still reach the optimum, so it costs O(T·K²) rather than the full
+table's O(T·K·RK)); the DP's constant is far smaller.
 
 The report's solve times are medians of 5 solves after one warm-up
-solve.  It adds a per-call view of the MILP pipeline's layers at
+solve, at T = 25..200.  It adds a per-call view of the DP path's layers
+at T = 25..200 and K = 10, 40 (best of 5 ``timeit`` repeats), taken at
+the one table a screened DP solve hands the kernel: the step at the
+solve's final candidate, its lower bound.  The columns are one grid hull
+screen, one kernel run (which includes its own screen) and the kernel's
+kept budget states per target, mean and max, out of ``RK + 1``.  Then
+a per-call view of the MILP pipeline's layers at
 T = 25..200 (K = 10, best of 5 ``timeit`` repeats): one strategy
 certificate, the level it certifies, one Lagrangian hull screen, one
 hull bound evaluation, and one HiGHS LP-relaxation screen on a
@@ -33,7 +40,12 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core.cubis import solve_cubis
-from repro.core.hull import LagrangianHull
+from repro.core.dp import (
+    _pruned_knapsack,
+    grid_budget_units,
+    maximize_separable_on_grid,
+)
+from repro.core.hull import LagrangianHull, screen_grid
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game
@@ -135,12 +147,36 @@ def per_call_costs(num_targets: int, num_segments: int = 10) -> list:
     ]
 
 
+def dp_per_call_costs(num_targets: int, num_segments: int) -> list:
+    """Milliseconds per grid hull screen and per kernel run, and the
+    kernel's kept states per target, on the step table at the final
+    candidate of a ``num_targets`` game's DP solve."""
+    game, uncertainty = _instance(num_targets)
+    result = solve_cubis(game, uncertainty, num_segments=num_segments,
+                         epsilon=1e-3, oracle="dp")
+    ud, lower, upper = step_grids(game, uncertainty, SegmentGrid(num_segments))
+    margin = ud - result.lower_bound
+    phi = np.minimum(lower * margin, upper * margin)
+    budget = min(grid_budget_units(game.num_resources, num_segments),
+                 num_targets * num_segments)
+    _, kept = _pruned_knapsack(phi, budget)
+    return [
+        num_targets,
+        num_segments,
+        budget,
+        _per_call_ms(lambda: screen_grid(phi, budget), number=20),
+        _per_call_ms(lambda: maximize_separable_on_grid(phi, budget), number=10),
+        float(np.mean(kept)),
+        max(kept),
+    ]
+
+
 def test_a4_report(benchmark, report):
     game, uncertainty = _instance(25)
     benchmark(solve_cubis, game, uncertainty, num_segments=5, epsilon=0.1)
 
     rows = []
-    for t in (25, 50, 100):
+    for t in (25, 50, 100, 200):
         game, uncertainty = _instance(t)
         milp_s, milp = _median_solve_s(lambda: solve_cubis(
             game, uncertainty, num_segments=10, epsilon=0.02
@@ -157,6 +193,13 @@ def test_a4_report(benchmark, report):
         title="A4: CUBIS scaling — MILP vs grid-DP oracle (median of 5 solves)",
         float_format="{:.3f}",
     )
+    dp_per_call = format_table(
+        ["targets", "K", "budget units", "grid screen ms", "kernel ms",
+         "kept states mean", "kept states max"],
+        [dp_per_call_costs(t, k) for k in (10, 40) for t in (25, 50, 100, 200)],
+        title="A4: per-call cost of the DP path's layers (final candidate, ε=1e-3)",
+        float_format="{:.3f}",
+    )
     per_call = format_table(
         ["targets", "certificate ms", "guaranteed_level ms", "hull screen ms",
          "hull bound_at ms", "LP screen cold ms", "LP screen warm ms"],
@@ -164,4 +207,4 @@ def test_a4_report(benchmark, report):
         title="A4: per-call cost of the MILP pipeline's layers (K=10)",
         float_format="{:.3f}",
     )
-    report("a4_scaling", solves + "\n\n" + per_call)
+    report("a4_scaling", solves + "\n\n" + dp_per_call + "\n\n" + per_call)

@@ -783,7 +783,8 @@ def main(argv=None) -> int:
         if getattr(args, "serve", None) is not None:
             # Live ops plane: /healthz, /metrics (this run's registry),
             # /progress (heartbeats from run_grid/solve_fleet/solve_cubis).
-            from repro.obs import ObsServer, ProgressBoard, use_board
+            from repro.obs import ProgressBoard, use_board
+            from repro.obs.server import ObsServer
 
             board = ProgressBoard()
             # Under --no-telemetry there is no meaningful registry to

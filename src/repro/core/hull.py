@@ -94,6 +94,10 @@ class GridScreen:
     bound:
         ``min_lam B(lam)`` with the grid units as vertices — an upper
         bound on the step's grid knapsack optimum.
+    lam:
+        The minimising multiplier (``>= 0``; 0 when every positive-slope
+        hull edge fits the budget).  The DP kernel prunes its table with
+        it.
     margin:
         Float-error allowance: the DP kernel's computed optimum never
         exceeds ``bound + margin``.
@@ -106,6 +110,7 @@ class GridScreen:
     """
 
     bound: float
+    lam: float
     margin: float
     units: np.ndarray
     witness_sum: float
@@ -272,6 +277,7 @@ def screen_grid(phi_grid: np.ndarray, budget_units: int) -> GridScreen:
     )
     return GridScreen(
         bound=fill.bound,
+        lam=fill.lam,
         margin=float(4.0 * (t + 2) * np.finfo(np.float64).eps * scale),
         units=units,
         witness_sum=float(np.cumsum(phi[np.arange(t), units])[-1]),

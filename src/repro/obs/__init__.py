@@ -16,11 +16,11 @@ The package has two halves (docs/OBSERVABILITY.md):
   flamegraph lines, and diffs two traces.  Exposed as ``repro trace``.
 
 Everything is dependency-free stdlib; importing this package never pulls
-in the solvers.
+in the solvers.  It imports only the progress board, which every solve
+uses; code that serves imports :mod:`repro.obs.server` and
+:mod:`repro.obs.routes` itself, so a solve never loads ``http.server``.
 """
 
 from repro.obs.progress import ProgressBoard, active_board, use_board
-from repro.obs.routes import ObsRoutes
-from repro.obs.server import ObsServer
 
-__all__ = ["ProgressBoard", "ObsServer", "ObsRoutes", "active_board", "use_board"]
+__all__ = ["ProgressBoard", "active_board", "use_board"]

@@ -25,7 +25,9 @@ solution and returns a :class:`~repro.verify.report.ConformanceCheck`:
   below, ``min_lam B(lam)`` from above.
 * :func:`check_dp_hull_sandwich` — the same for the DP oracle's grid
   knapsack: the grid witness's sum from below (exactly, in float), the
-  grid ``min B`` from above.
+  grid ``min B`` from above, around the full-table loop reference's
+  optimum; the pruned kernel, which trusts the screen, must match that
+  reference bit for bit.
 
 All checks but two are solver-independent and cheap enough to run on
 every ``repro verify`` instance: the monotonicity sweep runs whole CUBIS
@@ -39,7 +41,11 @@ import numpy as np
 
 from repro.behavior.interval import IntervalSUQR
 from repro.core.dual import beta_star, g_value
-from repro.core.dp import grid_budget_units, maximize_separable_on_grid
+from repro.core.dp import (
+    _maximize_separable_on_grid_loop,
+    grid_budget_units,
+    maximize_separable_on_grid,
+)
 from repro.core.hull import LagrangianHull, screen_grid
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.core.worst_case import evaluate_worst_case, worst_case_dual_root
@@ -415,7 +421,10 @@ def check_dp_hull_sandwich(
     The witness sum is added in the kernel's own order, so it may not
     exceed the kernel's optimum by even one ulp; ``min B`` plus its float
     margin must not fall below it.  These are the two facts that make the
-    screened DP oracle's verdicts the kernel's.
+    screened DP oracle's verdicts the kernel's.  The optimum comes from
+    the full-table loop reference, since the kernel prunes its table
+    with this same screen; the kernel's value and units must equal the
+    reference's bit for bit.
     """
     grid = SegmentGrid(num_segments)
     ud_grid, lower_grid, upper_grid = step_grids(game, uncertainty, grid)
@@ -423,13 +432,18 @@ def check_dp_hull_sandwich(
     phi = np.minimum(lower_grid * margin, upper_grid * margin)
     budget = grid_budget_units(game.num_resources, num_segments)
     screen = screen_grid(phi, budget)
-    optimum = maximize_separable_on_grid(phi, budget).value
+    reference = _maximize_separable_on_grid_loop(phi, budget)
+    kernel = maximize_separable_on_grid(phi, budget)
+    optimum = reference.value
     violations = {
         "witness above DP": screen.witness_sum - optimum,
         "DP above min B": optimum - screen.bound - screen.margin,
         "witness over budget": float(screen.units.sum() - budget),
+        "kernel value off the reference": abs(kernel.value - optimum),
     }
     broken = [name for name, excess in violations.items() if excess > 0.0]
+    if not np.array_equal(kernel.units, reference.units):
+        broken.append("kernel units off the reference")
     return ConformanceCheck(
         name="theorem.dp_hull_sandwich",
         passed=not broken,
@@ -445,6 +459,7 @@ def check_dp_hull_sandwich(
             "c": float(c),
             "witness_sum": float(screen.witness_sum),
             "dp_value": float(optimum),
+            "kernel_value": float(kernel.value),
             "bound": float(screen.bound),
             "margin": float(screen.margin),
             "budget_units": budget,

@@ -8,12 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.behavior.interval import IntervalSUQR
+from repro.core import cubis
+from repro.core import hull as hull_module
 from repro.core.cubis import solve_cubis
 from repro.core.dp import (
     _maximize_separable_on_grid_loop,
+    _pruned_knapsack,
     maximize_separable_on_grid,
     maximize_separable_on_grid_batch,
 )
+from repro.core.hull import HullScreen, screen_grid
+from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game, table1_game
 
 
@@ -70,6 +75,15 @@ class TestMaximizeSeparableOnGrid:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             maximize_separable_on_grid(np.zeros(3), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_rejected(self, bad):
+        # A NaN or +inf entry used to end in the backtrack's bare
+        # AssertionError (or, under python -O, a wrong allocation).
+        phi = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0]])
+        phi[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            maximize_separable_on_grid(phi, 2)
 
     def test_coverage_conversion(self):
         phi = np.array([[0.0, 0.0, 1.0]])
@@ -181,6 +195,111 @@ class TestVectorisedTransitionMatchesLoop:
         slow = _maximize_separable_on_grid_loop(phi, 6)
         np.testing.assert_array_equal(fast.units, slow.units)
         np.testing.assert_array_equal(fast.units, np.zeros(3, dtype=np.int64))
+
+
+def assert_matches_loop(phi, budget):
+    fast = maximize_separable_on_grid(phi, budget)
+    slow = _maximize_separable_on_grid_loop(phi, budget)
+    assert fast.value == slow.value
+    np.testing.assert_array_equal(fast.units, slow.units)
+
+
+class TestPrunedKernelMatchesLoop:
+    """The kernel keeps only the states whose Lagrangian completion bound
+    reaches the screen's witness; its answer must still be the full
+    table's bit for bit."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 7])
+    def test_small_budgets(self, budget):
+        rng = np.random.default_rng(budget)
+        assert_matches_loop(rng.normal(size=(6, 5)).cumsum(axis=1), budget)
+
+    @pytest.mark.parametrize("extra", [0, 1, 50])
+    def test_budget_at_or_over_capacity(self, extra):
+        rng = np.random.default_rng(extra)
+        phi = rng.normal(size=(5, 4))
+        assert_matches_loop(phi, 5 * 3 + extra)
+
+    def test_zero_multiplier(self):
+        # Every positive-slope hull edge fits the budget, so lam = 0 and
+        # the completion bound is each target's plain maximum.
+        rng = np.random.default_rng(3)
+        phi = rng.normal(size=(6, 5))
+        assert screen_grid(phi, 30).lam == 0.0
+        assert_matches_loop(phi, 30)
+        decreasing = -np.abs(rng.normal(size=(6, 5))).cumsum(axis=1)
+        assert screen_grid(decreasing, 4).lam == 0.0
+        assert_matches_loop(decreasing, 4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_target(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_loop(rng.normal(size=(1, 9)), int(rng.integers(0, 10)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_unit_moves(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_loop(rng.normal(size=(9, 2)), int(rng.integers(0, 10)))
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, -2.0])
+    def test_all_equal_phi(self, value):
+        assert_matches_loop(np.full((5, 7), value), 12)
+
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 12),
+        st.integers(0, 130),
+        st.integers(0, 10**6),
+        st.sampled_from([None, 0, 1]),
+    )
+    def test_random_and_tie_heavy(self, t, k, budget, seed, decimals):
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=(t, k + 1)).cumsum(axis=1)
+        if decimals is not None:
+            phi = np.round(phi, decimals)
+        assert_matches_loop(phi, budget)
+
+    def test_over_budget_witness_disables_pruning(self, monkeypatch):
+        # A witness that spends every unit breaks the budget and proves
+        # nothing: the kernel must keep every reachable state, not crash.
+        fill_hull = hull_module.fill_hull
+
+        def overspend(v, phi, budget, **kwargs):
+            fill = fill_hull(v, phi, budget, **kwargs)
+            return HullScreen(
+                bound=fill.bound, lam=fill.lam,
+                witness=np.full(phi.shape[0], float(phi.shape[1] - 1)),
+            )
+
+        monkeypatch.setattr(hull_module, "fill_hull", overspend)
+        rng = np.random.default_rng(7)
+        phi = rng.normal(size=(6, 5)).cumsum(axis=1)
+        budget = 10
+        assert screen_grid(phi, budget).units.sum() > budget
+        assert_matches_loop(phi, budget)
+        _, kept = _pruned_knapsack(phi, budget)
+        assert kept == [min(4 * (j + 1), budget) + 1 for j in range(6)]
+
+    def test_replays_a_full_dp_solve(self, monkeypatch):
+        # Every step of a memoise=False DP solve at the fleet_dp size
+        # (T=100, K=40, 800 budget units) runs the kernel; each must
+        # match the loop, and the kernel must actually prune.
+        inputs = []
+        kernel = cubis.maximize_separable_on_grid
+
+        def record(phi, budget):
+            inputs.append((np.array(phi), budget))
+            return kernel(phi, budget)
+
+        monkeypatch.setattr(cubis, "maximize_separable_on_grid", record)
+        game = random_interval_game(100, seed=5)
+        solve_cubis(game, default_uncertainty(game.payoffs), num_segments=40,
+                    epsilon=1e-3, oracle="dp", memoise=False)
+        assert len(inputs) >= 10
+        for phi, budget in inputs:
+            assert_matches_loop(phi, budget)
+            _, kept = _pruned_knapsack(phi, budget)
+            assert max(kept) <= (budget + 1) // 10
 
 
 class TestBatchKernelMatchesScalar:

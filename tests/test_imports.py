@@ -1,9 +1,10 @@
 """What importing and solving load.
 
-``scipy.stats`` serves one t-test (``analysis.comparison``) and
-``networkx`` serves only geographic games (``game.graph``); both are
-imported inside the functions that call them.  A solve, and ``import
-repro`` itself, must load neither.  Each check runs in a fresh
+``scipy.stats`` serves one t-test (``analysis.comparison``),
+``networkx`` serves only geographic games (``game.graph``) and
+``http.server`` serves only the ops server (``obs.server``); each is
+imported only where it is used.  A solve, and ``import repro`` itself,
+must load none of them.  Each check runs in a fresh
 interpreter, since the test process may already have imported both.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
-DEFERRED = ("scipy.stats", "networkx")
+DEFERRED = ("scipy.stats", "networkx", "http.server")
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

@@ -14,8 +14,9 @@ import pytest
 
 from repro.analysis.sweep import run_grid
 from repro.experiments.smoke import run_smoke
-from repro.obs import ObsServer, ProgressBoard, active_board, use_board
+from repro.obs import ProgressBoard, active_board, use_board
 from repro.obs.progress import bump, publish
+from repro.obs.server import ObsServer
 from repro.telemetry.metrics import MetricsRegistry
 
 

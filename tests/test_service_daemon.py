@@ -17,7 +17,8 @@ import urllib.request
 import pytest
 
 from repro.analysis.io import game_to_dict, uncertainty_to_dict
-from repro.obs import ObsServer, ProgressBoard
+from repro.obs import ProgressBoard
+from repro.obs.server import ObsServer
 from repro.service import (
     QueueClosedError,
     ServiceClient,

@@ -124,6 +124,30 @@ class TestDifferentialProperty:
         check = check_dp_hull_sandwich(game, uncertainty, k, round(c, 3))
         assert check.passed, check.detail
 
+    def test_dp_hull_sandwich_flags_a_kernel_off_the_reference(
+        self, monkeypatch
+    ):
+        """The arm reads the optimum off the loop reference, so a kernel
+        that drifts from it fails the arm even inside the bracket."""
+        from repro.core.dp import GridAllocation
+        from repro.experiments.quality import default_uncertainty
+        from repro.game.generator import random_interval_game
+        from repro.verify import theorems
+
+        game = random_interval_game(6, seed=2)
+        model = default_uncertainty(game.payoffs)
+        assert check_dp_hull_sandwich(game, model, 8, -1.0).passed
+        kernel = theorems.maximize_separable_on_grid
+
+        def shuffled(phi, budget):
+            out = kernel(phi, budget)
+            return GridAllocation(value=out.value, units=out.units[::-1].copy())
+
+        monkeypatch.setattr(theorems, "maximize_separable_on_grid", shuffled)
+        check = check_dp_hull_sandwich(game, model, 8, -1.0)
+        assert not check.passed
+        assert "kernel units off the reference" in check.detail
+
 
 json_scalars = st.one_of(
     st.none(),
