@@ -15,8 +15,11 @@ solve, at T = 25..200.  It adds a per-call view of the DP path's layers
 at T = 25..200 and K = 10, 40 (best of 5 ``timeit`` repeats), taken at
 the one table a screened DP solve hands the kernel: the step at the
 solve's final candidate, its lower bound.  The columns are one grid hull
-screen, one kernel run (which includes its own screen) and the kernel's
-kept budget states per target, mean and max, out of ``RK + 1``.  Then
+screen, the same screen forced through the ``_upper_hull`` gap loop (the
+path it takes when a row's rising prefix cannot be certified concave,
+and the strongest alternative to the certified one), one kernel run
+(which includes its own screen) and the kernel's kept budget states per
+target, mean and max, out of ``RK + 1``.  Then
 a per-call view of the MILP pipeline's layers at
 T = 25..200 (K = 10, best of 5 ``timeit`` repeats): one strategy
 certificate, the level it certifies, one Lagrangian hull screen, one
@@ -45,7 +48,7 @@ from repro.core.dp import (
     grid_budget_units,
     maximize_separable_on_grid,
 )
-from repro.core.hull import LagrangianHull, screen_grid
+from repro.core.hull import LagrangianHull, _screen_grid, screen_grid
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game
@@ -148,9 +151,9 @@ def per_call_costs(num_targets: int, num_segments: int = 10) -> list:
 
 
 def dp_per_call_costs(num_targets: int, num_segments: int) -> list:
-    """Milliseconds per grid hull screen and per kernel run, and the
-    kernel's kept states per target, on the step table at the final
-    candidate of a ``num_targets`` game's DP solve."""
+    """Milliseconds per grid hull screen, per gap-loop screen and per
+    kernel run, and the kernel's kept states per target, on the step
+    table at the final candidate of a ``num_targets`` game's DP solve."""
     game, uncertainty = _instance(num_targets)
     result = solve_cubis(game, uncertainty, num_segments=num_segments,
                          epsilon=1e-3, oracle="dp")
@@ -165,6 +168,7 @@ def dp_per_call_costs(num_targets: int, num_segments: int) -> list:
         num_segments,
         budget,
         _per_call_ms(lambda: screen_grid(phi, budget), number=20),
+        _per_call_ms(lambda: _screen_grid(phi, budget, None), number=20),
         _per_call_ms(lambda: maximize_separable_on_grid(phi, budget), number=10),
         float(np.mean(kept)),
         max(kept),
@@ -194,7 +198,8 @@ def test_a4_report(benchmark, report):
         float_format="{:.3f}",
     )
     dp_per_call = format_table(
-        ["targets", "K", "budget units", "grid screen ms", "kernel ms",
+        ["targets", "K", "budget units", "grid screen ms",
+         "gap-loop screen ms", "kernel ms",
          "kept states mean", "kept states max"],
         [dp_per_call_costs(t, k) for k in (10, 40) for t in (25, 50, 100, 200)],
         title="A4: per-call cost of the DP path's layers (final candidate, ε=1e-3)",

@@ -671,7 +671,8 @@ def _run_serve(args) -> str:
 
     from repro import telemetry
     from repro.obs import ProgressBoard, use_board
-    from repro.service import ServiceDaemon, SolveEngine
+    from repro.service import SolveEngine
+    from repro.service.daemon import ServiceDaemon
 
     tele = telemetry.current()
     injector = None

@@ -770,7 +770,9 @@ def solve_cubis(
             # defers the kernel: only the last one's strategy is needed.
             # A witness over budget proves nothing and falls through.
             screen = screen_grid(step_phi(c), budget_units)
-            sp.set(bound=screen.bound, witness_g=screen.witness_sum)
+            sp.set(
+                bound=screen.bound, witness_g=screen.witness_sum, hull=screen.hull
+            )
             if screen.bound < -feasibility_tolerance - screen.margin:
                 return False, None
             if (

@@ -27,15 +27,17 @@ Cost model, with ``B = floor(R K)`` budget units.  The full table costs
 ``O(T K B)``: ``T`` transitions over ``B + 1`` states and ``K + 1``
 moves.  :func:`maximize_separable_on_grid` fills only the states that
 can still reach the optimum: it runs the Lagrangian screen below on its
-own table (``O(T K^2)`` numpy work in ``K`` passes) and, after each
-target, keeps only the span of states whose Lagrangian completion bound
-reaches the screen's witness.  Target ``j``'s transition then costs
-``O((s_j + K) K)`` for a kept span of ``s_j`` states, plus a fixed
-numpy overhead of roughly 35 microseconds.  On the ``fleet_dp`` games
-(T=100, K=40, ``B = 800``) at most 2 of the 801 states survive each
-target, and the kernel takes about 4 ms, its own screen's 1.2 ms
-included, against 17 ms for the full table
-(``benchmarks/out/a4_scaling.txt``).  The output is the full table's
+own table (``O(T K)`` checks and a sort of the hull edges when every
+row's rising prefix is certified concave, ``O(T K^2)`` numpy work in
+``K`` passes otherwise) and, after each target, keeps only the span of
+states whose Lagrangian completion bound reaches the screen's witness.
+Target ``j``'s transition then costs ``O((s_j + K) K)`` for a kept span
+of ``s_j`` states, plus a fixed numpy overhead of roughly 35
+microseconds.  On the ``fleet_dp`` games (T=100, K=40, ``B = 800``) at
+most 2 of the 801 states survive each target, and the kernel took
+about 4 ms, against 17 ms for the full table, on the machine of
+docs/PERFORMANCE.md's "Pruned knapsack kernel" table; its own screen is
+now about a sixth of its time (``benchmarks/out/a4_scaling.txt``).  The output is the full table's
 bit for bit; :func:`_maximize_separable_on_grid_loop` fills the full
 table and stays the reference.
 

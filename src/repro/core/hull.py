@@ -45,8 +45,10 @@ The DP oracle's step problem is the same sum restricted to the grid
 ``x_i in {0, 1/K, ..., 1}``, a multiple-choice knapsack whose LP
 relaxation is the same hull fill with the integer units ``0..K`` as
 vertices (Sinha and Zoltners, 1979).  :func:`screen_grid` runs it
-through the shared :func:`fill_hull`; its witness sum, added in the
-kernel's order, and its ``min B`` plus a float-error margin bracket
+through the shared fill, over the rows' rising prefixes when it can
+certify them concave and through :func:`fill_hull` otherwise; its
+witness sum, added in the kernel's order, and its ``min B`` plus a
+float-error margin bracket
 :func:`~repro.core.dp.maximize_separable_on_grid`'s value, so the DP
 screen's verdicts are the kernel's own.
 """
@@ -107,6 +109,11 @@ class GridScreen:
         ``sum_i phi[i, units_i]`` added from ``0.0`` in target order, the
         kernel's own addition order, so the kernel's optimum is at least
         this value bit for bit.
+    hull:
+        How the hull was found: ``"concave_prefix"`` when every row's
+        rising prefix was certified strictly concave and taken as its
+        hull, ``"gap_loop"`` when :func:`_upper_hull` ran.  The fields
+        above are the same either way.
     """
 
     bound: float
@@ -114,6 +121,7 @@ class GridScreen:
     margin: float
     units: np.ndarray
     witness_sum: float
+    hull: str
 
 
 class LagrangianHull:
@@ -219,7 +227,14 @@ def fill_hull(
     ``equality``, where ``lam`` is free in sign).  Returns the minimising
     ``lam``, ``B(lam)`` and the greedy witness.
     """
-    on_hull = _upper_hull(v, phi)
+    return _fill(v, phi, _upper_hull(v, phi), budget, equality=equality)
+
+
+def _fill(
+    v: np.ndarray, phi: np.ndarray, on_hull: np.ndarray, budget: float,
+    *, equality: bool,
+) -> HullScreen:
+    """:func:`fill_hull`'s greedy fill over a given hull mask."""
     v = np.broadcast_to(v, phi.shape)
     # Hull edges: each hull vertex after a row's first one, joined to
     # the hull vertex before it.
@@ -259,16 +274,97 @@ def fill_hull(
     )
 
 
+# Certified concavity margin, in units of eps * max_a |phi_ia| (see
+# screen_grid): several times the first-order rounding bound of 6.
+_CONCAVE_TOL = 64.0
+
+
 def screen_grid(phi_grid: np.ndarray, budget_units: int) -> GridScreen:
     """The Lagrangian screen of :func:`~repro.core.dp.maximize_separable_on_grid`.
 
     ``phi_grid`` is its ``(T, K+1)`` value table and ``budget_units`` its
     budget; the vertices are the integer units ``0..K`` (every grid
     point), and the budget is ``<=`` because the DP allows slack.
+
+    Notes
+    -----
+    The fill uses only hull edges of positive slope, and those lie in
+    each row's rising prefix, columns ``0..p_i`` up to its first argmax
+    ``p_i``.  When every such prefix is certified strictly concave, the
+    screen takes the hull to be exactly the prefixes and skips
+    :func:`_upper_hull`'s ``O(T K^2)`` gap loop; otherwise it runs
+    :func:`fill_hull` on the whole table.  Either way the result is the
+    gap loop's bit for bit.
+
+    *Certificate.*  With ``w = max_i p_i + 1``, ``d = diff(phi[:, :w])``
+    and ``tol_i = 64 eps max_a |phi_ia|``, every interior prefix column
+    ``1 <= j < p_i`` must pass ``d[i, j-1] - d[i, j] > tol_i``, and every
+    ``tol_i`` must be finite.  Write ``u = eps / 2`` and ``M = max_a
+    |phi_ia|``.  Each computed unit slope ``d`` is within ``2 u M`` of the
+    exact one and the computed second difference within a factor
+    ``1 + u`` of theirs, so the exact second difference exceeds
+    ``tol_i / (1 + u) - 4 u M > 0``: the exact prefix is strictly
+    concave.  The gap loop's pair slopes ``fl(fl(phi_k - phi_j) / (k -
+    j))`` are each within ``(2 u + u^2) 2 M`` of the exact ones, so its
+    pair test holds at ``j`` once the exact gap between the shallowest
+    slope in (at least ``phi_j - phi_{j-1}``, by concavity) and the
+    steepest slope out to ``k <= p_i`` (at most ``phi_{j+1} - phi_j``)
+    exceeds about ``8 u M``.  That needs ``tol_i >= 12 u M (1 + u)``,
+    i.e. ``6 eps M`` to first order, and 64 is several times that.
+    Slopes out to ``k > p_i`` cannot break the test: ``phi_k <= phi_p``
+    and ``k - j > p - j``, and rounding is monotone, so ``fl((phi_k -
+    phi_j) / (k - j)) <= fl((phi_p - phi_j) / (p - j))``.
+
+    *Exactness.*  So the gap loop marks every prefix column as on the
+    hull: column 0 always, column ``p_i`` because every slope out of it
+    rounds to ``<= 0`` and every slope into it to ``>= 0``, and the
+    interior columns by the certificate.  Its prefix edges are then the
+    unit steps ``(j - 1, j)``, whose slopes are the certified, strictly
+    decreasing ``d`` and end at ``d[i, p_i - 1] > 0``, so the fill keeps
+    them all.  Any hull edge after ``p_i`` runs from a vertex of value
+    at most ``phi_p`` on to another, and its float slope is ``<= 0`` (a
+    later vertex of higher value would give the earlier one a positive
+    slope out against a non-positive slope in from ``p_i``), so the fill
+    drops it.  The mask ``column <= p_i`` on the first ``w`` columns
+    therefore gives the fill the same edges in the same order, hence the
+    same ``lam``, witness and ``units``.  The bound's row maxima of
+    ``phi_ia - lam a`` are unchanged by cutting the table to ``w``
+    columns: ``lam >= 0``, so for ``a > p_i`` rounding is monotone and
+    ``fl(phi_ia - fl(lam a)) <= fl(phi_ip - fl(lam p_i))``.
+    ``GridScreen.hull`` records which construction ran.
     """
     phi = np.asarray(phi_grid, dtype=np.float64)
+    return _screen_grid(phi, budget_units, _concave_peaks(phi))
+
+
+def _concave_peaks(phi: np.ndarray) -> np.ndarray | None:
+    """Each row's first argmax if every rising prefix is certified
+    strictly concave (see :func:`screen_grid`), else ``None``."""
+    peak = np.argmax(phi, axis=1)
+    width = int(peak.max()) + 1
+    d = np.diff(phi[:, :width], axis=1)
+    drop = d[:, :-1] - d[:, 1:]
+    tol = _CONCAVE_TOL * np.finfo(np.float64).eps * np.abs(phi).max(axis=1)
+    interior = np.arange(1, width - 1) < peak[:, None]
+    if np.isfinite(tol).all() and ((drop > tol[:, None]) | ~interior).all():
+        return peak
+    return None
+
+
+def _screen_grid(
+    phi: np.ndarray, budget_units: int, peak: np.ndarray | None
+) -> GridScreen:
+    """:func:`screen_grid` on a float table: over the certified prefixes
+    ending at ``peak``, or through the gap loop when ``peak`` is None."""
     t, width = phi.shape
-    fill = fill_hull(np.arange(width, dtype=np.float64), phi, float(budget_units))
+    if peak is None:
+        fill = fill_hull(np.arange(width, dtype=np.float64), phi, float(budget_units))
+    else:
+        columns = np.arange(int(peak.max()) + 1)
+        fill = _fill(
+            columns.astype(np.float64), phi[:, : columns.size],
+            columns <= peak[:, None], float(budget_units), equality=False,
+        )
     units = fill.witness.astype(np.int64)
     # Bound error: T + 1 rounded terms of size up to |phi| + lam K, plus
     # lam * budget; the kernel's own T-term sum adds T eps sum|phi|.
@@ -281,6 +377,7 @@ def screen_grid(phi_grid: np.ndarray, budget_units: int) -> GridScreen:
         margin=float(4.0 * (t + 2) * np.finfo(np.float64).eps * scale),
         units=units,
         witness_sum=float(np.cumsum(phi[np.arange(t), units])[-1]),
+        hull="gap_loop" if peak is None else "concave_prefix",
     )
 
 

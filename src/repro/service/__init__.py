@@ -16,7 +16,12 @@ The ROADMAP's "millions of users" front door (docs/SERVICE.md):
 
 Everything is dependency-free stdlib + the repo's own solver stack;
 importing :mod:`repro.service` pulls in no solver code until the first
-request is actually solved.
+request is actually solved.  The package re-exports the engine, its
+admission and its request helpers, not the daemon or the client: those
+load ``asyncio``, ``ssl`` and ``http.client``, which an in-process
+engine never needs, so import :class:`ServiceDaemon` from
+:mod:`repro.service.daemon` and :class:`ServiceClient` and
+:class:`ServiceError` from :mod:`repro.service.client`.
 """
 
 from repro.service.admission import (
@@ -26,8 +31,6 @@ from repro.service.admission import (
     RejectedError,
     TokenBucket,
 )
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import ServiceDaemon
 from repro.service.engine import ServiceResult, SolveEngine, SolveTicket
 from repro.service.requests import (
     RequestError,
@@ -41,9 +44,6 @@ __all__ = [
     "QuotaRegistry",
     "RejectedError",
     "TokenBucket",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceDaemon",
     "ServiceResult",
     "SolveEngine",
     "SolveTicket",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.behavior.interval import IntervalSUQR
 from repro.core import cubis
-from repro.core import hull as hull_module
+from repro.core import dp as dp_module
 from repro.core.cubis import solve_cubis
 from repro.core.dp import (
     _maximize_separable_on_grid_loop,
@@ -17,9 +17,10 @@ from repro.core.dp import (
     maximize_separable_on_grid,
     maximize_separable_on_grid_batch,
 )
-from repro.core.hull import HullScreen, screen_grid
+from repro.core.hull import screen_grid
 from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game, table1_game
+from tests.test_core_hull import overspending
 
 
 def brute_force_grid(phi, budget):
@@ -262,20 +263,11 @@ class TestPrunedKernelMatchesLoop:
     def test_over_budget_witness_disables_pruning(self, monkeypatch):
         # A witness that spends every unit breaks the budget and proves
         # nothing: the kernel must keep every reachable state, not crash.
-        fill_hull = hull_module.fill_hull
-
-        def overspend(v, phi, budget, **kwargs):
-            fill = fill_hull(v, phi, budget, **kwargs)
-            return HullScreen(
-                bound=fill.bound, lam=fill.lam,
-                witness=np.full(phi.shape[0], float(phi.shape[1] - 1)),
-            )
-
-        monkeypatch.setattr(hull_module, "fill_hull", overspend)
+        monkeypatch.setattr(dp_module, "screen_grid", overspending(screen_grid))
         rng = np.random.default_rng(7)
         phi = rng.normal(size=(6, 5)).cumsum(axis=1)
         budget = 10
-        assert screen_grid(phi, budget).units.sum() > budget
+        assert dp_module.screen_grid(phi, budget).units.sum() > budget
         assert_matches_loop(phi, budget)
         _, kept = _pruned_knapsack(phi, budget)
         assert kept == [min(4 * (j + 1), budget) + 1 for j in range(6)]

@@ -10,8 +10,12 @@ screen and lands within the Theorem-1 slack of the ``memoise=False``
 reference; side constraints skip the screen.  DP oracle: the grid
 screen's witness sum, the knapsack optimum and ``min B`` bracket each
 other (the lower end exactly in float), so screened DP solves, fleets
-included, equal ``memoise=False`` bit for bit.
+included, equal ``memoise=False`` bit for bit; where the grid screen
+certifies every row's rising prefix concave and skips the gap loop, its
+fields are the gap loop's bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,10 +25,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro import telemetry
 from repro.behavior.interval import UncertaintyModel
+from repro.core import cubis as cubis_module
+from repro.core import dp as dp_module
 from repro.core import hull as hull_module
 from repro.core.cubis import solve_cubis
 from repro.core.dp import maximize_separable_on_grid
-from repro.core.hull import HullScreen, LagrangianHull, _upper_hull, screen_grid
+from repro.core.hull import LagrangianHull, _upper_hull, screen_grid
 from repro.core.milp import CubisMilpSkeleton, step_grids
 from repro.experiments.quality import default_uncertainty
 from repro.game.constraints import CoverageConstraints
@@ -273,6 +279,23 @@ class DropModel(UncertaintyModel):
         return 0.5 * self.upper_on_grid(points)
 
 
+def overspending(screen, **fields):
+    """``screen``, but its witness gives every target all ``K`` units
+    (and its sum is that allocation's), with ``fields`` replaced too."""
+
+    def overspent(phi, budget):
+        real = screen(phi, budget)
+        phi = np.asarray(phi, dtype=np.float64)
+        units = np.full(phi.shape[0], phi.shape[1] - 1, dtype=np.int64)
+        return dataclasses.replace(
+            real, units=units,
+            witness_sum=float(np.cumsum(phi[np.arange(len(units)), units])[-1]),
+            **fields,
+        )
+
+    return overspent
+
+
 def dp_solve(game, model, **options):
     """A DP solve plus its verdict counts and kernel runs."""
     tele = telemetry.Telemetry()
@@ -331,6 +354,7 @@ class TestDpScreen:
                 # Integer budget, yet the greedy prefix stops short: the
                 # critical hull edge spans more than one unit.
                 assert screen.units.sum() < budget
+                assert screen.hull == "gap_loop"
                 undecided += 1
         assert undecided == fallthrough
 
@@ -362,17 +386,12 @@ class TestDpScreen:
     ):
         # A witness that spends every unit breaks the budget: its sum may
         # read feasible, but only the kernel can decide such a step.  The
-        # bound says nothing, so no step is decided by it instead.
-        fill_hull = hull_module.fill_hull
-
-        def overspend(v, phi, budget, **kwargs):
-            fill = fill_hull(v, phi, budget, **kwargs)
-            return HullScreen(
-                bound=np.inf, lam=fill.lam,
-                witness=np.full(phi.shape[0], float(phi.shape[1] - 1)),
-            )
-
-        monkeypatch.setattr(hull_module, "fill_hull", overspend)
+        # bound says nothing, so no step is decided by it instead.  The
+        # kernel reads the same overspent screen.
+        monkeypatch.setattr(
+            cubis_module, "screen_grid", overspending(screen_grid, bound=np.inf)
+        )
+        monkeypatch.setattr(dp_module, "screen_grid", overspending(screen_grid))
         game = random_interval_game(8, seed=11)
         model = default_uncertainty(game.payoffs)
         options = {"num_segments": 5, "epsilon": 1e-3}
@@ -404,6 +423,143 @@ class TestDpScreen:
         reference = solve_cubis(game, model, oracle="dp", memoise=False,
                                 **options)
         assert_same_solve(result, reference)
+
+
+def assert_same_screen(got, want):
+    assert got.bound == want.bound
+    assert got.lam == want.lam
+    assert got.margin == want.margin
+    assert got.witness_sum == want.witness_sum
+    assert got.units.dtype == want.units.dtype
+    np.testing.assert_array_equal(got.units, want.units)
+
+
+def assert_certified(phi, budget):
+    """The screen takes the concave-prefix path and equals the gap loop's
+    fill field for field."""
+    screen = screen_grid(phi, budget)
+    assert screen.hull == "concave_prefix"
+    reference = hull_module._screen_grid(np.asarray(phi, float), budget, None)
+    assert reference.hull == "gap_loop"
+    assert_same_screen(screen, reference)
+
+
+def concave_prefix_table(rng, t, k):
+    """Rows that rise strictly concavely to a random first argmax, then
+    stay at or below it (with exact ties to the peak)."""
+    phi = np.empty((t, k + 1))
+    for row in range(t):
+        peak = int(rng.integers(0, k + 1))
+        rises = np.cumsum(rng.uniform(0.01, 1.0, size=peak))[::-1]
+        phi[row, : peak + 1] = rng.normal() + np.append(0.0, np.cumsum(rises))
+        drops = rng.uniform(0.0, 2.0, size=k - peak)
+        drops[rng.random(k - peak) < 0.3] = 0.0
+        phi[row, peak + 1 :] = phi[row, peak] - drops
+    return phi * 10.0 ** rng.uniform(-3, 3)
+
+
+class TestConcavePrefixScreen:
+    """Where every row's rising prefix is certified strictly concave the
+    screen skips the gap loop; its fields must stay the gap loop's bit
+    for bit, and anything it cannot certify must take the gap loop."""
+
+    def test_replays_every_screen_of_a_dp_fleet(self, monkeypatch):
+        # The fleet_dp size: T=100, K=40, 800 budget units.  Both the
+        # step screens and the kernel's own screens are replayed.
+        inputs = []
+
+        def record(phi, budget):
+            inputs.append((np.array(phi), budget))
+            return screen_grid(phi, budget)
+
+        monkeypatch.setattr(cubis_module, "screen_grid", record)
+        monkeypatch.setattr(dp_module, "screen_grid", record)
+        games = [random_interval_game(100, seed=60 + i) for i in range(8)]
+        solve_fleet(games, [default_uncertainty(g.payoffs) for g in games],
+                    oracle="dp", num_segments=40, epsilon=1e-3)
+        assert len(inputs) >= 8 * 17
+        for phi, budget in inputs:
+            assert_certified(phi, budget)
+
+    @given(
+        t=st.integers(1, 8),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+        budget_kind=st.sampled_from(["zero", "in range", "over"]),
+    )
+    def test_concave_prefix_rows(self, t, k, seed, budget_kind):
+        rng = np.random.default_rng(seed)
+        budget = {
+            "zero": 0,
+            "in range": int(rng.integers(0, t * k + 1)),
+            "over": t * k + int(rng.integers(0, 3)),
+        }[budget_kind]
+        assert_certified(concave_prefix_table(rng, t, k), budget)
+
+    @pytest.mark.parametrize("budget", [0, 9, 5 * 6, 5 * 6 + 4])
+    @pytest.mark.parametrize(
+        "table", ["peak at zero", "all equal", "peak at the end", "identical rows"]
+    )
+    def test_edge_cases(self, table, budget):
+        rng = np.random.default_rng(7)
+        rises = np.cumsum(rng.uniform(0.1, 1.0, size=(5, 6)), axis=1)[:, ::-1]
+        phi = {
+            "peak at zero": -np.abs(rng.normal(size=(5, 7))).cumsum(axis=1),
+            "all equal": np.full((5, 7), 1.5),
+            "peak at the end": np.hstack([np.zeros((5, 1)), rises.cumsum(axis=1)]),
+            "identical rows": np.tile(
+                np.append(0.0, np.cumsum(rises[0]))[None, :], (5, 1)
+            ),
+        }[table]
+        assert_certified(phi, budget)
+
+    @pytest.mark.parametrize("row", [
+        # A second difference of 1e-14 is concave, but inside the
+        # rounding tolerance; an exact collinear run is not strict.
+        [0.0, 1.0, 2.0 - 1e-14, 2.5],
+        [0.0, 1.0, 2.0, 3.0, 2.5],
+        # Convex just before the peak.
+        [0.0, 2.0, 3.0, 5.0, 4.0],
+        # Non-finite values: the rounding argument does not cover them.
+        [np.nan, 0.0, 1.0],
+        [0.0, 1.0, np.inf],
+        [-np.inf, 0.0, 1.0, 1.5],
+    ])
+    def test_uncertifiable_rows_take_the_gap_loop(self, row):
+        phi = np.array([row, [0.0, 2.0, 3.0, 3.5, 3.5][: len(row)]])
+        assert screen_grid(phi, 3).hull == "gap_loop"
+
+    def test_drop_model_steps_take_the_gap_loop(self):
+        game = random_interval_game(2, seed=708)
+        model = DropModel([0.83, 0.84], floor=0.17)
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            solve_cubis(game, model, oracle="dp", num_segments=6, epsilon=1e-3)
+        hulls = [
+            s.attributes["hull"] for s in tele.spans if s.name == "cubis.hull_screen"
+        ]
+        assert "gap_loop" in hulls
+
+    def test_fleet_size_solve_never_runs_the_gap_loop(self, monkeypatch):
+        # A silent fallback would still give the right answer, only
+        # slower: count the gap loops instead.
+        calls = []
+        upper_hull = hull_module._upper_hull
+
+        def counted(v, phi):
+            calls.append(phi.shape)
+            return upper_hull(v, phi)
+
+        monkeypatch.setattr(hull_module, "_upper_hull", counted)
+        game = random_interval_game(100, seed=5)
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            result = solve_cubis(game, default_uncertainty(game.payoffs),
+                                 num_segments=40, epsilon=1e-3, oracle="dp")
+        spans = [s for s in tele.spans if s.name == "cubis.hull_screen"]
+        assert len(spans) == result.iterations
+        assert {s.attributes["hull"] for s in spans} == {"concave_prefix"}
+        assert calls == []
 
 
 class TestBisectionAgreement:

@@ -1,11 +1,14 @@
 """What importing and solving load.
 
 ``scipy.stats`` serves one t-test (``analysis.comparison``),
-``networkx`` serves only geographic games (``game.graph``) and
-``http.server`` serves only the ops server (``obs.server``); each is
-imported only where it is used.  A solve, and ``import repro`` itself,
-must load none of them.  Each check runs in a fresh
-interpreter, since the test process may already have imported both.
+``networkx`` serves only geographic games (``game.graph``),
+``http.server`` serves only the ops server (``obs.server``), and
+``asyncio``, ``ssl`` and ``http.client`` serve only the service daemon
+and client (``service.daemon``, ``service.client``); each is imported
+only where it is used.  A solve, ``import repro`` itself and the
+in-process service engine must load none of them.  Each check runs in a
+fresh interpreter, since the test process may already have imported
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
-DEFERRED = ("scipy.stats", "networkx", "http.server")
+DEFERRED = ("scipy.stats", "networkx", "http.server", "asyncio", "ssl", "http.client")
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -71,6 +74,23 @@ class TestImportGuard:
             solve_fleet(games, [default_uncertainty(g.payoffs) for g in games],
                         **options)
             check("solve_fleet")
+
+            import repro.service.engine
+            check("import repro.service.engine")
+            from repro.analysis.io import game_to_dict, uncertainty_to_dict
+            from repro.service import SolveEngine
+
+            engine = SolveEngine(workers=1)
+            try:
+                result = engine.submit({{
+                    "game": game_to_dict(game),
+                    "uncertainty": uncertainty_to_dict(model),
+                    "options": options,
+                }}).wait(timeout=120)
+            finally:
+                engine.close()
+            assert result is not None and result.ok, result
+            check("a SolveEngine solve")
             print("ok")
         """)
         assert_ran(proc)

@@ -26,7 +26,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.game.generator import random_interval_game
-from repro.service import RejectedError, ServiceClient, ServiceDaemon, SolveEngine
+from repro.service import RejectedError, SolveEngine
+from repro.service.client import ServiceClient
+from repro.service.daemon import ServiceDaemon
 from repro.analysis.io import game_to_dict, uncertainty_to_dict
 from tests import fixtures_games
 

@@ -19,13 +19,9 @@ import pytest
 from repro.analysis.io import game_to_dict, uncertainty_to_dict
 from repro.obs import ProgressBoard
 from repro.obs.server import ObsServer
-from repro.service import (
-    QueueClosedError,
-    ServiceClient,
-    ServiceDaemon,
-    ServiceError,
-    SolveEngine,
-)
+from repro.service import QueueClosedError, SolveEngine
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.daemon import ServiceDaemon
 from repro.telemetry.metrics import MetricsRegistry
 from tests import fixtures_games
 from tests.test_service_coalescing import GatedSolver, small_body

@@ -19,7 +19,9 @@ import pytest
 from repro.analysis.io import game_to_dict, uncertainty_to_dict
 from repro.resilience.faults import FaultInjector, injected_policy
 from repro.resilience.policy import ResiliencePolicy, Rung
-from repro.service import ServiceClient, ServiceDaemon, SolveEngine
+from repro.service import SolveEngine
+from repro.service.client import ServiceClient
+from repro.service.daemon import ServiceDaemon
 from tests import fixtures_games
 from tests.test_service_coalescing import (
     GatedSolver,

@@ -13,7 +13,9 @@ import pytest
 
 from repro.analysis.io import game_to_dict, uncertainty_to_dict
 from repro.behavior.interval import BandScaledModel
-from repro.service import ServiceClient, ServiceDaemon, SolveEngine
+from repro.service import SolveEngine
+from repro.service.client import ServiceClient
+from repro.service.daemon import ServiceDaemon
 from repro.service.requests import (
     RequestError,
     canonicalize_resolve_request,
@@ -196,7 +198,7 @@ class TestResolveHttp:
         assert "repro_resolve_bracket_reuses_total 1" in metrics
 
     def test_incompatible_options_rejected_with_400(self, daemon):
-        from repro.service import ServiceError
+        from repro.service.client import ServiceError
 
         client = ServiceClient(daemon.url)
         body = resolve_body()
