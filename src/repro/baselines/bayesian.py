@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint
 
 from repro.behavior.base import DiscreteChoiceModel
 from repro.solvers.nonconvex import maximize_multistart
@@ -94,6 +93,8 @@ def solve_bayesian(
 
     def objective(x: np.ndarray) -> float:
         return float(prior @ per_type(x))
+
+    from scipy.optimize import LinearConstraint
 
     constraints = [
         LinearConstraint(

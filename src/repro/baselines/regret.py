@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, NonlinearConstraint
 
 from repro.baselines.pasaq import solve_pasaq
 from repro.behavior.base import DiscreteChoiceModel
@@ -88,6 +87,8 @@ def solve_minimax_regret(
     for m, model in enumerate(types):
         if model.num_targets != t_count:
             raise ValueError(f"type {m} covers {model.num_targets} targets, game has {t_count}")
+
+    from scipy.optimize import LinearConstraint, NonlinearConstraint
 
     timer = Timer()
     with timer:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, NonlinearConstraint
 
 from repro.behavior.base import DiscreteChoiceModel
 from repro.solvers.nonconvex import maximize_multistart
@@ -89,6 +88,8 @@ def solve_worst_type(
 
     def constraint_fun(z: np.ndarray) -> np.ndarray:
         return per_type(z[:-1]) - z[-1]
+
+    from scipy.optimize import LinearConstraint, NonlinearConstraint
 
     constraints = [
         NonlinearConstraint(constraint_fun, 0.0, np.inf),

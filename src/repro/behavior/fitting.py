@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.behavior.interval import FunctionIntervalModel, WeightBox
 from repro.behavior.suqr import SUQR, SUQRWeights
@@ -146,6 +145,8 @@ def fit_suqr(
         raise ValueError(
             f"log has {log.num_targets} targets but payoffs have {payoffs.num_targets}"
         )
+    from scipy.optimize import minimize
+
     result = minimize(
         _negative_log_likelihood,
         x0=np.asarray(initial, dtype=np.float64),

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, NonlinearConstraint
 
 from repro.behavior.interval import UncertaintyModel
 from repro.core.dual import h_value
@@ -92,6 +91,8 @@ def solve_exact(
         x, beta = split(z)
         h = objective(z)
         return game.defender_utilities(x) + beta - h
+
+    from scipy.optimize import LinearConstraint, NonlinearConstraint
 
     constraints = [
         NonlinearConstraint(constraint_fun, 0.0, np.inf),

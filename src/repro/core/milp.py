@@ -54,7 +54,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.solvers.assembly import ConstraintBuilder, VariableLayout
 from repro.solvers.milp_backend import MILPProblem
@@ -283,6 +282,8 @@ class CubisMilpSkeleton:
         equality_resources: bool = False,
         coverage_constraints=None,
     ) -> None:
+        import scipy.sparse as sp
+
         ud = np.asarray(defender_utility_grid, dtype=np.float64)
         lo = np.asarray(lower_grid, dtype=np.float64)
         hi = np.asarray(upper_grid, dtype=np.float64)
@@ -487,6 +488,8 @@ class CubisMilpSkeleton:
         Only the ``c``-dependent coefficients are recomputed; the
         structure is shared with every other patch of this skeleton.
         """
+        import scipy.sparse as sp
+
         n = self._shape[1]
         x_idx, v_idx = self._x_idx, self._v_idx
         blocks = self._tabulate(c)

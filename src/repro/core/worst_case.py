@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.solvers.lp import solve_lp
 
@@ -152,6 +151,8 @@ def worst_case_dual_root(ud, lower, upper, *, xtol: float = 1e-12) -> float:
     the scalar specialisation of the paper's dual construction
     (Propositions 2-3 with ``x`` fixed).
     """
+    from scipy.optimize import brentq
+
     ud, lo, hi = _validated(ud, lower, upper)
 
     def g(c: float) -> float:

@@ -43,6 +43,10 @@ as a ``service.request`` telemetry event (events, not nested spans: the
 handler coroutines interleave on one loop thread, so open-span nesting
 across them would lie about causality).
 
+Start-up (:meth:`start`) pays the solver imports: it loads
+``scipy.optimize`` and probes the HiGHS binding before it accepts a
+connection.  The in-process :class:`SolveEngine` stays lazy.
+
 Shutdown (:meth:`stop`) is drain-first: the listener closes, in-flight
 HTTP handlers finish, then the engine drains its queue and joins its
 workers — accepted work is never dropped, matching the bounded queue's
@@ -61,6 +65,7 @@ from repro.obs.routes import OBS_PATHS, ObsRoutes
 from repro.service.admission import QueueClosedError, RejectedError
 from repro.service.engine import ServiceResult, SolveEngine
 from repro.service.requests import RequestError, result_from_payload
+from repro.solvers.milp_backend import highs_binding
 
 __all__ = ["ServiceDaemon", "MAX_BODY_BYTES"]
 
@@ -154,9 +159,14 @@ class ServiceDaemon:
         return f"http://{self._requested[0]}:{self.port}"
 
     def start(self) -> "ServiceDaemon":
-        """Bind and serve on a background event-loop thread."""
+        """Bind and serve on a background event-loop thread.
+
+        Loads ``scipy.optimize`` and probes the HiGHS binding first, so
+        the daemon's first request does not pay for them.
+        """
         if self._thread is not None:
             raise RuntimeError("ServiceDaemon already started")
+        highs_binding()
         ready = threading.Event()
         failure: list[BaseException] = []
 

@@ -11,7 +11,6 @@ the HPC-Python guides.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["ConstraintBuilder", "VariableLayout"]
 
@@ -119,6 +118,8 @@ class ConstraintBuilder:
 
     def build(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """Materialise ``(A_ub, b_ub)``; drops explicitly-zero entries."""
+        import scipy.sparse as sp
+
         if self._m == 0:
             return sp.csr_matrix((0, self._n)), np.zeros(0)
         rows, cols, vals, rhs = self.build_coo()

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = ["LPResult", "solve_lp"]
 
@@ -61,6 +60,8 @@ def solve_lp(
     unbounded ends.  With ``maximize=True`` the objective is negated in and
     back out.
     """
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=np.float64)
     sign = -1.0 if maximize else 1.0
     res = linprog(

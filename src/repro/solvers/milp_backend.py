@@ -17,11 +17,16 @@ LP-relaxation screens on the ``"highs"`` backend can instead run through
 a :class:`LiveLp`: one HiGHS instance from scipy's private binding
 (``scipy.optimize._highspy._core``), kept alive for the screens of one
 solve and warm-started from the previous screen's optimal basis.  The
-binding and the array form of its ``passModel`` are feature-detected at
-import; without them, and for any live solve that fails, the screen runs
-through :func:`scipy.optimize.milp`.  LP screens run with presolve off on
-both paths: it saves no simplex iterations here, yet doubles the cost.
-MILPs keep the HiGHS defaults.
+binding and the array form of its ``passModel`` are feature-detected on
+first use (:func:`highs_binding`); without them, and for any live solve
+that fails, the screen runs through :func:`scipy.optimize.milp`.  LP
+screens run with presolve off on both paths: it saves no simplex
+iterations here, yet doubles the cost.  MILPs keep the HiGHS defaults.
+
+Importing this module loads no scipy: ``scipy.sparse`` and
+``scipy.optimize`` load at the first solve or probe that needs them, so
+processes that never solve a MILP or LP (the DP oracle, evaluation, the
+CLI's help) never pay for them.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro import telemetry
 
-__all__ = ["LiveLp", "MILPProblem", "MILPResult", "relax_integrality", "solve_milp"]
+__all__ = [
+    "LiveLp", "MILPProblem", "MILPResult", "highs_binding", "relax_integrality",
+    "solve_milp",
+]
 
 
 @dataclass
@@ -220,7 +226,20 @@ def _dispatch(problem: MILPProblem, backend, backend_options) -> MILPResult:
     )
 
 
+def milp(*args, **kwargs):
+    """:func:`scipy.optimize.milp`, imported on the first call.
+
+    ``_solve_highs`` calls it through this module's global, so a wrapper
+    patched over ``milp_backend.milp`` sees every scipy MILP and LP call.
+    """
+    from scipy.optimize import milp as scipy_milp
+
+    return scipy_milp(*args, **kwargs)
+
+
 def _solve_highs(problem: MILPProblem) -> MILPResult:
+    from scipy.optimize import Bounds, LinearConstraint
+
     constraints = []
     if problem.A_ub is not None:
         constraints.append(
@@ -272,30 +291,31 @@ class LiveLp:
         when the binding is absent or the live solve raised or did not
         reach an optimum; a failure drops the basis, so the next solve
         runs cold."""
-        if _HIGHS is None:
+        core = highs_binding()
+        if core is None:
             return None
         try:
-            answered = self._run(problem)
+            answered = self._run(problem, core)
         except Exception:
             answered = None
         if answered is None:
             self._basis = None
         return answered
 
-    def _run(self, problem: MILPProblem):
+    def _run(self, problem: MILPProblem, core):
         highs = self._highs
         if highs is None:
-            highs = self._highs = _HIGHS._Highs()
+            highs = self._highs = core._Highs()
             highs.setOptionValue("log_to_console", False)
             highs.setOptionValue("presolve", "off")
-        error = _HIGHS.HighsStatus.kError
+        error = core.HighsStatus.kError
         if highs.passModel(*_lp_arrays(problem)) == error:
             return None
         warm = self._basis is not None and highs.setBasis(self._basis) != error
         if highs.run() == error:
             return None
         status = highs.getModelStatus()
-        if status != _HIGHS.HighsModelStatus.kOptimal:
+        if status != core.HighsModelStatus.kOptimal:
             return None
         info = highs.getInfo()
         result = MILPResult(
@@ -312,6 +332,8 @@ def _lp_arrays(problem: MILPProblem) -> tuple:
     """``problem`` as the arguments of the array ``passModel``: a
     row-wise minimisation ``lhs <= A x <= rhs`` with every column
     continuous (HiGHS rejects an empty integrality array)."""
+    import scipy.sparse as sp
+
     n = problem.num_variables
     blocks = []
     if problem.A_ub is not None:
@@ -332,6 +354,8 @@ def _lp_arrays(problem: MILPProblem) -> tuple:
 def _array_form(core):
     """``core`` if its ``passModel`` takes the arrays :func:`_lp_arrays`
     builds (some scipy releases lack that overload), else ``None``."""
+    import scipy.sparse as sp
+
     probe = MILPProblem(np.ones(1), A_ub=sp.csr_array(np.ones((1, 1))), b_ub=np.ones(1))
     try:
         highs = core._Highs()
@@ -342,8 +366,29 @@ def _array_form(core):
     return None if status == core.HighsStatus.kError else core
 
 
-try:  # scipy's private HiGHS binding, absent on older scipy
-    from scipy.optimize._highspy import _core
-    _HIGHS = _array_form(_core)
-except ImportError:
-    _HIGHS = None
+#: Marks :data:`_HIGHS` as not yet probed.
+_UNPROBED = object()
+
+#: scipy's private HiGHS binding with the array ``passModel``, ``None``
+#: when it is absent, or :data:`_UNPROBED` until :func:`highs_binding`
+#: first runs.
+_HIGHS = _UNPROBED
+
+
+def highs_binding():
+    """The HiGHS binding live LP screens run on, or ``None``.
+
+    The first call imports ``scipy.optimize`` and probes the binding
+    (:func:`_array_form`); later calls return the stored answer.  Two
+    threads that race on the first call may both probe, but the probe is
+    deterministic, so both store the same answer.
+    """
+    global _HIGHS
+    if _HIGHS is _UNPROBED:
+        try:  # scipy's private HiGHS binding, absent on older scipy
+            from scipy.optimize._highspy import _core
+        except ImportError:
+            _HIGHS = None
+        else:
+            _HIGHS = _array_form(_core)
+    return _HIGHS

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, minimize
 
 from repro.utils.rng import as_generator
 
@@ -75,6 +74,8 @@ def maximize_multistart(
         discarded (guards against SLSQP returning slightly-infeasible
         points).
     """
+    from scipy.optimize import minimize
+
     starts = np.asarray(starts, dtype=np.float64)
     if starts.ndim != 2:
         raise ValueError(f"starts must be 2-D (S, n), got shape {starts.shape}")

@@ -6,9 +6,18 @@
 ``asyncio``, ``ssl`` and ``http.client`` serve only the service daemon
 and client (``service.daemon``, ``service.client``); each is imported
 only where it is used.  A solve, ``import repro`` itself and the
-in-process service engine must load none of them.  Each check runs in a
-fresh interpreter, since the test process may already have imported
-them.
+in-process service engine must load none of them.
+
+No scipy module at all loads with ``import repro``,
+``import repro.service.engine``, or on the DP oracle's paths (a solve, a
+fleet, ``certify_result`` of a DP result): ``scipy.sparse`` loads at the
+first MILP skeleton build and ``scipy.optimize`` at the first MILP, LP,
+SLSQP or root-finder call.  A default MILP solve must then still run its
+LP screens on the live HiGHS binding, and ``repro serve``'s daemon pays
+those imports in ``start``, before its first request.
+
+Each check runs in a fresh interpreter, since the test process may
+already have imported them.
 """
 
 from __future__ import annotations
@@ -91,6 +100,68 @@ class TestImportGuard:
                 engine.close()
             assert result is not None and result.ok, result
             check("a SolveEngine solve")
+            print("ok")
+        """)
+        assert_ran(proc)
+
+
+class TestScipyOnlyWhereASolverRuns:
+    def test_dp_paths_load_no_scipy(self):
+        proc = run_python("""
+            import sys
+
+            def check(where):
+                loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+                assert not loaded, f"{where} loaded {loaded[:5]}"
+
+            import repro
+            check("import repro")
+            import repro.service.engine
+            check("import repro.service.engine")
+
+            from repro.experiments.quality import default_uncertainty
+            from repro.solvers import milp_backend
+            from repro.solvers.fleet import solve_fleet
+
+            options = dict(num_segments=6, epsilon=1e-2)
+            game = repro.random_interval_game(6, seed=3)
+            model = default_uncertainty(game.payoffs)
+            result = repro.solve_cubis(game, model, oracle="dp", **options)
+            check("a dp solve")
+            games = [repro.random_interval_game(5, seed=s) for s in (1, 2)]
+            solve_fleet(games, [default_uncertainty(g.payoffs) for g in games],
+                        oracle="dp", **options)
+            check("a dp fleet")
+            assert repro.certify_result(game, model, result).valid
+            check("certify_result of a dp result")
+            assert milp_backend._HIGHS is milp_backend._UNPROBED
+
+            result = repro.solve_cubis(game, model, **options)
+            assert "scipy.optimize" in sys.modules
+            assert result.lp_solves > 0, result.lp_solves
+            # Resolved: a probe that never ran would send every LP screen
+            # to scipy.optimize.milp without saying so.
+            assert milp_backend._HIGHS is not milp_backend._UNPROBED
+            print("ok")
+        """)
+        assert_ran(proc)
+
+    def test_service_daemon_loads_the_solver_at_start(self):
+        proc = run_python("""
+            import sys
+
+            from repro.service import SolveEngine
+            from repro.service.daemon import ServiceDaemon
+            from repro.solvers import milp_backend
+
+            assert "scipy.optimize" not in sys.modules
+            engine = SolveEngine(workers=1)
+            daemon = ServiceDaemon(engine, port=0).start()
+            try:
+                assert "scipy.optimize" in sys.modules
+                assert milp_backend._HIGHS is not milp_backend._UNPROBED
+            finally:
+                daemon.stop()
             print("ok")
         """)
         assert_ran(proc)

@@ -5,7 +5,8 @@ with presolve off, and a warm-basis chain over bisection-like candidates
 gives the same statuses and objectives within float noise.  Presolve:
 LP screens run without it on both paths, MILPs keep the HiGHS defaults.
 Detection: a binding whose ``passModel`` lacks the array form counts as
-absent, and its solves take the scipy path.  Fault injection: a live
+absent, and its solves take the scipy path; the probe runs once, on the
+first live solve, not at import.  Fault injection: a live
 solve that raises or ends non-optimal is answered by the
 ``scipy.optimize.milp`` path with an unchanged verdict, and the next
 screen runs cold.  Lifetime: the live model dies with the solve that
@@ -38,8 +39,9 @@ from repro.solvers.milp_backend import (
 from repro.solvers.piecewise import SegmentGrid
 from repro.solvers.resolve import resolve, start_resolve
 from repro.solvers.session import MilpSession
+from tests.test_imports import assert_ran, run_python
 
-HIGHS = milp_backend._HIGHS
+HIGHS = milp_backend.highs_binding()
 
 pytestmark = pytest.mark.skipif(
     HIGHS is None, reason="scipy ships no HiGHS binding"
@@ -268,6 +270,44 @@ class TestArrayFormDetection:
         assert result.lp_solves == ref.lp_solves
         assert result.milp_solves == ref.milp_solves
         np.testing.assert_allclose(result.strategy, ref.strategy, atol=1e-9)
+
+
+class TestLazyDetection:
+    def test_first_live_solve_probes_the_binding_once(self):
+        proc = run_python("""
+            import sys
+
+            import numpy as np
+
+            from repro.solvers import milp_backend
+
+            assert "scipy.optimize" not in sys.modules
+            assert milp_backend._HIGHS is milp_backend._UNPROBED
+
+            probes = []
+            real = milp_backend._array_form
+
+            def counting(core):
+                probes.append(core)
+                return real(core)
+
+            milp_backend._array_form = counting
+            problem = milp_backend.MILPProblem(
+                np.ones(2), A_ub=np.ones((1, 2)), b_ub=np.ones(1))
+            assert "scipy.optimize" not in sys.modules
+            for live in (milp_backend.LiveLp(), milp_backend.LiveLp()):
+                result, warm, _ = live.solve(problem)
+                assert result.optimal and result.objective == 0.0, result
+            assert "scipy.optimize" in sys.modules
+
+            from scipy.optimize._highspy import _core
+
+            assert milp_backend._HIGHS is _core
+            assert milp_backend.highs_binding() is _core
+            assert probes == [_core], probes
+            print("ok")
+        """)
+        assert_ran(proc)
 
 
 class TestFaultInjection:
