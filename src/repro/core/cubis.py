@@ -156,13 +156,13 @@ class CubisResult:
         Oracle steps answered by a cached strategy certificate with no
         solver call at all (always 0 with ``memoise=False``).
     session_mode:
-        ``"incremental"`` when the MILP steps ran through a persistent
+        ``"incremental"`` when the MILP steps ran through the solve's
         :class:`~repro.solvers.session.MilpSession` (in-place coefficient
         patches on one live model), ``"fresh"`` when every step rebuilt
         its model.
     session_patches:
-        In-place sparse coefficient patches applied across all sessions
-        (excludes the initial full builds).
+        In-place sparse coefficient patches the solve's session applied
+        (excludes its full builds).
     session_fallbacks:
         Steps whose session solve failed and was answered by a one-shot
         fresh-build fallback (each also emits a ``resilience.attempt``
@@ -230,7 +230,7 @@ def solve_cubis(
     resilience: ResiliencePolicy | None = None,
     memoise: bool = True,
     warm_start: WarmStart | None = None,
-    session: str | MilpSession | None = None,
+    session: str | None = None,
     speculation: int = 1,
 ) -> CubisResult:
     """Run CUBIS on an interval security game.
@@ -292,7 +292,7 @@ def solve_cubis(
         The only switch between the two MILP pipelines (default on).
         ``memoise=True`` with the ``"milp"`` oracle and no resilience
         policy runs every step through the certificate pool, the
-        LP-relaxation screen (named backends), a persistent
+        LP-relaxation screen (named backends), a per-solve
         :class:`~repro.solvers.session.MilpSession` and, if the session
         solve fails, one fresh-build fallback (see docs/PERFORMANCE.md).
         Feasibility *verdicts* are unchanged — a certificate only fires
@@ -317,17 +317,14 @@ def solve_cubis(
         strategies join the certificate pool, so a stale warm start
         degrades gracefully to at most two extra oracle calls.
     session:
-        ``None`` (default) lets ``memoise`` decide.  A live
-        :class:`~repro.solvers.session.MilpSession` is *leased* instead
-        of creating one: the solve retargets it at this game's skeleton
-        and drives every MILP step through it, which is how the fleet
-        solver (:mod:`repro.solvers.fleet`) and standing re-solves
-        (:mod:`repro.solvers.resolve`) carry one live model across
-        games.  The strings ``"incremental"`` and ``"fresh"`` are
-        accepted as explicit spellings of the two pipelines and must
-        agree with them: ``"incremental"`` (like a leased session)
-        requires ``memoise=True``, the ``"milp"`` oracle and no
-        resilience policy; ``"fresh"`` requires ``memoise=False``.
+        ``None`` (default) lets ``memoise`` decide.  The strings
+        ``"incremental"`` and ``"fresh"`` are accepted as explicit
+        spellings of the two pipelines and must agree with them:
+        ``"incremental"`` requires ``memoise=True``, the ``"milp"``
+        oracle and no resilience policy; ``"fresh"`` requires
+        ``memoise=False``.  The pipeline's
+        :class:`~repro.solvers.session.MilpSession` lives exactly as
+        long as this call, so a session object is rejected.
     speculation:
         Must be 1: the search is plain bisection, one oracle call per
         step (docs/PERFORMANCE.md explains why).  Accepted so callers and
@@ -356,18 +353,16 @@ def solve_cubis(
     pipeline = memoise and oracle == "milp" and resilience is None
     grid_screen = memoise and oracle == "dp" and resilience is None
     session_mode = "incremental" if pipeline else "fresh"
-    leased_session = session if isinstance(session, MilpSession) else None
-    if leased_session is None and session not in (None, "incremental", "fresh"):
+    if session not in (None, "incremental", "fresh"):
         raise ValueError(
-            "session must be None, 'incremental', 'fresh' or a MilpSession "
-            f"instance, got {session!r}"
+            f"session must be None, 'incremental' or 'fresh', got {session!r}"
         )
     if session == "fresh" and memoise:
         raise ValueError("session='fresh' requires memoise=False")
-    if (session == "incremental" or leased_session is not None) and not pipeline:
+    if session == "incremental" and not pipeline:
         raise ValueError(
-            "session='incremental' (or a leased MilpSession) requires "
-            "memoise=True, oracle='milp' and no resilience policy"
+            "session='incremental' requires memoise=True, oracle='milp' "
+            "and no resilience policy"
         )
     solve_span = telemetry.span(
         "cubis.solve",
@@ -437,11 +432,12 @@ def solve_cubis(
         )
         skeleton = None
         if memoise and needs_milp:
-            # An active shape cache (run_grid(fleet=True), solve_fleet)
-            # leases a structure-sharing skeleton instead of assembling
-            # one; rebinding is bit-identical to a fresh build, so this
-            # only changes cost.  Side constraints embed their matrix in
-            # the structure, so constrained games always build fresh.
+            # An active shape cache (run_grid(fleet=True), solve_fleet,
+            # resolve handles, service workers) leases a structure-sharing
+            # skeleton instead of assembling one; rebinding is
+            # bit-identical to a fresh build, so this only changes cost.
+            # Side constraints embed their matrix in the structure, so
+            # constrained games always build fresh.
             shape_cache = active_shape_cache()
             if shape_cache is not None and coverage_constraints is None:
                 skeleton = shape_cache.lease(
@@ -462,13 +458,9 @@ def solve_cubis(
                     equality_resources=equality_resources,
                     coverage_constraints=coverage_constraints,
                 )
-        # A leased session is retargeted at this game's skeleton: its
-        # live model and — with carry_incumbent — its MIP start carry
-        # over from whatever it solved last.
-        milp_session: MilpSession | None = None
-        if pipeline:
-            milp_session = leased_session or MilpSession(skeleton, backend=backend)
-            milp_session.retarget(skeleton)
+        milp_session = (
+            MilpSession(skeleton, backend=backend) if pipeline else None
+        )
         # The Lagrangian hull screen needs the separable budget polytope;
         # side constraints couple the targets, so they skip it.
         hull = (
@@ -482,11 +474,6 @@ def solve_cubis(
             )
             if skeleton is not None and coverage_constraints is None
             else None
-        )
-        # A leased session carries lifetime counters from earlier games;
-        # the result reports only this solve's delta.
-        patches_at_entry = (
-            milp_session.patches_applied if milp_session is not None else 0
         )
         pool: list = []  # StrategyCertificate entries, oldest first
         # The latest feasible answer's (payload, certificate): the binary
@@ -593,8 +580,8 @@ def solve_cubis(
             pooled = lp_screen or milp_session is not None
             # The highs LP screens of this solve share one live HiGHS
             # model, warm-started from the previous screen's basis.  It
-            # lives in this closure only, so it dies with the solve:
-            # sessions, resolve handles and fleet leases hold no solver.
+            # lives in this closure only, so it dies with the solve, as
+            # the session does.
             live_lp = LiveLp()
             session_log = SolveEventLog()
 
@@ -914,8 +901,7 @@ def solve_cubis(
         session_fallbacks = int(fallback_counter.value - counts_at_entry[3])
         hull_screens = int(hull_screens_so_far() - counts_at_entry[4])
         session_patches = (
-            milp_session.patches_applied - patches_at_entry
-            if milp_session is not None else 0
+            milp_session.patches_applied if milp_session is not None else 0
         )
         if pipeline:
             meter.counter("repro_session_patches").inc(session_patches)

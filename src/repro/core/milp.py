@@ -38,10 +38,11 @@ Structure sharing also extends *across games*: every structural array
 depends only on the shape ``(T, K, R, constraint set)``, never on the
 payoff grids, so :meth:`CubisMilpSkeleton.rebind` produces a skeleton
 for a different game of the same shape by sharing the assembly and
-swapping only the bound grids, and :meth:`CubisMilpSkeleton.diff_from`
-emits the sparse patch that carries a *live model* from one game's
-candidate to a sibling game's — the mechanism behind the fleet solver's
+swapping only the bound grids — the mechanism behind the fleet solver's
 shape cache (:mod:`repro.solvers.fleet`).
+:meth:`CubisMilpSkeleton.diff_from` is the general form of ``diff``: the
+sparse patch from a sibling's model at one candidate to this skeleton's
+model at another.
 
 This module only *builds* the MILP (as a
 :class:`~repro.solvers.milp_backend.MILPProblem` plus index metadata); the
@@ -541,9 +542,7 @@ class CubisMilpSkeleton:
         entry — the win over :meth:`patch` is skipping the CSR
         re-assembly and the template copies, not the tabulation.
         """
-        return self._emit_patch(
-            self._tabulate(c_old), self._tabulate(c_new), c_old, c_new
-        )
+        return self.diff_from(self, c_old, c_new)
 
     def rebind(
         self,
@@ -628,55 +627,6 @@ class CubisMilpSkeleton:
         return self._emit_patch(
             base._tabulate(c_old), self._tabulate(c_new), c_old, c_new
         )
-
-    def drift_patch(self, base: "CubisMilpSkeleton", c: float) -> SkeletonPatch:
-        """Interval-drift patch: the sparse update set carrying ``base``'s
-        live model at candidate ``c`` across a ``[L_i, U_i]`` perturbation
-        to *this* skeleton's model at the **same** candidate.
-
-        This is the re-solve engine's hot path
-        (:mod:`repro.solvers.resolve`): after intervals drift, the new
-        skeleton is a :meth:`rebind` sibling of the standing one (same
-        game shape, new bound grids), and the first session
-        :meth:`~repro.solvers.session.MilpSession.prepare` call applies
-        exactly this patch instead of rebuilding the model.  Because
-        :meth:`_tabulate` is per-target in every block except the scalar
-        ``f1_constant``, a drift confined to a subset of targets emits
-        updates confined to those targets' coefficient slots — see
-        :meth:`patch_touched_targets` for the mapping (property-tested
-        minimal in the suite).
-        """
-        return self.diff_from(base, c, c)
-
-    def patch_touched_targets(self, patch: SkeletonPatch) -> np.ndarray:
-        """The sorted target ids whose coefficients ``patch`` rewrites.
-
-        Decodes every patch index stream back through the assembly
-        layout: the (34)/(35)/(36) entry blocks are row-major per target
-        with widths ``2`` / ``K+1`` / ``K+2``, the patched RHS rows are
-        the (35)+(36) rows (two per target), objective updates address
-        ``x_{i,k}`` variables and bound updates address ``v_i``
-        variables.  Used to verify that a single-target interval drift
-        produces a patch touching only that target.
-        """
-        t, k = self.num_targets, self.grid.num_segments
-        touched = np.zeros(t, dtype=bool)
-        for sl, width in (
-            (self._vals_34, 2),
-            (self._vals_35, k + 1),
-            (self._vals_36, k + 2),
-        ):
-            in_block = (patch.vals_index >= sl.start) & (patch.vals_index < sl.stop)
-            touched[(patch.vals_index[in_block] - sl.start) // width] = True
-        if len(patch.rhs_index):
-            touched[(patch.rhs_index - self._rhs_patch.start) % t] = True
-        var_target = np.full(self.layout.size, -1, dtype=np.int64)
-        var_target[self._x_idx.ravel()] = np.repeat(np.arange(t), k)
-        var_target[self._v_idx] = np.arange(t)
-        for index in (patch.cost_index, patch.ub_index):
-            hit = var_target[index]
-            touched[hit[hit >= 0]] = True
-        return np.flatnonzero(touched)
 
     def _emit_patch(
         self,

@@ -132,9 +132,9 @@ class ServiceClient:
 
         Same envelope as :meth:`solve`; the sync response additionally
         carries a ``"resolve"`` accounting object (drift kind, bracket
-        reuse, warm hit, sparse patches).  Consecutive calls with the
+        reuse, warm hit, guess probes).  Consecutive calls with the
         same game and options but drifted uncertainty re-enter the
-        tenant's standing session server-side.
+        tenant's standing resolve handle server-side.
         """
         body: dict = {"game": game}
         if uncertainty is not None:

@@ -25,9 +25,9 @@ Worker threads drain the queue.  Each runs its job under a private
 :class:`~repro.telemetry.runtime.Telemetry` (the parent tracer is not
 thread-safe) whose metrics are merged into the engine's registry under
 the engine lock, shares one :class:`~repro.solvers.fleet.SkeletonShapeCache`
-across requests, keeps a persistent per-backend
-:class:`~repro.solvers.session.MilpSession` for structure-sharing
-retargets, and seeds each solve's :class:`StrategyCertificate` pool
+across requests (the only solver structure that outlives a request:
+each solve's MILP session lives and dies inside its ``solve_cubis``
+call), and seeds each solve's :class:`StrategyCertificate` pool
 from the warm bank of earlier results on the same instance — the
 cross-request certificate reuse the response cache cannot provide when
 options differ.
@@ -188,7 +188,7 @@ class _LruBytes:
 
 
 def _default_solve(game, uncertainty, options, *, warm_start=None,
-                   session=None, policy=None):
+                   policy=None):
     from repro.core.cubis import solve_cubis
 
     return solve_cubis(
@@ -203,7 +203,6 @@ def _default_solve(game, uncertainty, options, *, warm_start=None,
         speculation=options["speculation"],
         resilience=policy,
         warm_start=warm_start,
-        session=session,
     )
 
 
@@ -228,7 +227,7 @@ class SolveEngine:
         waiters receive a 503 and the result is not cached.
     solve_fn:
         Override for tests: ``f(game, uncertainty, options, *,
-        warm_start, session, policy) -> result``.  The default runs
+        warm_start, policy) -> result``.  The default runs
         :func:`repro.core.cubis.solve_cubis`.
     policy_factory:
         ``f(options) -> ResiliencePolicy | None``, consulted per job.
@@ -285,7 +284,7 @@ class SolveEngine:
         # solve of the same game as a probed warm start.
         self._warm_shape_bank = _LruBytes(cache_size)
         # Standing resolve handles for POST /v1/resolve, keyed by
-        # (tenant, game, pinned options); bounded LRU of live sessions.
+        # (tenant, game, pinned options); bounded LRU of handles.
         self._standing = _LruBytes(max(4, workers * 2))
         from repro.solvers.fleet import SkeletonShapeCache
 
@@ -380,8 +379,8 @@ class SolveEngine:
 
         Same admission pipeline as :meth:`submit` — response cache,
         coalescing, quota, bounded queue — but keyed per tenant (standing
-        sessions hold live solver state and are never shared across
-        tenants) and executed against the tenant's standing
+        handles carry a tenant's drift history and are never shared
+        across tenants) and executed against the tenant's standing
         :class:`~repro.solvers.resolve.ResolveHandle` for the game: the
         first request on a (tenant, game, options) key cold-starts the
         handle, every later one re-enters it through
@@ -453,7 +452,6 @@ class SolveEngine:
     # -- worker side --------------------------------------------------- #
 
     def _worker_loop(self, index: int) -> None:
-        sessions: dict[str, object] = {}
         while True:
             job = self._queue.get(timeout=0.2)
             if job is None:
@@ -463,22 +461,7 @@ class SolveEngine:
             with self._lock:
                 self.telemetry.metrics.gauge(
                     "repro_service_queue_size").set(len(self._queue))
-            self._run_job(job, sessions)
-
-    def _lease_session(self, sessions: dict, options: dict, policy):
-        """The worker's persistent per-backend MilpSession, when the
-        request is session-eligible (structure sharing across requests
-        via the engine-wide shape cache)."""
-        if policy is not None or options["oracle"] != "milp":
-            return None
-        backend = options["backend"]
-        session = sessions.get(backend)
-        if session is None:
-            from repro.solvers.session import MilpSession
-
-            session = MilpSession(None, backend=backend)
-            sessions[backend] = session
-        return session
+            self._run_job(job)
 
     def _lookup_warm(self, canonical: dict):
         """Warm-start lookup: exact instance first, then the
@@ -530,7 +513,6 @@ class SolveEngine:
                     "drift": None,
                     "bracket_reused": False,
                     "warm_hit": bool(handle.result.cache_hits > 0),
-                    "session_patches": 0,
                     "guess_probes": int(handle.result.guess_probes),
                 }
                 return handle.result, info
@@ -545,12 +527,11 @@ class SolveEngine:
             },
             "bracket_reused": bool(outcome.bracket_reused),
             "warm_hit": bool(outcome.warm_hit),
-            "session_patches": int(outcome.session_patches),
             "guess_probes": int(outcome.result.guess_probes),
         }
         return outcome.result, info
 
-    def _run_job(self, job: _Job, sessions: dict) -> None:
+    def _run_job(self, job: _Job) -> None:
         from repro.solvers.fleet import use_shape_cache
 
         t0 = self._clock()
@@ -568,14 +549,13 @@ class SolveEngine:
             else:
                 game, uncertainty, options = build_instance(job.canonical)
                 policy = self._policy_factory(options)
-                session = self._lease_session(sessions, options, policy)
                 warm = self._lookup_warm(job.canonical)
                 with use_telemetry(worker_tele), use_shape_cache(self._shape_cache):
                     with worker_tele.span("service.solve", request=job.request_id,
                                           redispatch=job.redispatched):
                         result = self._solve_fn(
                             game, uncertainty, options,
-                            warm_start=warm, session=session, policy=policy,
+                            warm_start=warm, policy=policy,
                         )
         except Exception as exc:  # noqa: BLE001 — every failure becomes a 503
             error = exc

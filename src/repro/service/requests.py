@@ -64,8 +64,9 @@ class RequestError(ValueError):
 #: allowed values or None).  Defaults are applied *before* hashing, so a
 #: request that spells out a default coalesces with one that omits it.
 #: ``session`` selects nothing: every ``milp`` request without resilience
-#: runs the worker's leased session.  The key and its ``"auto"`` default
-#: stay so existing request bodies keep their canonical hash.
+#: runs ``solve_cubis``'s memoised pipeline, whose session lives only as
+#: long as that solve.  The key and its ``"auto"`` default stay so
+#: existing request bodies keep their canonical hash.
 SOLVE_OPTION_SPEC: dict[str, tuple[type, Any, tuple | None]] = {
     "num_segments": (int, 10, None),
     "epsilon": (float, 1e-3, None),
@@ -231,8 +232,8 @@ def canonicalize_request(body: Mapping) -> dict:
 
 #: Canonical option names a standing resolve pins into its handle.  The
 #: remaining solve options are either forced (``oracle='milp'``,
-#: ``resilience=false`` — a standing session owns its failure semantics)
-#: or managed by the handle itself (``session``).
+#: ``resilience=false`` — a resolve runs the memoised pipeline, which
+#: owns its failure semantics) or picked by that pipeline (``session``).
 RESOLVE_OPTION_KEYS: tuple[str, ...] = (
     "num_segments",
     "epsilon",
@@ -261,8 +262,8 @@ def canonicalize_resolve_request(body: Mapping) -> dict:
         if unsupported:
             raise RequestError(
                 f"options {unsupported} are not supported by the resolve "
-                "endpoint: a standing session manages the oracle, failure "
-                f"semantics and session reuse itself; supported: "
+                "endpoint: a standing solve pins the oracle, failure "
+                f"semantics and session itself; supported: "
                 f"{sorted(RESOLVE_OPTION_KEYS)}"
             )
     merged = dict(body)
@@ -303,8 +304,8 @@ def standing_key(canonical: Mapping, tenant: str) -> str:
 
     Uncertainty is deliberately excluded — drifted intervals must land
     on the *same* standing handle, that is the whole point — while the
-    tenant is deliberately included: standing sessions hold live solver
-    state and are never shared across tenants."""
+    tenant is deliberately included: a standing handle carries one
+    tenant's drift history and is never shared across tenants."""
     options = {name: canonical["options"][name] for name in RESOLVE_OPTION_KEYS}
     return stable_hash(
         {"tenant": tenant, "game": canonical["game"], "options": options}

@@ -22,23 +22,19 @@ shared across the whole fleet.  This module provides the two pieces:
     never answers.
 
 :func:`solve_fleet`
-    The batched driver: one :class:`~repro.solvers.session.MilpSession`
-    is *leased* across the whole fleet — each game retargets it
-    (:meth:`~repro.solvers.session.MilpSession.retarget`) and enters the
-    live model through one cross-game
-    :meth:`~repro.core.milp.CubisMilpSkeleton.diff_from` patch — with
-    **δ-continuation** between neighbouring games: each solve's final
-    bracket and strategy seed the next solve's binary search (as a
-    probed :class:`~repro.core.cubis.WarmStart`) and its first MIP
-    start (``carry_incumbent=True``).  Continuation changes which
-    candidates are probed (it is a different, cheaper schedule), so it
-    is a *mode*: ``continuation=False`` reproduces the independent
-    per-game results bit for bit.
+    The batched solver: a loop of ``solve_cubis`` calls under one shape
+    cache, with **δ-continuation** between neighbouring games: each
+    solve's final bracket and strategy seed the next solve's binary
+    search (as a probed :class:`~repro.core.cubis.WarmStart`).
+    Continuation changes which candidates are probed (it is a
+    different, cheaper schedule), so it is a *mode*:
+    ``continuation=False`` reproduces the independent per-game results
+    bit for bit.  Every solve's MILP session lives and dies inside its
+    own ``solve_cubis`` call; the shape cache is all the games share.
 
-``oracle="dp"`` fleets run the same per-game loop without a session
-or continuation: the DP oracle has no live model to lease, and the grid
-hull screen leaves each memoised game about one knapsack kernel run,
-so there is nothing left to share or batch across games.
+``oracle="dp"`` fleets run the same per-game loop without continuation:
+the grid hull screen leaves each memoised game about one knapsack
+kernel run, so there is nothing left to share or batch across games.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from repro import telemetry
 from repro.core.dp import maximize_separable_on_grid_batch  # noqa: F401
 from repro.obs import progress
 from repro.core.milp import CubisMilpSkeleton
-from repro.solvers.session import MilpSession
 from repro.utils.timing import Timer
 
 __all__ = [
@@ -227,7 +222,6 @@ class FleetResult:
     continuation: bool
     solve_seconds: float
     shape_stats: dict
-    session_stats: dict | None
     #: Always 0: DP fleets no longer run lockstep kernel rounds.  Kept
     #: because perfbench's frozen probes still read it.
     dp_rounds: int = 0
@@ -266,18 +260,17 @@ def solve_fleet(
     games, uncertainties:
         Parallel sequences: ``uncertainties[i]`` models ``games[i]``.
     oracle:
-        ``"milp"`` (leased session + shape cache) or ``"dp"`` (the games
+        ``"milp"`` (shape cache + continuation) or ``"dp"`` (the games
         solved in order, each exactly as ``solve_cubis(oracle="dp")``).
     backend:
-        MILP backend for the leased session (``"milp"`` oracle only).
+        MILP backend of every solve (``"milp"`` oracle only).
     continuation:
         δ-continuation between neighbouring games: each solve's final
         bracket and strategy seed the next solve's
-        :class:`~repro.core.cubis.WarmStart`, and the leased session
-        carries its incumbent across the game boundary as a MIP start.
-        Everything carried is *probed, never trusted* (stale seeds cost
-        at most two extra oracle calls), but the probe schedule differs
-        from an independent solve, so turn this off when per-game
+        :class:`~repro.core.cubis.WarmStart`.  Everything carried is
+        *probed, never trusted* (stale seeds cost at most two extra
+        oracle calls), but the probe schedule differs from an
+        independent solve, so turn this off when per-game
         results must match ``solve_cubis`` bit for bit.  Ignored by the
         ``"dp"`` oracle, whose games carry nothing between them and so
         stay bit-identical to independent ``solve_cubis`` calls.
@@ -331,17 +324,6 @@ def solve_fleet(
             continuation=bool(continuation),
             shape_hits=0, shape_misses=0, shape_hit_rate=None,
         )
-        # A leased session needs the memoised MILP pipeline; DP fleets,
-        # resilience ladders and memoise=False fleets run without one.
-        session = (
-            MilpSession(
-                None, backend=backend, carry_incumbent=bool(continuation)
-            )
-            if oracle == "milp"
-            and solve_options.get("resilience") is None
-            and solve_options.get("memoise", True)
-            else None
-        )
         carries = continuation and oracle == "milp"
         results = []
         carry = None
@@ -352,7 +334,6 @@ def solve_fleet(
                     uncertainty,
                     oracle=oracle,
                     backend=backend,
-                    session=session,
                     warm_start=carry,
                     **solve_options,
                 )
@@ -381,6 +362,5 @@ def solve_fleet(
         continuation=bool(continuation),
         solve_seconds=timer.elapsed,
         shape_stats=cache.stats(),
-        session_stats=session.stats() if session is not None else None,
     )
 

@@ -3,59 +3,40 @@
 The paper computes one robust strategy for fixed ``[L_i, U_i]``; in
 deployment the intervals *move* — PAC estimation tightens them as attack
 data arrives (:func:`repro.behavior.fitting.estimate_intervals`), a
-model refresh occasionally widens them — and the defender must re-solve
-far faster than a cold solve.  This module keeps a **standing solve**
-per instance and re-enters it instead of starting over:
+model refresh occasionally widens them — and the defender re-solves
+with the previous answer as a hint.  This module keeps a **standing
+solve** per instance:
 
 :func:`start_resolve`
     Performs the initial cold solve and returns a :class:`ResolveHandle`
-    owning the standing machinery: the game, the solve options, one
-    :class:`~repro.solvers.session.MilpSession` with
-    ``carry_incumbent=True`` (the live MILP model and its MIP start
-    survive across drifts), a private
-    :class:`~repro.solvers.fleet.SkeletonShapeCache` whose prototype
-    skeleton every post-drift skeleton is a
+    holding the game, the pinned solve options, the current result, a
+    private :class:`~repro.solvers.fleet.SkeletonShapeCache` whose
+    prototype skeleton every post-drift skeleton is a
     :meth:`~repro.core.milp.CubisMilpSkeleton.rebind` sibling of, and
     the raw (unscaled) interval grids used to classify the next drift.
 
 :func:`resolve`
-    Re-solves the handle's game under drifted uncertainty.  Three
-    stacked optimisations:
-
-    1. **Warm-bracket bisection.**  When :func:`classify_drift` reports
-       a pure shrink (``L`` rose and ``U`` fell pointwise on the
-       breakpoint grid), the exact robust value is monotone
-       non-decreasing — the adversary's feasible set only lost points —
-       so the prior solve's ``[lb, ub]`` seeds the new search and the
-       prior optimum joins the certificate pool.  The bracket is
-       *probed, never trusted* (``binary_search_max``'s
-       ``initial_guesses`` contract): the certificate re-validation
-       usually confirms the prior level without any MILP solve, and the
-       search typically terminates after 0–1 MILP solves.  Any widening
-       falls back to the full utility-range bracket; the prior strategy
-       still rides along (screened, so it can never corrupt the
-       result).
-    2. **Sparse interval patching.**  The post-drift skeleton is leased
-       from the handle's shape cache as a rebind sibling, so the
-       standing session keeps its live model and the first
-       ``prepare(c)`` applies the cross-drift
-       :meth:`~repro.core.milp.CubisMilpSkeleton.diff_from` patch —
-       only the coefficient slots the drift actually moved are written
-       (see :meth:`~repro.core.milp.CubisMilpSkeleton.drift_patch` /
-       :meth:`~repro.core.milp.CubisMilpSkeleton.patch_touched_targets`),
-       bit-identical to a fresh build.
-    3. **MIP-start carry.**  ``carry_incumbent=True`` forwards the
-       prior optimum as the first solve's warm start on backends that
-       accept one (the pure-Python ``bnb``; HiGHS ignores it), always
-       re-validated under the new intervals.
+    Drift classification plus one warm-started
+    :func:`~repro.core.cubis.solve_cubis`.  When :func:`classify_drift`
+    reports a pure shrink (``L`` rose and ``U`` fell pointwise on the
+    breakpoint grid), the exact robust value is monotone non-decreasing
+    — the adversary's feasible set only lost points — so the prior
+    solve's ``[lb, ub]`` seeds the new search and the prior optimum
+    joins the certificate pool.  The bracket is *probed, never trusted*
+    (``binary_search_max``'s ``initial_guesses`` contract): the
+    certificate re-validation usually confirms the prior level without
+    any MILP solve.  Any widening falls back to the full utility-range
+    bracket; the prior strategy still rides along (screened, so it can
+    never corrupt the result).  Each solve's MILP session lives and
+    dies inside its ``solve_cubis`` call; only the shape cache outlives
+    it.
 
 Every resolve emits a ``resolve.solve`` telemetry span and ticks
-``repro_resolve_solves_total`` plus the three engine counters
+``repro_resolve_solves_total`` plus the two engine counters
 ``repro_resolve_warm_hits_total`` (the re-validated prior certificate
-answered at least one oracle step with no solver call),
+answered at least one oracle step with no solver call) and
 ``repro_resolve_bracket_reuses_total`` (a shrink let the prior bracket
-seed the search) and ``repro_resolve_patches_total`` (in-place sparse
-patches applied by the standing session).
+seed the search).
 
 **On the monotonicity predicate.**  For the *exact* robust objective,
 shrink-monotonicity is immediate: at any fixed strategy ``x`` the
@@ -69,10 +50,10 @@ interpolating ``f^1`` and ``f^2`` separately can let the approximant
 dip by ``O(span/K)`` even though the exact objective rose.  That is
 exactly why the warm bracket is probed through the oracle instead of
 asserted: soundness never depends on approximant monotonicity, only
-the expected probe count does.  ``resolve`` is therefore bit-identical
-to a cold :func:`~repro.core.cubis.solve_cubis` given the same warm
-hints on the same post-drift intervals (property-tested), for every
-drift direction.
+the expected probe count does.  ``resolve`` returns exactly what
+:func:`~repro.core.cubis.solve_cubis` returns given the same warm hints
+on the same post-drift intervals (property-tested bit for bit), for
+every drift direction.
 """
 
 from __future__ import annotations
@@ -88,7 +69,6 @@ from repro.core.cubis import CubisResult, WarmStart, solve_cubis
 from repro.game.ssg import IntervalSecurityGame
 from repro.solvers.fleet import SkeletonShapeCache, use_shape_cache
 from repro.solvers.piecewise import SegmentGrid
-from repro.solvers.session import MilpSession
 
 __all__ = [
     "DriftReport",
@@ -187,16 +167,14 @@ class ResolveOutcome:
     """One :func:`resolve` step's result plus its re-entry accounting.
 
     ``result`` is the full :class:`~repro.core.cubis.CubisResult` for
-    the post-drift instance — identical (bit for bit, on the ``highs``
-    backend) to what ``solve_cubis`` returns cold for the same
-    intervals and the same ``warm_start``.  The remaining fields say
-    what the re-entry machinery did: ``warm_start`` is the exact hint
-    set handed to the search (reproducibility anchor for the identity
-    property), ``bracket_reused`` whether the prior ``[lb, ub]`` seeded
-    it, ``warm_hit`` whether a re-validated certificate answered at
-    least one oracle step with no solver call, ``session_patches`` the
-    in-place sparse patches this step applied (the first one carries
-    the live model across the drift).
+    the post-drift instance — identical (bit for bit) to what
+    ``solve_cubis`` returns for the same intervals and the same
+    ``warm_start``.  The remaining fields say what the re-entry did:
+    ``warm_start`` is the exact hint set handed to the search
+    (reproducibility anchor for the identity property),
+    ``bracket_reused`` whether the prior ``[lb, ub]`` seeded it, and
+    ``warm_hit`` whether a re-validated certificate answered at least
+    one oracle step with no solver call.
     """
 
     result: CubisResult
@@ -204,7 +182,6 @@ class ResolveOutcome:
     warm_start: WarmStart
     bracket_reused: bool
     warm_hit: bool
-    session_patches: int
     prior_lower_bound: float
     prior_upper_bound: float
 
@@ -213,20 +190,18 @@ class ResolveHandle:
     """A standing CUBIS solve that drifted intervals re-enter.
 
     Created by :func:`start_resolve`; advanced by :func:`resolve`.  The
-    handle owns one live :class:`~repro.solvers.session.MilpSession`
-    (``carry_incumbent=True``) and a private single-shape
+    handle owns a private single-shape
     :class:`~repro.solvers.fleet.SkeletonShapeCache`, so consecutive
-    drifts reuse both the MILP assembly and the live model.  A
-    ``threading.Lock`` serialises re-solves — the service keeps one
-    handle per (tenant, instance) and may route concurrent drifts at
-    it.
+    drifts reuse the MILP assembly.  A ``threading.Lock`` serialises
+    re-solves — the service keeps one handle per (tenant, instance) and
+    may route concurrent drifts at it.
 
     Attributes
     ----------
     game, uncertainty, result:
         The standing instance and its current solution (``uncertainty``
         and ``result`` advance on every :func:`resolve`).
-    resolves, warm_hits, bracket_reuses, patches:
+    resolves, warm_hits, bracket_reuses:
         Lifetime counters across every re-solve through this handle.
     """
 
@@ -236,7 +211,6 @@ class ResolveHandle:
         uncertainty: UncertaintyModel,
         result: CubisResult,
         options: dict,
-        session: MilpSession,
         cache: SkeletonShapeCache,
         lower_grid: np.ndarray,
         upper_grid: np.ndarray,
@@ -245,7 +219,6 @@ class ResolveHandle:
         self.uncertainty = uncertainty
         self.result = result
         self.options = dict(options)
-        self.session = session
         self.cache = cache
         self._lower = lower_grid
         self._upper = upper_grid
@@ -253,7 +226,6 @@ class ResolveHandle:
         self.resolves = 0
         self.warm_hits = 0
         self.bracket_reuses = 0
-        self.patches = 0
 
     def raw_grids(
         self, uncertainty: UncertaintyModel
@@ -276,8 +248,6 @@ class ResolveHandle:
             "resolves": int(self.resolves),
             "warm_hits": int(self.warm_hits),
             "bracket_reuses": int(self.bracket_reuses),
-            "patches": int(self.patches),
-            "session": self.session.stats(),
             "shape_cache": self.cache.stats(),
         }
 
@@ -315,8 +285,8 @@ def start_resolve(
     not supported — side constraints embed their matrix in the MILP
     structure, which the standing skeleton lease cannot share.
 
-    The initial solve already runs through the standing session and
-    shape cache, so the first drift pays no cold machinery either.
+    The initial solve already leases its skeleton from the handle's
+    shape cache, so the first drift pays no structure assembly.
     """
     unknown = set(options) - set(_RESOLVE_OPTIONS)
     if unknown:
@@ -328,15 +298,9 @@ def start_resolve(
     options.setdefault("epsilon", 1e-3)
     options.setdefault("backend", "highs")
     cache = SkeletonShapeCache(capacity=1)
-    session = MilpSession(
-        None,
-        backend=options["backend"],
-        carry_incumbent=True,
-    )
     with use_shape_cache(cache):
         result = solve_cubis(
-            game, uncertainty, session=session, warm_start=warm_start,
-            **options,
+            game, uncertainty, warm_start=warm_start, **options
         )
     grid = SegmentGrid(int(options["num_segments"]))
     realised = np.maximum(
@@ -347,7 +311,6 @@ def start_resolve(
         uncertainty=uncertainty,
         result=result,
         options=options,
-        session=session,
         cache=cache,
         lower_grid=uncertainty.lower_on_grid(realised),
         upper_grid=uncertainty.upper_on_grid(realised),
@@ -361,16 +324,14 @@ def resolve(
 
     Classifies the drift against the standing intervals, assembles the
     warm start (prior bracket on shrink, prior strategy always), and
-    re-enters the standing session — the live MILP model crosses the
-    drift through one sparse
-    :meth:`~repro.core.milp.CubisMilpSkeleton.diff_from` patch.  The
-    handle's ``uncertainty``/``result`` advance to the new solution;
-    the returned :class:`ResolveOutcome` carries the full result plus
-    the re-entry accounting.
+    runs ``solve_cubis(handle.game, uncertainty, warm_start=warm,
+    **handle.options)``.  The handle's ``uncertainty``/``result``
+    advance to the new solution; the returned :class:`ResolveOutcome`
+    carries the full result plus the re-entry accounting.
 
     Correctness never leans on the warm start: every hint is probed or
-    screened by ``solve_cubis``, so ``resolve`` answers exactly what a
-    cold solve with the same hints would (bit-identical on ``highs``).
+    screened by ``solve_cubis``, so the answer is exactly what that
+    solve with the same hints returns, bit for bit.
     """
     with handle._lock:
         new_lower, new_upper = handle.raw_grids(uncertainty)
@@ -387,7 +348,6 @@ def resolve(
             # — the feasible set may have shrunk below it — so only the
             # screened prior strategy rides along.
             warm = WarmStart(bracket=None, strategies=(prior.strategy,))
-        patches_before = handle.session.patches_applied
         meter = telemetry.metrics()
         with telemetry.span(
             "resolve.solve",
@@ -400,18 +360,15 @@ def resolve(
                 result = solve_cubis(
                     handle.game,
                     uncertainty,
-                    session=handle.session,
                     warm_start=warm,
                     **handle.options,
                 )
-            session_patches = handle.session.patches_applied - patches_before
             warm_hit = result.cache_hits > 0
             span.set(
                 warm_hit=bool(warm_hit),
                 milp_solves=int(result.milp_solves),
                 lp_solves=int(result.lp_solves),
                 cache_hits=int(result.cache_hits),
-                session_patches=int(session_patches),
                 guess_probes=int(result.guess_probes),
                 worst_case_value=float(result.worst_case_value),
             )
@@ -420,7 +377,6 @@ def resolve(
             meter.counter("repro_resolve_warm_hits_total").inc()
         if drift.bracket_reusable:
             meter.counter("repro_resolve_bracket_reuses_total").inc()
-        meter.counter("repro_resolve_patches_total").inc(session_patches)
 
         handle.uncertainty = uncertainty
         handle.result = result
@@ -428,14 +384,12 @@ def resolve(
         handle.resolves += 1
         handle.warm_hits += int(warm_hit)
         handle.bracket_reuses += int(drift.bracket_reusable)
-        handle.patches += int(session_patches)
         return ResolveOutcome(
             result=result,
             drift=drift,
             warm_start=warm,
             bracket_reused=drift.bracket_reusable,
             warm_hit=warm_hit,
-            session_patches=int(session_patches),
             prior_lower_bound=float(prior.lower_bound),
             prior_upper_bound=float(prior.upper_bound),
         )

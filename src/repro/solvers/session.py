@@ -1,4 +1,4 @@
-"""Persistent incremental MILP sessions for the CUBIS oracle.
+"""The per-solve incremental MILP session of the CUBIS oracle.
 
 A cold CUBIS run pays ``O(log(1/eps))`` MILP solves per game, and every
 solve used to re-assemble the model — template copies plus a CSR
@@ -13,6 +13,11 @@ straight into the live CSR ``data`` array through the skeleton's
 bit-identical (property-tested), so the session changes nothing about
 the answers, only what they cost.
 
+A session lives exactly as long as the
+:func:`~repro.core.cubis.solve_cubis` call that creates it: fleets,
+standing re-solves and service workers share skeleton structure through
+the shape cache (:mod:`repro.solvers.fleet`), never a live model.
+
 The previous step's optimal solution is carried as an incumbent and
 forwarded to backends that accept a MIP start (the pure-Python ``bnb``
 backend; ``scipy.optimize.milp`` exposes no MIP-start hook, so the
@@ -22,7 +27,7 @@ HiGHS MILP path ignores it — see
 on HiGHS, from the previous screen's optimal basis, by a
 :class:`~repro.solvers.milp_backend.LiveLp` that belongs to the solve,
 not to the session: a session holds only numpy arrays, never solver
-state, so standing sessions stay cheap to keep.
+state.
 
 Failure semantics: a session never owns correctness.  When a backend
 errors mid-sequence the caller calls :meth:`MilpSession.invalidate` and
@@ -31,15 +36,6 @@ rebuilds the live model from the skeleton templates (which in-place
 patching never touches), so one corrupted solve cannot poison the rest
 of the search.  :mod:`repro.core.cubis` wires this into a
 ``resilience.attempt`` telemetry event per fallback.
-
-A session is not married to one game: :meth:`MilpSession.retarget`
-points it at a structure-sharing sibling skeleton (see
-:meth:`~repro.core.milp.CubisMilpSkeleton.rebind`), and the next
-:meth:`~MilpSession.prepare` carries the live model *across the game
-boundary* with one cross-skeleton sparse patch
-(:meth:`~repro.core.milp.CubisMilpSkeleton.diff_from`) instead of a
-rebuild — the mechanism the fleet solver (:mod:`repro.solvers.fleet`)
-leases sessions through.
 """
 
 from __future__ import annotations
@@ -60,12 +56,6 @@ class MilpSession:
     backend:
         MILP backend name or callable, forwarded to
         :func:`~repro.solvers.milp_backend.solve_milp`.
-    carry_incumbent:
-        Keep the incumbent across :meth:`retarget` boundaries, seeding
-        the *next game's* first solve with the previous game's optimum —
-        the fleet solver's δ-continuation MIP start.  Off by default
-        (an incumbent from another game is only advisory; backends
-        re-validate it, so correctness never depends on this flag).
 
     Attributes
     ----------
@@ -75,29 +65,18 @@ class MilpSession:
     fallbacks:
         Times the owning caller reported a failed solve via
         :meth:`invalidate` after at least one successful prepare.
-    retargets:
-        Times the session was pointed at a different skeleton.
     """
 
-    def __init__(
-        self,
-        skeleton,
-        *,
-        backend="highs",
-        carry_incumbent: bool = False,
-    ) -> None:
+    def __init__(self, skeleton, *, backend="highs") -> None:
         self.skeleton = skeleton
         self.backend = backend
-        self.carry_incumbent = bool(carry_incumbent)
         self._model = None
         self._c: float | None = None
         self._incumbent = None
-        self._base_skeleton = None
         self.fresh_builds = 0
         self.patches_applied = 0
         self.solves = 0
         self.fallbacks = 0
-        self.retargets = 0
         self.last_patch_updates: int | None = None
 
     @property
@@ -120,39 +99,15 @@ class MilpSession:
         self._model = None
         self._c = None
         self._incumbent = None
-        self._base_skeleton = None
 
+    # Unused here; perfbench's frozen probes still resolve this name.
     def retarget(self, skeleton) -> None:
-        """Point the session at ``skeleton`` — typically another game's.
-
-        When the new skeleton shares the live model's structure (a
-        :meth:`~repro.core.milp.CubisMilpSkeleton.rebind` sibling), the
-        model is *kept*: the next :meth:`prepare` applies one sparse
-        cross-skeleton patch
-        (:meth:`~repro.core.milp.CubisMilpSkeleton.diff_from`) that
-        carries it to the new game, bit-identical to a fresh build.  A
-        structurally different skeleton (or no live model) simply makes
-        the next prepare a fresh build.  The incumbent is dropped unless
-        the session was created with ``carry_incumbent=True``.
-        """
-        if skeleton is self.skeleton:
-            return
-        if self._model is not None:
-            # diff_from must tabulate the old blocks from the skeleton the
-            # live model was last prepared with; across chained retargets
-            # without an intervening prepare that stays the original base.
-            base = self._base_skeleton if self._base_skeleton is not None \
-                else self.skeleton
-            if base is not None and skeleton.shares_structure(base):
-                self._base_skeleton = base
-            else:
-                self._model = None
-                self._c = None
-                self._base_skeleton = None
-        if not self.carry_incumbent:
-            self._incumbent = None
+        """Point the session at ``skeleton`` and drop its live model and
+        incumbent, so the next :meth:`prepare` is a fresh build."""
         self.skeleton = skeleton
-        self.retargets += 1
+        self._model = None
+        self._c = None
+        self._incumbent = None
 
     def prepare(self, c: float):
         """Point the live model at candidate ``c`` and return it.
@@ -161,17 +116,10 @@ class MilpSession:
         :meth:`~repro.core.milp.CubisMilpSkeleton.patch` build.  Later
         calls apply the sparse diff in place — the CSR structure, bound
         and integrality arrays are reused, only changed values are
-        written.  The first prepare after a structure-sharing
-        :meth:`retarget` diffs *across the game boundary* instead
-        (``diff_from`` against the previous game's skeleton), still in
-        place and still bit-identical to a fresh build.  Each call is
-        traced as a ``milp.patch`` span carrying the candidate and the
-        write count (no-op span off the telemetry thread).
+        written.  Each call is traced as a ``milp.patch`` span carrying
+        the candidate and the write count (no-op span off the telemetry
+        thread).
         """
-        if self.skeleton is None:
-            raise RuntimeError(
-                "MilpSession has no skeleton; retarget() one before prepare()"
-            )
         c = float(c)
         with telemetry.span("milp.patch", c=c, live=self.live) as span:
             if self._model is None:
@@ -179,17 +127,12 @@ class MilpSession:
                 self.fresh_builds += 1
                 self.last_patch_updates = None
                 span.set(mode="fresh-build")
-            elif c == self._c and self._base_skeleton is None:
+            elif c == self._c:
                 model = self._model
                 self.last_patch_updates = 0
                 span.set(mode="noop", updates=0)
             else:
-                base = self._base_skeleton
-                patch = (
-                    self.skeleton.diff_from(base, self._c, c)
-                    if base is not None
-                    else self.skeleton.diff(self._c, c)
-                )
+                patch = self.skeleton.diff(self._c, c)
                 problem = self._model.problem
                 slots = self.skeleton.entry_data_slots
                 problem.A_ub.data[slots[patch.vals_index]] = patch.vals
@@ -205,13 +148,9 @@ class MilpSession:
                 )
                 self.patches_applied += 1
                 self.last_patch_updates = patch.num_updates
-                span.set(
-                    mode="retarget-patch" if base is not None else "patch",
-                    updates=patch.num_updates,
-                )
+                span.set(mode="patch", updates=patch.num_updates)
         self._model = model
         self._c = c
-        self._base_skeleton = None
         return model
 
     def solve(self, **backend_options) -> MILPResult:
@@ -233,14 +172,3 @@ class MilpSession:
         if result.optimal:
             self._incumbent = result.x
         return result
-
-    def stats(self) -> dict:
-        """JSON-ready lifetime counters for manifests and benchmarks."""
-        return {
-            "fresh_builds": int(self.fresh_builds),
-            "patches_applied": int(self.patches_applied),
-            "solves": int(self.solves),
-            "fallbacks": int(self.fallbacks),
-            "retargets": int(self.retargets),
-        }
-

@@ -52,6 +52,7 @@ from repro.verify.theorems import (
     check_beta_elimination,
     check_interval_monotonicity,
     check_segment_bound,
+    check_shrink_pointwise,
     check_value_point,
     scaled_uncertainty,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "check_beta_elimination",
     "check_interval_monotonicity",
     "check_segment_bound",
+    "check_shrink_pointwise",
     "check_value_point",
     "scaled_uncertainty",
 ]

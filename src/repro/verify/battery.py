@@ -31,6 +31,7 @@ from repro.verify.theorems import (
     check_hull_sandwich,
     check_interval_monotonicity,
     check_segment_bound,
+    check_shrink_pointwise,
     check_value_point,
 )
 
@@ -118,6 +119,9 @@ def verify_instance(
             num_probes=16 if fast else 64,
         ))
         checks.append(check_value_point(game, uncertainty, primary.strategy))
+        checks.append(check_shrink_pointwise(
+            game, uncertainty, primary.strategy
+        ))
         checks.append(check_hull_sandwich(
             game, uncertainty, num_segments, primary.value
         ))

@@ -57,15 +57,14 @@ __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 #: every battery run.
 #: ``milp-fleet`` routes the instance through a single-game
 #: :func:`repro.solvers.fleet.solve_fleet` (shared-structure skeleton
-#: lease + retargeted session), which must land inside the same theorem
-#: slack as the plain MILP paths — the differential arm for the batched
-#: substrate.
+#: lease), which must land inside the same theorem slack as the plain
+#: MILP paths — the differential arm for the batched substrate.
 #: ``milp-resolve`` opens a standing solve on a 25%-widened variant of
 #: the instance's intervals and re-enters it with the actual intervals
 #: via :func:`repro.solvers.resolve.resolve` — the answer it lands on is
-#: a genuine shrink re-solve (warm bracket probed, live model patched
-#: across the drift) and must agree with every cold path within the same
-#: theorem slack, pinning the incremental re-entry machinery to the
+#: a genuine shrink re-solve (warm bracket probed, skeleton leased from
+#: the handle's shape cache) and must agree with every cold path within
+#: the same theorem slack, pinning the re-entry machinery to the
 #: reference semantics on every battery run.
 DEFAULT_PATHS = (
     "milp-highs", "milp-bnb", "milp-reference", "milp-fleet", "milp-resolve",
@@ -213,7 +212,7 @@ def run_paths(
             "drift": outcome.drift.kind,
             "bracket_reused": outcome.bracket_reused,
             "warm_hit": outcome.warm_hit,
-            "session_patches": outcome.session_patches,
+            "session_patches": result.session_patches,
         }
 
     def exact():

@@ -351,7 +351,7 @@ def measure_fixture(fixture: GoldenFixture) -> dict:
         measured["resolve_worst_case"] = float(final.worst_case_value)
         measured["_resolve_stats"] = {
             key: handle.stats()[key]
-            for key in ("resolves", "warm_hits", "bracket_reuses", "patches")
+            for key in ("resolves", "warm_hits", "bracket_reuses")
         }
     out = {key: measured[key] for key in fixture.expected}
     # Side-channels (underscore-prefixed, never expected keys): the mode

@@ -20,6 +20,9 @@ solution and returns a :class:`~repro.verify.report.ConformanceCheck`:
 * :func:`check_interval_monotonicity` — wider uncertainty boxes can only
   hurt: the robust value is non-increasing in the interval width, up to
   the Theorem 1 solve slack.
+* :func:`check_shrink_pointwise` — the same fact with no solve: at a
+  fixed strategy, nested shrinks of the bands never lower the exact
+  worst case.  Standing re-solves' bracket reuse rests on it.
 * :func:`check_hull_sandwich` — the Lagrangian hull screen's two bounds
   bracket the step MILP's optimum: ``G_bar`` of the hull witness from
   below, ``min_lam B(lam)`` from above.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.behavior.interval import IntervalSUQR
+from repro.behavior.interval import BandScaledModel, IntervalSUQR
 from repro.core.dual import beta_star, g_value
 from repro.core.dp import (
     _maximize_separable_on_grid_loop,
@@ -60,6 +63,7 @@ __all__ = [
     "check_value_point",
     "check_segment_bound",
     "check_interval_monotonicity",
+    "check_shrink_pointwise",
     "check_hull_sandwich",
     "check_dp_hull_sandwich",
     "scaled_uncertainty",
@@ -332,6 +336,51 @@ def check_interval_monotonicity(
         measured=worst_violation,
         bound=slack + atol,
         context={"scales": list(ordered), "values": values, "slack": slack},
+    )
+
+
+def check_shrink_pointwise(
+    game,
+    uncertainty,
+    strategy,
+    *,
+    factors: tuple[float, ...] = (1.0, 0.9, 0.5),
+) -> ConformanceCheck:
+    """A shrink never lowers the exact worst case at a fixed strategy.
+
+    ``factors`` is a drift sequence of
+    :class:`~repro.behavior.interval.BandScaledModel` band scales, each
+    step claimed to be a shrink (a smaller factor nests its bands inside
+    the previous ones).  Nature's feasible set at ``x`` then only loses
+    points, so :func:`~repro.core.worst_case.evaluate_worst_case` must
+    be non-decreasing along the sequence.  The only slack is the
+    evaluator's own rounding, ``1e-12 * max(1, max |U^d(x)|)``: nothing
+    is approximated or optimised, so unlike a comparison of
+    ``solve_exact`` values (which would need a global optimiser) the
+    check is sound.  A step that actually widens the bands fails it.
+    """
+    x = np.asarray(strategy, dtype=np.float64)
+    if len(factors) < 2:
+        raise ValueError(f"need at least two band scales, got {factors}")
+    values = [
+        float(evaluate_worst_case(game, BandScaledModel(uncertainty, f), x).value)
+        for f in factors
+    ]
+    tol = 1e-12 * max(1.0, float(np.abs(game.defender_utilities(x)).max()))
+    drops = [before - after for before, after in zip(values, values[1:])]
+    worst_drop = max(drops)
+    passed = worst_drop <= tol
+    return ConformanceCheck(
+        name="theorem.shrink_pointwise",
+        passed=passed,
+        detail=(
+            "exact worst case at the strategy along the shrink "
+            + " <= ".join(f"{v:.10g}@{f:g}" for f, v in zip(factors, values))
+            + f"; worst drop {worst_drop:.3g} (tol {tol:.3g})"
+        ),
+        measured=worst_drop,
+        bound=tol,
+        context={"factors": [float(f) for f in factors], "values": values},
     )
 
 

@@ -399,6 +399,19 @@ class TestSessionLayer:
             with pytest.raises(ValueError, match="speculation"):
                 self.solve(small_interval_game, small_uncertainty, speculation=bad)
 
+    def test_session_object_rejected(self, small_interval_game, small_uncertainty):
+        # A session lives only inside the solve that creates it; none can
+        # be leased in from outside.
+        from repro.solvers.session import MilpSession
+
+        skeleton = CubisMilpSkeleton(
+            *step_grids(small_interval_game, small_uncertainty, SegmentGrid(8)),
+            small_interval_game.num_resources, SegmentGrid(8),
+        )
+        with pytest.raises(ValueError, match="session must be"):
+            self.solve(small_interval_game, small_uncertainty,
+                       session=MilpSession(skeleton))
+
     def test_bnb_session_matches_highs_session(
         self, small_interval_game, small_uncertainty
     ):

@@ -718,11 +718,9 @@ class TestCertificatePerStep:
 
 
 class TestDriftPatch:
-    """drift_patch carries a live model across an interval perturbation
-    at a fixed candidate; patch_touched_targets decodes which targets the
-    patch rewrites.  Both must be exact: the patched model bit-identical
-    to a fresh build on the new bands, the touched set confined to the
-    perturbed targets (the resolve engine's sparse re-entry invariant)."""
+    """An interval drift at a fixed candidate: ``diff_from(base, c, c)``
+    carries ``base``'s model at ``c`` to a rebind sibling with new bands,
+    bit-identical to a fresh build on those bands."""
 
     def _bands(self, t=4, k=6, seed=3):
         grid = SegmentGrid(k)
@@ -749,7 +747,7 @@ class TestDriftPatch:
         sibling = proto.rebind(ud, lo2, hi2)
         for c in (-2.0, 0.0, 1.25):
             model = proto.patch(c)
-            patched = apply_patch(proto, model, sibling.drift_patch(proto, c))
+            patched = apply_patch(proto, model, sibling.diff_from(proto, c, c))
             assert_models_identical(
                 patched, build_cubis_milp(ud, lo2, hi2, 1.5, c, grid)
             )
@@ -758,31 +756,7 @@ class TestDriftPatch:
         ud, lo, hi, grid = self._bands()
         proto = CubisMilpSkeleton(ud, lo, hi, 1.5, grid)
         sibling = proto.rebind(ud, lo.copy(), hi.copy())
-        patch = sibling.drift_patch(proto, 0.5)
-        assert patch.num_updates == 0
-        assert sibling.patch_touched_targets(patch).size == 0
-
-    def test_single_target_drift_touches_only_that_target(self):
-        ud, lo, hi, grid = self._bands()
-        proto = CubisMilpSkeleton(ud, lo, hi, 1.5, grid)
-        for target in range(len(ud)):
-            lo2, hi2 = self._shrunk(lo, hi, [target])
-            sibling = proto.rebind(ud, lo2, hi2)
-            patch = sibling.drift_patch(proto, 0.5)
-            assert patch.num_updates > 0
-            np.testing.assert_array_equal(
-                sibling.patch_touched_targets(patch), [target]
-            )
-
-    def test_full_drift_touches_every_target(self):
-        ud, lo, hi, grid = self._bands()
-        proto = CubisMilpSkeleton(ud, lo, hi, 1.5, grid)
-        lo2, hi2 = self._shrunk(lo, hi, range(len(ud)))
-        sibling = proto.rebind(ud, lo2, hi2)
-        patch = sibling.drift_patch(proto, 0.5)
-        np.testing.assert_array_equal(
-            sibling.patch_touched_targets(patch), np.arange(len(ud))
-        )
+        assert sibling.diff_from(proto, 0.5, 0.5).num_updates == 0
 
     @given(
         st.integers(2, 5),
@@ -794,7 +768,7 @@ class TestDriftPatch:
     @settings(max_examples=40, deadline=None)
     def test_drift_patch_property(self, t, k, seed, c, amount):
         """Any perturbed subset: the patch is bit-exact against a fresh
-        build and its touched set is exactly the perturbed targets."""
+        build."""
         ud, lo, hi, grid = self._bands(t=t, k=k, seed=seed)
         rng = np.random.default_rng(seed + 1)
         subset = np.flatnonzero(rng.uniform(size=t) < 0.5)
@@ -803,12 +777,7 @@ class TestDriftPatch:
         proto = CubisMilpSkeleton(ud, lo, hi, 1.5, grid)
         lo2, hi2 = self._shrunk(lo, hi, subset, amount=amount)
         sibling = proto.rebind(ud, lo2, hi2)
-        patch = sibling.drift_patch(proto, c)
-        model = proto.patch(c)
-        patched = apply_patch(proto, model, patch)
+        patched = apply_patch(proto, proto.patch(c), sibling.diff_from(proto, c, c))
         assert_models_identical(
             patched, build_cubis_milp(ud, lo2, hi2, 1.5, c, grid)
-        )
-        np.testing.assert_array_equal(
-            sibling.patch_touched_targets(patch), np.sort(subset)
         )

@@ -157,8 +157,8 @@ class TestUseShapeCache:
 
 class TestSolveFleetMilp:
     def test_without_continuation_matches_independent_solves(self):
-        # The fleet leases every game's skeleton from one shape cache and
-        # one live session; each independent solve assembles its own.
+        # The fleet leases every game's skeleton from one shape cache;
+        # each independent solve assembles its own.
         games, models = make_fleet(4)
         fleet = solve_fleet(games, models, continuation=False, **SOLVE)
         for game, model, got in zip(games, models, fleet):
@@ -181,16 +181,43 @@ class TestSolveFleetMilp:
         assert leased.shape_stats["hits"] == 7
         assert leased.shape_stats["misses"] == 1
 
-    def test_structure_is_assembled_once_per_shape(self):
+    def test_structure_is_assembled_once_per_shape(self, monkeypatch):
+        import repro.core.cubis as cubis_mod
+        from repro.solvers.session import MilpSession
+
+        made = []
+
+        class RecordingSession(MilpSession):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        per_game = []
+        original = cubis_mod.solve_cubis
+
+        def solve_spy(*args, **kwargs):
+            before = len(made)
+            result = original(*args, **kwargs)
+            per_game.append((result, made[before:]))
+            return result
+
+        monkeypatch.setattr(cubis_mod, "MilpSession", RecordingSession)
+        monkeypatch.setattr(cubis_mod, "solve_cubis", solve_spy)
         games, models = make_fleet(5)
         fleet = solve_fleet(games, models, **SOLVE)
         assert fleet.shape_stats["misses"] == 1
         assert fleet.shape_stats["hits"] == 4
-        # One live model carried across all five games: a single fresh
-        # build, every game (including the first, which retargets the
-        # empty leased session) entered through retargets.
-        assert fleet.session_stats["fresh_builds"] == 1
-        assert fleet.session_stats["retargets"] == 5
+        # Every game's solve made its own session over a skeleton leased
+        # from the one assembly; a session builds its model at most once
+        # (at the first LP screen) and nothing carries it to the next game.
+        assert [r for r, _ in per_game] == list(fleet.results)
+        proto = per_game[0][1][0].skeleton
+        for result, sessions in per_game:
+            assert len(sessions) == 1
+            session = sessions[0]
+            assert session.skeleton.shares_structure(proto)
+            assert session.fresh_builds == int(result.lp_solves > 0)
+            assert session.patches_applied == result.session_patches
 
     def test_mixed_shapes_in_one_fleet(self):
         games4, models4 = make_fleet(2, num_targets=4)
@@ -269,7 +296,6 @@ class TestSolveFleetDp:
     def test_matches_independent_dp_solves(self):
         games, models = make_fleet(3)
         fleet = solve_fleet(games, models, oracle="dp", **SOLVE)
-        assert fleet.session_stats is None
         for game, model, got in zip(games, models, fleet):
             want = solve_cubis(game, model, oracle="dp", **SOLVE)
             assert_results_identical(got, want)

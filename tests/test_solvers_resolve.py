@@ -1,25 +1,33 @@
 """Tests for the standing-solve drift re-entry engine (repro.solvers.resolve).
 
 The load-bearing property is **bit-identity**: ``resolve(handle, drifted)``
-must return exactly what a cold ``solve_cubis`` returns for the same
-post-drift intervals and the same warm-start hints — the standing session,
-the sparse cross-drift patch, and the shape-cache lease are pure
-machinery, never semantics.  The Hypothesis property drives that across
-shrink, widen, and mixed drifts on quantised random games; the widening
-regression pins that a stale lower bound is never offered after a widen.
+is drift classification plus ``solve_cubis(game, drifted,
+warm_start=<hints>, **handle.options)`` and must return exactly what that
+call returns — the shape-cache lease is pure machinery, never semantics.
+The Hypothesis property drives that across shrink, widen, and mixed
+drifts on quantised random games, and the state machine across sequences
+of them; the widening regression pins that a stale lower bound is never
+offered after a widen.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.behavior.interval import (
     BandScaledModel,
     FunctionIntervalModel,
     IntervalSUQR,
 )
-from repro.core.cubis import solve_cubis
+from repro.core.cubis import WarmStart, solve_cubis
 from repro.game.payoffs import IntervalPayoffs
 from repro.game.ssg import IntervalSecurityGame
 from repro.resilience.certificate import theorem_slack
@@ -49,22 +57,25 @@ def per_target_scaled(base, factors):
     return FunctionIntervalModel(base.num_targets, lower_fn, upper_fn)
 
 
+def assert_same_result(got, want):
+    """Bit-identity of two CUBIS results: strategy, bounds, trace and
+    oracle accounting."""
+    assert np.array_equal(got.strategy, want.strategy)
+    assert got.worst_case_value == want.worst_case_value
+    assert got.lower_bound == want.lower_bound
+    assert got.upper_bound == want.upper_bound
+    assert got.trace == want.trace
+    assert got.iterations == want.iterations
+    assert got.cache_hits == want.cache_hits
+
+
 def assert_bit_identical(handle, outcome, drifted):
-    """The identity contract: the resolve answer equals a cold
-    ``solve_cubis`` on the post-drift intervals with the same hints."""
-    cold = solve_cubis(
-        handle.game,
-        drifted,
-        session="incremental",
-        warm_start=outcome.warm_start,
-        num_segments=handle.options["num_segments"],
-        epsilon=handle.options["epsilon"],
-        backend=handle.options["backend"],
+    """The identity contract: the resolve answer equals ``solve_cubis``
+    on the post-drift intervals with the same hints and options."""
+    want = solve_cubis(
+        handle.game, drifted, warm_start=outcome.warm_start, **handle.options
     )
-    assert np.array_equal(outcome.result.strategy, cold.strategy)
-    assert outcome.result.worst_case_value == cold.worst_case_value
-    assert outcome.result.lower_bound == cold.lower_bound
-    assert outcome.result.upper_bound == cold.upper_bound
+    assert_same_result(outcome.result, want)
 
 
 class TestClassifyDrift:
@@ -139,8 +150,8 @@ class TestStartResolve:
         )
         stats = handle.stats()
         assert stats["resolves"] == 0
-        assert set(stats) >= {"warm_hits", "bracket_reuses", "patches",
-                              "session", "shape_cache"}
+        assert set(stats) == {"resolves", "warm_hits", "bracket_reuses",
+                              "shape_cache"}
 
 
 class TestResolveDrifts:
@@ -269,3 +280,104 @@ class TestBitIdentityProperty:
         assert (outcome.warm_start.bracket is not None) == (
             outcome.drift.kind in ("none", "shrink")
         )
+
+
+class ResolveModel(RuleBasedStateMachine):
+    """Model-based check of a standing resolve against a plain reference.
+
+    The reference keeps only the last result and the current per-target
+    band factors (relative to one base model, so equal factors give
+    bitwise-equal grids).  Each rule drifts the factors in a direction
+    it knows; the reference builds the :class:`WarmStart` by the
+    documented rule (prior bracket plus prior strategy after ``none`` or
+    ``shrink``, prior strategy alone otherwise) and solves with
+    ``solve_cubis``.  Every resolve must equal that solve bit for bit,
+    and the handle's counters must equal the reference's.
+    """
+
+    NUM_SEGMENTS = 6
+    EPSILON = 1e-2
+
+    @initialize(backend=st.sampled_from(["highs", "bnb"]))
+    def open_handle(self, backend):
+        self.game = fixtures_games.small_interval_game()
+        self.base = fixtures_games.small_suqr(self.game)
+        self.options = {"num_segments": self.NUM_SEGMENTS,
+                        "epsilon": self.EPSILON, "backend": backend}
+        self.factors = np.ones(self.game.num_targets)
+        self.handle = start_resolve(self.game, self.base, **self.options)
+        self.last = solve_cubis(self.game, self.base, **self.options)
+        assert_same_result(self.handle.result, self.last)
+        self.counts = {"resolves": 0, "warm_hits": 0, "bracket_reuses": 0}
+
+    def _step(self, factors, kind):
+        self.factors = np.asarray(factors, dtype=np.float64)
+        drifted = per_target_scaled(self.base, self.factors)
+        reusable = kind in ("none", "shrink")
+        prior = self.last
+        warm = WarmStart(
+            bracket=((float(prior.lower_bound), float(prior.upper_bound))
+                     if reusable else None),
+            strategies=(prior.strategy,),
+        )
+        want = solve_cubis(self.game, drifted, warm_start=warm, **self.options)
+        outcome = resolve(self.handle, drifted)
+        assert outcome.drift.kind == kind
+        assert outcome.bracket_reused == reusable
+        assert outcome.warm_start.bracket == warm.bracket
+        assert np.array_equal(outcome.warm_start.strategies[0], prior.strategy)
+        assert_same_result(outcome.result, want)
+        assert outcome.warm_hit == (want.cache_hits > 0)
+        self.last = want
+        self.counts["resolves"] += 1
+        self.counts["warm_hits"] += int(want.cache_hits > 0)
+        self.counts["bracket_reuses"] += int(reusable)
+
+    @rule()
+    def no_drift(self):
+        self._step(self.factors, "none")
+
+    @rule(scale=st.sampled_from([0.5, 0.7, 0.9]))
+    def shrink(self, scale):
+        self._step(self.factors * scale, "shrink")
+
+    def _bounded(self):
+        # Bands widened much past 1.3x stop being monotone in coverage.
+        return self.factors.max() <= 1.0
+
+    @precondition(_bounded)
+    @rule(scale=st.sampled_from([1.1, 1.3]))
+    def widen(self, scale):
+        self._step(self.factors * scale, "widen")
+
+    @precondition(_bounded)
+    @rule(data=st.data())
+    def mixed(self, data):
+        # At least one target shrinks and one widens; the rest stay put.
+        t = self.game.num_targets
+        down, up = data.draw(st.permutations(range(t)))[:2]
+        scales = np.ones(t)
+        scales[down], scales[up] = 0.8, 1.2
+        self._step(self.factors * scales, "mixed")
+
+    @rule(scale=st.sampled_from([0.5, 0.8]))
+    def widen_after_shrink(self, scale):
+        self._step(self.factors * scale, "shrink")
+        self._step(self.factors / scale, "widen")
+
+    @invariant()
+    def counters_match_model(self):
+        if not hasattr(self, "handle"):
+            return
+        assert self.handle.resolves == self.counts["resolves"]
+        assert self.handle.warm_hits == self.counts["warm_hits"]
+        assert self.handle.bracket_reuses == self.counts["bracket_reuses"]
+        assert_same_result(self.handle.result, self.last)
+
+
+# Cost-bound (every step runs two solves): explicit caps override the
+# conftest profile.
+TestResolveModel = ResolveModel.TestCase
+TestResolveModel.settings = settings(
+    max_examples=20, stateful_step_count=12, deadline=None
+)

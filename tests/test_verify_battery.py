@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.verify import (
     battery_instances,
     check_interval_monotonicity,
+    check_shrink_pointwise,
     differential_check,
     run_paths,
     scaled_uncertainty,
@@ -119,6 +120,55 @@ class TestTheoremEdges:
             assert box.halfwidth == pytest.approx(0.0)
 
 
+class TestShrinkPointwise:
+    @pytest.fixture(scope="class")
+    def solved(self, table1_pair):
+        from repro.core.cubis import solve_cubis
+
+        game, uncertainty = table1_pair
+        result = solve_cubis(game, uncertainty, num_segments=8, epsilon=1e-2)
+        return game, uncertainty, result.strategy
+
+    def test_passes_at_a_solved_strategy(self, solved):
+        game, uncertainty, x = solved
+        check = check_shrink_pointwise(game, uncertainty, x)
+        assert check.name == "theorem.shrink_pointwise"
+        assert check.passed, check.detail
+        values = check.context["values"]
+        assert check.context["factors"] == [1.0, 0.9, 0.5]
+        # The bands really narrow: the worst case strictly rises.
+        assert values[0] < values[1] < values[2]
+
+    def test_round_trips_as_a_conformance_report(self, solved):
+        from repro.verify import ConformanceReport
+
+        game, uncertainty, x = solved
+        report = ConformanceReport(
+            instance="table1",
+            checks=(check_shrink_pointwise(game, uncertainty, x),),
+        )
+        assert report.round_trips()
+        clone = ConformanceReport.from_dict(
+            json.loads(json.dumps(report.to_dict()))
+        )
+        assert clone == report
+        assert clone.passed
+
+    def test_fails_on_a_hand_widened_shrink(self, solved):
+        game, uncertainty, x = solved
+        # The last "shrink" scales the bands by 1.1: a widening.
+        check = check_shrink_pointwise(
+            game, uncertainty, x, factors=(1.0, 0.9, 1.1)
+        )
+        assert not check.passed
+        assert check.measured > check.bound
+
+    def test_needs_two_scales(self, solved):
+        game, uncertainty, x = solved
+        with pytest.raises(ValueError, match="two band scales"):
+            check_shrink_pointwise(game, uncertainty, x, factors=(1.0,))
+
+
 class TestVerifyInstance:
     def test_table1_fast_report(self, table1_pair):
         instance = battery_instances(seeds=0)[0]
@@ -129,6 +179,7 @@ class TestVerifyInstance:
         assert "theorem.beta_elimination" in names
         assert "theorem.value_point" in names
         assert "theorem.segment_bound" in names
+        assert "theorem.shrink_pointwise" in names
         # fast mode skips the monotonicity sweep
         assert "theorem.interval_monotonicity" not in names
         assert report.metadata["theorem_slack"] > 0

@@ -25,6 +25,7 @@ from repro.verify import (
     ConformanceReport,
     check_beta_elimination,
     check_segment_bound,
+    check_shrink_pointwise,
     check_value_point,
     differential_check,
 )
@@ -104,6 +105,15 @@ class TestDifferentialProperty:
         assert beta_check.passed, beta_check.detail
         segment_check = check_segment_bound(game, uncertainty, 6, refine=9)
         assert segment_check.passed, segment_check.detail
+
+    @given(random_games(), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_shrink_pointwise_at_arbitrary_strategies(self, instance, data):
+        """A shrink never lowers the exact worst case, at any strategy."""
+        game, uncertainty = instance
+        x = data.draw(random_strategies(game))
+        check = check_shrink_pointwise(game, uncertainty, x)
+        assert check.passed, check.detail
 
     @given(random_games(), st.floats(-6, 6, allow_nan=False))
     @settings(max_examples=20, deadline=None)
