@@ -36,10 +36,11 @@ from repro.resilience.policy import (
     OracleStepError,
     ResiliencePolicy,
     ResilienceReport,
+    validate_step_solution,
 )
 from repro.solvers.assembly import ConstraintBuilder, VariableLayout
 from repro.solvers.binary_search import binary_search_max
-from repro.solvers.milp_backend import MILPProblem, solve_milp
+from repro.solvers.milp_backend import MILPProblem, backend_label, solve_milp
 from repro.solvers.piecewise import SegmentGrid
 from repro.utils.timing import Timer
 from repro.utils.validation import check_int_at_least, check_positive
@@ -164,9 +165,7 @@ def solve_pasaq(
     )
 
     def make_oracle(milp_backend, *, validate: bool = True):
-        label = milp_backend if isinstance(milp_backend, str) else getattr(
-            milp_backend, "__name__", type(milp_backend).__name__
-        )
+        label = backend_label(milp_backend)
 
         def oracle(r: float):
             problem, layout, g0 = _build_feasibility_milp(
@@ -188,16 +187,9 @@ def solve_pasaq(
                         f"backend {label!r} reported a non-finite objective "
                         f"at r={r:.6g}"
                     )
-                if (
-                    not np.all(np.isfinite(strategy))
-                    or np.any(strategy < -1e-6)
-                    or np.any(strategy > 1.0 + 1e-6)
-                    or strategy.sum() > game.num_resources + 1e-6
-                ):
-                    raise OracleStepError(
-                        f"backend {label!r} returned an invalid strategy at "
-                        f"r={r:.6g}"
-                    )
+                validate_step_solution(
+                    strategy, game.num_resources, f"backend {label!r} at r={r:.6g}"
+                )
             return best >= -feasibility_tolerance, strategy
 
         return oracle

@@ -21,6 +21,7 @@ result is ``O(epsilon + 1/K)``-optimal.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +29,23 @@ import numpy as np
 from repro.behavior.interval import UncertaintyModel
 from repro.core.dp import grid_budget_units, maximize_separable_on_grid
 from repro.core.hull import LagrangianHull, screen_grid
-from repro.core.milp import CubisMilpSkeleton, build_cubis_milp, step_grids
+from repro.core.milp import (
+    CubisMilpSkeleton,
+    StrategyCertificate,
+    build_cubis_milp,
+    step_grids,
+)
 from repro.core.worst_case import WorstCaseSolution, evaluate_worst_case
 from repro.game.ssg import IntervalSecurityGame
 from repro.obs import progress
 from repro.solvers.binary_search import binary_search_max
 from repro.solvers.fleet import active_shape_cache
-from repro.solvers.milp_backend import LiveLp, relax_integrality, solve_milp
+from repro.solvers.milp_backend import (
+    LiveLp,
+    backend_label,
+    relax_integrality,
+    solve_milp,
+)
 from repro.solvers.piecewise import SegmentGrid
 from repro.solvers.session import MilpSession
 from repro.resilience.events import SolveEventLog, StepEvent
@@ -44,22 +55,16 @@ from repro.resilience.policy import (
     OracleStepError,
     ResiliencePolicy,
     ResilienceReport,
+    validate_step_solution,
 )
 from repro import telemetry
 from repro.utils.validation import check_int_at_least, check_positive
 
 __all__ = ["CubisResult", "WarmStart", "solve_cubis"]
 
-#: Numerical slack allowed when sanity-checking a backend's solution
-#: (box membership, budget).  Looser than ``feasibility_tolerance``
-#: because branch-and-cut backends report solutions at their own
-#: primal-feasibility tolerance.
-_STEP_VALIDATION_TOL = 1e-6
-
-#: Cap on cached feasibility certificates per solve.  The pool holds the
-#: most recent warm-start strategies and feasible step strategies; every
-#: pool check scans all of them at O(T) each, so the cap bounds both that
-#: scan and memory.
+#: Cap on the warm start's certificates.  ``WarmStart.strategies`` comes
+#: from the caller, and every pool check scans all of them at O(T) each,
+#: so the cap (the last ones win) bounds both that scan and memory.
 _CERTIFICATE_POOL_LIMIT = 16
 
 
@@ -132,8 +137,8 @@ class CubisResult:
         Full (integer) MILP solves actually performed — equals
         ``iterations`` for a cold MILP-oracle run; with ``memoise=True``
         (ladder rungs with a named backend included) most steps are
-        answered by the certificate pool, the hull screen or the
-        LP-relaxation screen instead, and this drops to a handful; 0 for
+        answered by the hull screen, the LP-relaxation screen or a warm
+        start's certificate instead, and this drops to a handful; 0 for
         the ``"dp"`` oracle, which never builds a MILP.
     hull_screens:
         Lagrangian hull screens performed, counted whatever their
@@ -153,8 +158,9 @@ class CubisResult:
         evaluated exactly through a certificate, usually proves
         feasibility.  Only the gap between the two pays for a full MILP.
     cache_hits:
-        Oracle steps answered by a cached strategy certificate with no
-        solver call at all (always 0 with ``memoise=False``).
+        Oracle steps answered by a warm start's strategy certificate with
+        no screen or solver call at all.  Only a warm-started pipeline
+        solve has such certificates; 0 otherwise.
     session_mode:
         ``"incremental"`` when the MILP steps ran through the solve's
         :class:`~repro.solvers.session.MilpSession` (in-place coefficient
@@ -285,16 +291,16 @@ def solve_cubis(
         :class:`~repro.resilience.policy.ResilienceReport`; the
         ``backend`` / ``oracle`` arguments are ignored in favour of the
         policy's rungs.  With ``memoise=True`` a MILP rung with a named
-        backend answers each step through the certificate pool, the hull
-        screen and the LP screen before a fresh-build MILP (see
-        ``memoise``).
+        backend answers each step through the hull screen and the LP
+        screen before a fresh-build MILP (see ``memoise``).
     memoise:
         The only switch between the two MILP pipelines (default on).
         ``memoise=True`` with the ``"milp"`` oracle and no resilience
-        policy runs every step through the certificate pool, the
-        LP-relaxation screen (named backends), a per-solve
-        :class:`~repro.solvers.session.MilpSession` and, if the session
-        solve fails, one fresh-build fallback (see docs/PERFORMANCE.md).
+        policy runs every step through the warm start's certificate pool
+        (if any), the hull and LP-relaxation screens (named backends), a
+        per-solve :class:`~repro.solvers.session.MilpSession` and, if the
+        session solve fails, one fresh-build fallback (see
+        docs/PERFORMANCE.md).
         Feasibility *verdicts* are unchanged — a certificate only fires
         when the MILP would also have reported feasible — but the
         certifying strategy may replace the MILP maximiser as the step's
@@ -305,7 +311,7 @@ def solve_cubis(
         once at the end for the strategy; verdicts, bracket, trace and
         strategy stay bit-identical to ``memoise=False``.  Under a
         resilience policy, ``memoise=True`` gives every MILP rung with a
-        named backend the pool, hull and LP screens (no session; the
+        named backend the hull and LP screens (no session; the
         MILP patches one assembled skeleton), so the bisection trace
         equals the ``memoise=False`` ladder's while most steps skip the
         MILP; callable rungs and the ``dp`` rung keep one exact solve
@@ -314,8 +320,8 @@ def solve_cubis(
         Optional :class:`WarmStart` from a neighbouring solve (same game
         with a different ``K``/``epsilon``, or a similar game in a sweep).
         The carried bracket is probed — not trusted — and the carried
-        strategies join the certificate pool, so a stale warm start
-        degrades gracefully to at most two extra oracle calls.
+        strategies make up the pipeline's certificate pool, so a stale
+        warm start degrades gracefully to at most two extra oracle calls.
     session:
         ``None`` (default) lets ``memoise`` decide.  The strings
         ``"incremental"`` and ``"fresh"`` are accepted as explicit
@@ -370,13 +376,17 @@ def solve_cubis(
         segments=int(num_segments),
         epsilon=float(epsilon),
         oracle=oracle,
-        backend=backend if isinstance(backend, str)
-        else getattr(backend, "__name__", type(backend).__name__),
+        backend=backend_label(backend),
         memoise=bool(memoise),
         resilient=resilience is not None,
         session=session_mode,
     )
-    with solve_span:
+    # The solve counts on its own registry, so its result fields are its
+    # own work even while other threads solve; the active context's
+    # registry receives the counts when the solve ends, raise or not.
+    meter = telemetry.MetricsRegistry()
+    with solve_span, ExitStack() as on_exit:
+        on_exit.callback(telemetry.metrics().merge, meter)
         grid = SegmentGrid(num_segments)
         ud_grid, lower_grid, upper_grid = step_grids(
             game, uncertainty, grid, execution_alpha=execution_alpha
@@ -393,38 +403,20 @@ def solve_cubis(
                     "resilience.milp_only()"
                 )
 
-        def validate_step_solution(strategy: np.ndarray, label: str) -> None:
-            # Cheap sanity screen on a backend's solution; a corrupted or
-            # perturbed answer must not silently steer the binary search.
-            tol = _STEP_VALIDATION_TOL
-            if not np.all(np.isfinite(strategy)):
-                raise OracleStepError(f"{label} returned a non-finite strategy")
-            if np.any(strategy < -tol) or np.any(strategy > 1.0 + tol):
-                raise OracleStepError(
-                    f"{label} returned coverage outside [0, 1]: "
-                    f"min {strategy.min():.6g}, max {strategy.max():.6g}"
-                )
-            spent = float(strategy.sum())
-            over = spent - game.num_resources
-            if over > tol or (equality_resources and abs(over) > tol):
-                raise OracleStepError(
-                    f"{label} violated the resource budget: sum x = {spent:.6g} "
-                    f"vs R = {game.num_resources:.6g}"
-                )
-            if coverage_constraints is not None and not coverage_constraints.satisfied(
-                strategy, atol=tol
-            ):
-                raise OracleStepError(f"{label} violated the side constraints")
+        def validate_step(strategy: np.ndarray, label: str) -> None:
+            validate_step_solution(
+                strategy, game.num_resources, label,
+                equality=equality_resources, constraints=coverage_constraints,
+            )
 
         # --- performance layer -------------------------------------------- #
-        # The pipeline assembles the MILP structure once, patches it per
-        # step through one live MilpSession, and keeps a pool of
-        # feasible-strategy certificates that answer oracle steps in O(T)
-        # when a cached strategy still certifies the candidate.  Memoised
-        # ladder rungs with a named backend answer through the same pool,
-        # hull screen and LP screen, then solve a fresh skeleton.patch(c)
-        # (no session); callable and dp rungs keep one exact solve per
-        # step (see docs/PERFORMANCE.md).
+        # The pipeline assembles the MILP structure once and patches it per
+        # step through one live MilpSession; a warm start's certificates
+        # answer the steps they still certify in O(T).  Memoised ladder
+        # rungs with a named backend answer through the same hull screen
+        # and LP screen, then solve a fresh skeleton.patch(c) (no
+        # session); callable and dp rungs keep one exact solve per step
+        # (see docs/PERFORMANCE.md).
         needs_milp = (
             any(r.oracle == "milp" for r in resilience.rungs)
             if resilience is not None
@@ -475,16 +467,13 @@ def solve_cubis(
             if skeleton is not None and coverage_constraints is None
             else None
         )
-        pool: list = []  # StrategyCertificate entries, oldest first
-        # The latest feasible answer's (payload, certificate): the binary
-        # search's payload_bound reads the level off this certificate
-        # instead of rebuilding it from the payload.
-        last_proof: list = [None, None]
-        # Run-level telemetry counters (docs/OBSERVABILITY.md).  They
-        # accumulate across every solve sharing the active context (a sweep,
-        # a service process); the per-solve CubisResult fields are recovered
-        # as deltas against this snapshot.
-        meter = telemetry.metrics()
+        # The warm start's StrategyCertificate entries.  A certificate the
+        # solve makes itself never joins: the pipeline's lower bound jumps
+        # to the level it proves (payload_bound), so it cannot certify a
+        # later candidate of this search.
+        pool: list = []
+        # Per-solve telemetry counters (docs/OBSERVABILITY.md); the
+        # CubisResult fields are read straight off them.
         milp_counter = meter.counter("repro_cubis_milp_solves_total")
         lp_counter = meter.counter("repro_cubis_lp_screens_total")
         hit_counter = meter.counter("repro_cubis_cache_hits_total")
@@ -495,16 +484,8 @@ def solve_cubis(
             for verdict in ("infeasible", "feasible", "fallthrough")
         }
 
-        def hull_screens_so_far() -> float:
-            return sum(counter.value for counter in hull_counters.values())
-
-        counts_at_entry = (
-            milp_counter.value, lp_counter.value, hit_counter.value,
-            fallback_counter.value, hull_screens_so_far(),
-        )
-
         def certificate_answer(c: float):
-            # A cached strategy that certifies c answers the oracle for
+            # A warm-start strategy that certifies c answers the oracle for
             # free: the MILP maximum can only be higher, so the verdict is
             # the one the solver would have returned.  Returns None when
             # the pool cannot answer.
@@ -514,18 +495,8 @@ def solve_cubis(
                 if g > best_g:
                     best, best_g = cert, g
             if best_g >= -feasibility_tolerance:
-                return proven(best.strategy, best)
+                return True, best
             return None
-
-        def add_to_pool(cert) -> None:
-            pool.append(cert)
-            if len(pool) > _CERTIFICATE_POOL_LIMIT:
-                del pool[0]
-
-        def proven(payload, cert):
-            # A feasible answer whose payload ``cert`` certifies.
-            last_proof[:] = (payload, cert)
-            return True, payload
 
         def hull_screened(c: float, decide):
             # One Lagrangian hull screen (docs/PERFORMANCE.md), whichever
@@ -559,25 +530,21 @@ def solve_cubis(
             sp.set(witness_g=witness_g)
             if witness_g >= -feasibility_tolerance:
                 try:
-                    validate_step_solution(cert.strategy, "hull witness")
+                    validate_step(cert.strategy, "hull witness")
                 except OracleStepError:
                     return None  # fall through to the LP screen
-                add_to_pool(cert)
-                return proven(cert.strategy, cert)
+                return True, cert
             return None
 
         def make_milp_oracle(milp_backend, *, validate: bool = True):
             # The pipeline runs through milp_session; without one (memoise
             # off, ladder rungs) a step that needs a model builds it fresh.
-            label = milp_backend if isinstance(milp_backend, str) else getattr(
-                milp_backend, "__name__", type(milp_backend).__name__
-            )
+            label = backend_label(milp_backend)
             # Callable backends (fault injectors, custom solvers) skip the
-            # screens, so each step they answer is one solve; only the
-            # pipeline's pool still answers before them.
+            # screens, so each step they answer is one solve; only a warm
+            # start's pool still answers before them.
             lp_screen = skeleton is not None and isinstance(milp_backend, str)
             hull_screen = lp_screen and hull is not None
-            pooled = lp_screen or milp_session is not None
             # The highs LP screens of this solve share one live HiGHS
             # model, warm-started from the previous screen's basis.  It
             # lives in this closure only, so it dies with the solve, as
@@ -625,19 +592,16 @@ def solve_cubis(
                 # (or fresh-build) MILP -> fresh-build fallback; each
                 # counter ticks just before the action it counts, so a
                 # raise leaves exact totals behind.
-                if pooled:
+                if pool:
                     hit = certificate_answer(c)
                     if hit is not None:
                         hit_counter.inc()
                         return hit
-                    # The pool was consulted (possibly empty) and could not
-                    # answer; everything below pays for a screen or a
-                    # solver call.
                     miss_counter.inc()
-                    if hull_screen:
-                        answer = hull_screened(c, hull_answer)
-                        if answer is not None:
-                            return answer
+                if hull_screen:
+                    answer = hull_screened(c, hull_answer)
+                    if answer is not None:
+                        return answer
                 model = (
                     milp_session.prepare(c) if milp_session is not None
                     else build_fresh(c)
@@ -666,12 +630,11 @@ def solve_cubis(
                         cert = skeleton.certificate(candidate)
                         if cert.g_bar(c) >= -feasibility_tolerance:
                             try:
-                                validate_step_solution(candidate, "lp relaxation")
+                                validate_step(candidate, "lp relaxation")
                             except OracleStepError:
                                 pass  # fall through to the MILP
                             else:
-                                add_to_pool(cert)
-                                return proven(cert.strategy, cert)
+                                return True, cert
                 milp_counter.inc()
                 t0 = time.perf_counter()
                 try:
@@ -715,13 +678,11 @@ def solve_cubis(
                             f"backend {label!r} reported a non-finite objective "
                             f"at c={c:.6g}"
                         )
-                    validate_step_solution(strategy, f"backend {label!r}")
+                    validate_step(strategy, f"backend {label!r}")
                 feasible = g_bar >= -feasibility_tolerance
-                # An unvalidated answer must not certify later steps.
-                if pooled and feasible and validate:
-                    cert = skeleton.certificate(strategy)
-                    add_to_pool(cert)
-                    return proven(strategy, cert)
+                if feasible and milp_session is not None:
+                    # The pipeline's payload_bound reads the level off it.
+                    return True, skeleton.certificate(strategy)
                 return feasible, strategy
 
             return milp_oracle
@@ -778,11 +739,11 @@ def solve_cubis(
 
         lo, hi = game.utility_range()
 
-        # Warm-start intake: screened strategies join the certificate pool
-        # (capped like any other entry) and contribute one proven-feasible
-        # guess (the best level any of them certifies, computed without any
-        # MILP); the carried bracket's ends are probed as ordinary oracle
-        # candidates.  Everything is verified against *this* game, so stale
+        # Warm-start intake: screened strategies make up the certificate
+        # pool (the last _CERTIFICATE_POOL_LIMIT of them) and contribute one
+        # proven-feasible guess (the best level any of them certifies,
+        # computed without any MILP); the carried bracket's ends are probed
+        # as ordinary oracle candidates.  Everything is verified against *this* game, so stale
         # warm starts cannot corrupt the result.
         guesses: list[float] = []
         if warm_start is not None:
@@ -794,12 +755,13 @@ def solve_cubis(
                         continue
                     arr = np.clip(arr, 0.0, 1.0)
                     try:
-                        validate_step_solution(arr, "warm start")
+                        validate_step(arr, "warm start")
                     except OracleStepError:
                         continue
                     cert = skeleton.certificate(arr)
                     level = max(level, cert.guaranteed_level(lo, hi))
-                    add_to_pool(cert)
+                    pool.append(cert)
+                del pool[:-_CERTIFICATE_POOL_LIMIT]
                 if np.isfinite(level):
                     guesses.append(level)
             if warm_start.bracket is not None:
@@ -850,14 +812,9 @@ def solve_cubis(
             )
             return feasible, payload
 
-        def certified_level(strategy) -> float:
-            # The exact utility level a feasible step's strategy certifies —
-            # lets the binary search jump its lower bound past intermediate
-            # midpoints (sound: the level is proven by the strategy itself).
-            # Every feasible pipeline answer went through proven() just
-            # before this call, so the certificate is already built.
-            payload, cert = last_proof
-            assert payload is strategy, "payload without a recorded certificate"
+        def certified_level(cert: StrategyCertificate) -> float:
+            # The exact utility level a feasible pipeline step's payload
+            # certifies: the binary search jumps its lower bound there.
             return cert.guaranteed_level(lo, hi)
 
         search = binary_search_max(
@@ -875,6 +832,8 @@ def solve_cubis(
             # strategy of the last feasible step, exactly as the kernel
             # would have returned it there.
             _, payload = run_grid_kernel(payload.c)
+        elif isinstance(payload, StrategyCertificate):
+            payload = payload.strategy
         if payload is None:
             raise RuntimeError(
                 "CUBIS binary search found no feasible utility level; "
@@ -895,11 +854,10 @@ def solve_cubis(
                 execution_alpha=execution_alpha,
             )
 
-        milp_solves = int(milp_counter.value - counts_at_entry[0])
-        lp_solves = int(lp_counter.value - counts_at_entry[1])
-        cache_hits = int(hit_counter.value - counts_at_entry[2])
-        session_fallbacks = int(fallback_counter.value - counts_at_entry[3])
-        hull_screens = int(hull_screens_so_far() - counts_at_entry[4])
+        milp_solves = int(milp_counter.value)
+        lp_solves = int(lp_counter.value)
+        cache_hits = int(hit_counter.value)
+        hull_screens = int(sum(counter.value for counter in hull_counters.values()))
         session_patches = (
             milp_session.patches_applied if milp_session is not None else 0
         )
@@ -936,6 +894,6 @@ def solve_cubis(
             cache_hits=cache_hits,
             session_mode=session_mode,
             session_patches=session_patches,
-            session_fallbacks=session_fallbacks,
+            session_fallbacks=int(fallback_counter.value),
             guess_probes=search.guess_probes,
         )

@@ -34,7 +34,12 @@ import time
 import numpy as np
 
 from repro.resilience.policy import ResiliencePolicy, Rung
-from repro.solvers.milp_backend import MILPProblem, MILPResult, solve_milp
+from repro.solvers.milp_backend import (
+    MILPProblem,
+    MILPResult,
+    backend_label,
+    solve_milp,
+)
 
 __all__ = [
     "FaultInjector",
@@ -148,10 +153,7 @@ class FaultInjector:
                 )
             return result
 
-        name = backend if isinstance(backend, str) else getattr(
-            backend, "__name__", type(backend).__name__
-        )
-        faulty_backend.__name__ = f"faulty-{name}"
+        faulty_backend.__name__ = f"faulty-{backend_label(backend)}"
         return faulty_backend
 
 

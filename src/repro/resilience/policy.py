@@ -28,7 +28,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.resilience.events import SolveEventLog, StepEvent
+from repro.solvers.milp_backend import backend_label
 
 __all__ = [
     "Rung",
@@ -38,13 +41,50 @@ __all__ = [
     "OracleStepError",
     "LadderExhaustedError",
     "DEFAULT_RUNGS",
+    "validate_step_solution",
 ]
+
+#: Slack of :func:`validate_step_solution`: branch-and-cut backends report
+#: solutions at their own primal-feasibility tolerance.
+_STEP_VALIDATION_TOL = 1e-6
 
 
 class OracleStepError(RuntimeError):
     """A single oracle attempt failed (solver error, invalid solution,
     non-finite objective).  Raised by the per-step oracles; caught by the
     ladder, which escalates instead of propagating."""
+
+
+def validate_step_solution(
+    strategy: np.ndarray,
+    budget: float,
+    label: str,
+    *,
+    equality: bool = False,
+    constraints=None,
+) -> None:
+    """Screen a step oracle's answer, so a corrupted or perturbed solution
+    cannot steer the binary search: raise :class:`OracleStepError` (naming
+    ``label``) unless ``strategy`` is finite, in ``[0, 1]``, spends at most
+    ``budget`` (exactly, if ``equality``) and satisfies ``constraints``
+    (``CoverageConstraints``), all within ``_STEP_VALIDATION_TOL``."""
+    tol = _STEP_VALIDATION_TOL
+    if not np.all(np.isfinite(strategy)):
+        raise OracleStepError(f"{label} returned a non-finite strategy")
+    if np.any(strategy < -tol) or np.any(strategy > 1.0 + tol):
+        raise OracleStepError(
+            f"{label} returned coverage outside [0, 1]: "
+            f"min {strategy.min():.6g}, max {strategy.max():.6g}"
+        )
+    spent = float(strategy.sum())
+    over = spent - budget
+    if over > tol or (equality and abs(over) > tol):
+        raise OracleStepError(
+            f"{label} violated the resource budget: sum x = {spent:.6g} "
+            f"vs R = {budget:.6g}"
+        )
+    if constraints is not None and not constraints.satisfied(strategy, atol=tol):
+        raise OracleStepError(f"{label} violated the side constraints")
 
 
 class LadderExhaustedError(RuntimeError):
@@ -82,10 +122,7 @@ class Rung:
         """Display label, e.g. ``"milp:highs"`` or ``"dp"``."""
         if self.oracle == "dp":
             return "dp"
-        name = self.backend if isinstance(self.backend, str) else getattr(
-            self.backend, "__name__", type(self.backend).__name__
-        )
-        return f"milp:{name}"
+        return f"milp:{backend_label(self.backend)}"
 
 
 #: The default ladder: production backend, pure-Python branch and bound,

@@ -52,6 +52,7 @@ from repro import telemetry
 from repro.core.dp import maximize_separable_on_grid_batch  # noqa: F401
 from repro.obs import progress
 from repro.core.milp import CubisMilpSkeleton
+from repro.solvers.milp_backend import backend_label
 from repro.utils.timing import Timer
 
 __all__ = [
@@ -314,8 +315,7 @@ def solve_fleet(
         "fleet.solve",
         games=len(games),
         oracle=oracle,
-        backend=backend if isinstance(backend, str)
-        else getattr(backend, "__name__", type(backend).__name__),
+        backend=backend_label(backend),
         continuation=bool(continuation),
     ) as span, timer:
         progress.publish(

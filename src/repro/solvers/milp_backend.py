@@ -39,8 +39,8 @@ import numpy as np
 from repro import telemetry
 
 __all__ = [
-    "LiveLp", "MILPProblem", "MILPResult", "highs_binding", "relax_integrality",
-    "solve_milp",
+    "LiveLp", "MILPProblem", "MILPResult", "backend_label", "highs_binding",
+    "relax_integrality", "solve_milp",
 ]
 
 
@@ -142,6 +142,14 @@ def relax_integrality(problem: MILPProblem) -> MILPProblem:
     )
 
 
+def backend_label(backend) -> str:
+    """A backend's display name: a name as given, else the callable's
+    ``__name__`` (its type's name when it has none)."""
+    if isinstance(backend, str):
+        return backend
+    return getattr(backend, "__name__", type(backend).__name__)
+
+
 def solve_milp(
     problem: MILPProblem,
     *,
@@ -179,10 +187,7 @@ def solve_milp(
     live LP answers also carry ``warm`` (whether a basis was accepted)
     and ``simplex_iterations`` span attributes.
     """
-    if callable(backend):
-        label = getattr(backend, "__name__", type(backend).__name__)
-    else:
-        label = str(backend)
+    label = backend_label(backend)
     if warm_start is not None and backend == "bnb":
         backend_options["incumbent"] = warm_start
     kind = ("lp:" if problem.num_integer == 0 else "milp:") + label

@@ -16,9 +16,10 @@ variable set by :func:`use`::
 When nothing is active, the helpers fall back to :data:`DISABLED`: its
 ``span()`` returns the shared no-op handle (so tracing instrumentation
 costs a contextvar lookup and nothing else) while its *metrics* registry
-is live — counters keep counting, which lets ``solve_cubis`` derive its
-per-solve ``milp_solves``/``lp_solves``/``cache_hits`` result fields
-from counter deltas whether or not anyone is tracing.
+is live — counters keep counting.  ``solve_cubis`` counts on a registry
+of its own, reads its ``milp_solves``/``lp_solves``/``cache_hits``
+result fields off it, and merges it into the current registry when it
+ends, so those fields never depend on who else counts there.
 
 Worker processes do not inherit the parent's context variable; they
 build their own :class:`Telemetry`, run under it, and return
@@ -66,8 +67,8 @@ class Telemetry:
 
     ``enabled=False`` turns the *tracing* side into a no-op (spans and
     events are dropped at the call site); the metrics registry stays
-    live either way — recording a counter is cheap and several result
-    fields are derived from counter deltas.
+    live either way — recording a counter is cheap, and run totals such
+    as the merged per-solve ``repro_cubis_*`` counts land there.
     """
 
     def __init__(self, *, enabled: bool = True) -> None:
@@ -119,7 +120,8 @@ class Telemetry:
 
 
 #: The fallback context: tracing disabled, metrics live.  Shared
-#: process-wide; counter values on it are only meaningful as deltas.
+#: process-wide, so its counters total every thread's work; no result
+#: field is read off it.
 DISABLED = Telemetry(enabled=False)
 
 _current: contextvars.ContextVar[Telemetry] = contextvars.ContextVar(

@@ -16,11 +16,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.behavior import BandScaledModel
 from repro.behavior.interval import IntervalSUQR
 from repro.core.cubis import _CERTIFICATE_POOL_LIMIT, WarmStart, solve_cubis
 from repro.core.milp import CubisMilpSkeleton, StrategyCertificate, step_grids
 from repro.core.worst_case import evaluate_worst_case
+from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game, table1_game
+from repro.resilience.policy import ResiliencePolicy
 from repro.solvers.piecewise import SegmentGrid
 
 
@@ -322,6 +325,62 @@ class TestPerformanceLayer:
         assert result.guess_probes == 1
         assert result.trace[2] == (best, True)
 
+    @staticmethod
+    def _spy_pool_scans(monkeypatch) -> collections.Counter:
+        """Count ``g_bar`` evaluations made by the pool check, per ``c``."""
+        scanned = collections.Counter()
+        g_bar = StrategyCertificate.g_bar
+
+        def spy(cert, c):
+            if sys._getframe(1).f_code.co_name == "certificate_answer":
+                scanned[c] += 1
+            return g_bar(cert, c)
+
+        monkeypatch.setattr(StrategyCertificate, "g_bar", spy)
+        return scanned
+
+    def test_cold_solve_scans_no_certificate(self, monkeypatch):
+        """A solve's own certificates never join the pool: the lower
+        bound jumps to the level each one proves, so none could answer a
+        later step."""
+        game = random_interval_game(30, seed=3)
+        model = default_uncertainty(game.payoffs)
+        scanned = self._spy_pool_scans(monkeypatch)
+        result = solve_cubis(game, model, num_segments=10, epsilon=1e-3)
+        assert result.iterations > 5
+        assert not scanned
+        assert result.cache_hits == 0
+
+    def test_warm_solve_scans_only_its_warm_certificates(self, monkeypatch):
+        game = random_interval_game(30, seed=3)
+        model = default_uncertainty(game.payoffs)
+        options = {"num_segments": 10, "epsilon": 1e-3}
+        first = solve_cubis(game, model, **options)
+        strategies = (first.strategy, game.strategy_space.uniform())
+        scanned = self._spy_pool_scans(monkeypatch)
+        warm = solve_cubis(
+            game, BandScaledModel(model, 0.7),
+            warm_start=WarmStart(strategies=strategies), **options,
+        )
+        assert warm.cache_hits > 0
+        assert scanned
+        assert max(scanned.values()) <= len(strategies)
+        assert sum(scanned.values()) <= len(strategies) * warm.iterations
+
+    def test_ladder_answers_through_the_screens_not_a_pool(self):
+        """A named-backend ladder rung screens every step; its trace is
+        the unscreened (memoise=False) ladder's.  Seed 2 is a game where
+        a pooled in-solve certificate used to answer one step."""
+        game = random_interval_game(25, seed=2)
+        model = default_uncertainty(game.payoffs)
+        options = dict(num_segments=10, epsilon=1e-3,
+                       resilience=ResiliencePolicy())
+        screened = solve_cubis(game, model, **options)
+        reference = solve_cubis(game, model, memoise=False, **options)
+        assert screened.cache_hits == 0
+        assert screened.milp_solves == 0
+        assert screened.trace == reference.trace
+
     def test_as_warm_start_round_trip(self, small_interval_game, small_uncertainty):
         result = self.solve(small_interval_game, small_uncertainty)
         ws = result.as_warm_start()
@@ -427,8 +486,8 @@ class TestSessionFailureSemantics:
     """A backend error mid-sequence must trigger a fresh-build fallback
     exactly once for that step, surface as a ``resilience.attempt``
     event, and leave the answer identical to an unfailing run.  Callable
-    backends take the default pipeline (pool, session, fallback) but
-    skip the LP screen, so every backend call is a MILP solve."""
+    backends take the default pipeline (session, fallback) but skip the
+    hull and LP screens, so every backend call is a MILP solve."""
 
     def _flaky_backend(self, fail_on_call=None):
         from repro.solvers.milp_backend import solve_milp

@@ -677,7 +677,8 @@ class TestClosedFormLevel:
 
 class TestCertificatePerStep:
     """A feasible step builds its certificate once: the screen that
-    proved it pools it, and the binary search's level jump reuses it."""
+    proved it returns it as the step's payload, and the binary search's
+    level jump reads it."""
 
     def solve_counting(self, monkeypatch, game, model, **options):
         built = []

@@ -102,8 +102,8 @@ def suqr_instance(t, seed):
 
 
 class TestScreenedLadder:
-    """Named MILP rungs answer through the certificate pool, the hull
-    screen and the LP screen before any MILP.  Screen verdicts are the
+    """Named MILP rungs answer through the hull screen and the LP screen
+    before any MILP.  Screen verdicts are the
     MILP's own, so the bisection is the unscreened ladder's; callable
     rungs keep one solver call per step."""
 

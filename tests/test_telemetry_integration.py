@@ -1,12 +1,18 @@
 """End-to-end telemetry tests: the solve pipeline traced under a live
 context, counter/result-field agreement, and parallel sweep merges."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import telemetry
 from repro.analysis.sweep import run_grid
+from repro.behavior import BandScaledModel
 from repro.behavior.interval import IntervalSUQR
 from repro.core.cubis import solve_cubis
+from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game, table1_game
 from repro.telemetry import Telemetry
 
@@ -83,8 +89,7 @@ class TestSolveTracing:
         assert sum(h.count for h in series) == len(solves)
 
     def test_counters_match_result_fields(self):
-        # Fresh context so the run-level counters start at zero and the
-        # per-solve deltas equal the absolute values.
+        # Fresh context: the registry holds exactly this solve's counts.
         tele = Telemetry()
         game, uncertainty = _table1_inputs()
         with telemetry.use(tele):
@@ -97,14 +102,105 @@ class TestSolveTracing:
         assert counts.get("repro_cubis_cache_hits_total", 0) == result.cache_hits
 
     def test_result_fields_survive_disabled_telemetry(self):
-        # The DISABLED fallback's registry is shared process-wide;
-        # per-solve fields are deltas, so they must be correct without
-        # any context active.
+        # The DISABLED fallback's registry is shared process-wide; each
+        # solve counts on its own registry, so its fields are correct
+        # without any context active.
         game, uncertainty = _table1_inputs()
         r1 = solve_cubis(game, uncertainty, num_segments=10, epsilon=1e-3)
         r2 = solve_cubis(game, uncertainty, num_segments=10, epsilon=1e-3)
         assert r1.milp_solves == r2.milp_solves
         assert r1.oracle_calls == r2.oracle_calls
+
+
+_COUNT_FIELDS = ("milp_solves", "lp_solves", "hull_screens", "cache_hits")
+
+
+def _counts(result) -> tuple:
+    return tuple(getattr(result, field) for field in _COUNT_FIELDS)
+
+
+def _drifting_solves(seed: int) -> list:
+    """A cold T=30 solve, then one warm-started from it on a narrower
+    band, so every count field (cache hits included) is exercised."""
+    game = random_interval_game(30, seed=seed)
+    wide = default_uncertainty(game.payoffs)
+    narrow = BandScaledModel(wide, 0.7)
+    options = {"num_segments": 10, "epsilon": 1e-3}
+    cold = solve_cubis(game, wide, **options)
+    warm = solve_cubis(game, narrow, warm_start=cold.as_warm_start(), **options)
+    return [cold, warm]
+
+
+class TestPerSolveCounters:
+    """A solve's count fields are its own work, whatever else runs, and
+    the active registry receives exactly those counts."""
+
+    def test_concurrent_solves_report_their_own_counts(self):
+        seeds = range(4)
+        sequential = {seed: [_counts(r) for r in _drifting_solves(seed)]
+                      for seed in seeds}
+        assert any(c[3] > 0 for runs in sequential.values() for c in runs)
+        start = threading.Barrier(len(seeds))
+
+        def run(seed):
+            start.wait(timeout=60)
+            return [[_counts(r) for r in _drifting_solves(seed)]
+                    for _ in range(3)]
+
+        # No telemetry context: every thread shares the DISABLED registry.
+        # A short switch interval interleaves the solves step by step.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                concurrent = dict(zip(seeds, pool.map(run, seeds, timeout=300)))
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            for repeat in concurrent[seed]:
+                assert repeat == sequential[seed], seed
+
+    def test_registry_totals_equal_result_sums_after_a_raise(
+        self, small_interval_game, small_uncertainty
+    ):
+        from repro.solvers.milp_backend import solve_milp
+
+        calls = {"n": 0}
+
+        def failing_from_third_call(problem, **options):
+            calls["n"] += 1
+            if calls["n"] >= 3:
+                raise RuntimeError("backend is down")
+            return solve_milp(problem, backend="highs", **options)
+
+        game, uncertainty = _table1_inputs()
+        tele = Telemetry()
+        results = []
+        with telemetry.use(tele):
+            results += _drifting_solves(0)
+            with pytest.raises(RuntimeError, match="backend is down"):
+                solve_cubis(small_interval_game, small_uncertainty,
+                            num_segments=8, epsilon=0.01,
+                            backend=failing_from_third_call)
+            results.append(solve_cubis(game, uncertainty, num_segments=10,
+                                       epsilon=1e-3))
+
+        def total(name):
+            return sum(m.value for m in tele.metrics if m.name == name)
+
+        def summed(field):
+            return sum(getattr(r, field) for r in results)
+
+        # The raising solve reached the MILP on every backend call (a
+        # callable backend skips the screens) and fell back once.
+        assert total("repro_cubis_milp_solves_total") == (
+            summed("milp_solves") + calls["n"]
+        )
+        assert total("repro_session_fallbacks_total") == 1
+        assert total("repro_cubis_lp_screens_total") == summed("lp_solves")
+        assert total("repro_cubis_hull_screens_total") == summed("hull_screens")
+        assert total("repro_cubis_cache_hits_total") == summed("cache_hits")
+        assert summed("cache_hits") > 0
 
 
 class TestSweepMerging:
