@@ -63,8 +63,8 @@ from repro.utils.validation import check_int_at_least, check_positive
 __all__ = ["CubisResult", "WarmStart", "solve_cubis"]
 
 #: Cap on the warm start's certificates.  ``WarmStart.strategies`` comes
-#: from the caller, and every pool check scans all of them at O(T) each,
-#: so the cap (the last ones win) bounds both that scan and memory.
+#: from the caller, and a pool check scans all of them at O(T) each, so
+#: the cap (the last ones win) bounds both that scan and memory.
 _CERTIFICATE_POOL_LIMIT = 16
 
 
@@ -85,17 +85,27 @@ class WarmStart:
     ----------
     bracket:
         The previous solve's final ``[lb, ub]``.  It is *probed*, never
-        trusted: both ends are re-verified by the oracle before use, so a
-        bracket from a neighbouring problem (the same game at a different
-        ``K``, the previous game of a sweep) can only shrink the search
-        interval, never corrupt it.
+        trusted: an end above the lower bound proven so far is re-verified
+        by the oracle before use, so a bracket from a neighbouring problem
+        (the same game at a different ``K``, the previous game of a
+        sweep) can only shrink the search interval, never corrupt it.
+        When the lower bound has passed both ends (the warm strategies'
+        certified level lies above them, or the upper end probed
+        feasible: the answer moved up, as under a band shrink), the
+        bracket starts an upward search on the ``memoise=True`` MILP
+        pipeline: the binary search gallops up from the lower bound
+        (``lo + epsilon * 4**k``) until a probe is infeasible, where it
+        used to skip the bracket and halve down from the top of the
+        utility range.  A bracket whose upper end proves infeasible
+        narrows the search as before.
     strategies:
         Candidate coverage vectors (typically the previous solve's
         strategy).  Each is screened against the current game's budget and
-        side constraints, then used as a feasibility certificate: any
-        candidate utility it still certifies is answered without a MILP
-        solve.  Strategies of the wrong dimension are ignored, so a sweep
-        over ``T`` can thread one warm start throughout.
+        side constraints, then used as a feasibility certificate: the
+        certificates answer the bottom-endpoint probe and the level guess
+        (the best level any of them certifies) without a MILP solve.
+        Strategies of the wrong dimension are ignored, so a sweep over
+        ``T`` can thread one warm start throughout.
     """
 
     bracket: tuple[float, float] | None = None
@@ -160,7 +170,8 @@ class CubisResult:
     cache_hits:
         Oracle steps answered by a warm start's strategy certificate with
         no screen or solver call at all.  Only a warm-started pipeline
-        solve has such certificates; 0 otherwise.
+        solve has such certificates, and they answer only the
+        bottom-endpoint probe and the level guess; 0 otherwise.
     session_mode:
         ``"incremental"`` when the MILP steps ran through the solve's
         :class:`~repro.solvers.session.MilpSession` (in-place coefficient
@@ -176,7 +187,10 @@ class CubisResult:
     guess_probes:
         Warm-start guesses (certificate level + carried bracket ends)
         actually probed by the binary search — what a
-        :class:`WarmStart` cost to re-validate on this instance.
+        :class:`WarmStart` cost to re-validate on this instance.  A
+        bracket end the lower bound has already passed is not probed and
+        adds nothing here; the gallop that such a bracket starts is not
+        counted either.
     degraded:
         True iff a fallback rung other than the first answered at least
         one step (always False without a resilience policy).
@@ -296,8 +310,9 @@ def solve_cubis(
     memoise:
         The only switch between the two MILP pipelines (default on).
         ``memoise=True`` with the ``"milp"`` oracle and no resilience
-        policy runs every step through the warm start's certificate pool
-        (if any), the hull and LP-relaxation screens (named backends), a
+        policy runs every step through the hull and LP-relaxation screens
+        (named backends; a warm start's certificate pool answers the
+        bottom-endpoint probe and the level guess before them), a
         per-solve :class:`~repro.solvers.session.MilpSession` and, if the
         session solve fails, one fresh-build fallback (see
         docs/PERFORMANCE.md).
@@ -322,6 +337,8 @@ def solve_cubis(
         The carried bracket is probed — not trusted — and the carried
         strategies make up the pipeline's certificate pool, so a stale
         warm start degrades gracefully to at most two extra oracle calls.
+        A bracket the lower bound passes starts a gallop up from it
+        instead (see :class:`WarmStart`).
     session:
         ``None`` (default) lets ``memoise`` decide.  The strings
         ``"incremental"`` and ``"fresh"`` are accepted as explicit
@@ -351,9 +368,9 @@ def solve_cubis(
         raise ValueError(
             f"speculation must be 1 (plain bisection), got {speculation!r}"
         )
-    # memoise alone picks the MILP pipeline: certificate pool -> hull
-    # screen -> LP screen -> session -> fresh-build fallback, or a fresh
-    # build per step.  For the dp oracle it puts the grid hull screen in
+    # memoise alone picks the MILP pipeline: certificate pool (two
+    # probes) -> hull screen -> LP screen -> session -> fresh-build
+    # fallback, or a fresh build per step.  For the dp oracle it puts the grid hull screen in
     # front of the kernel.  Ladder rungs with a named MILP backend get
     # the same screens without the session (make_milp_oracle).
     pipeline = memoise and oracle == "milp" and resilience is None
@@ -467,11 +484,14 @@ def solve_cubis(
             if skeleton is not None and coverage_constraints is None
             else None
         )
-        # The warm start's StrategyCertificate entries.  A certificate the
-        # solve makes itself never joins: the pipeline's lower bound jumps
-        # to the level it proves (payload_bound), so it cannot certify a
-        # later candidate of this search.
+        # The warm start's StrategyCertificate entries.  They answer only
+        # the candidates in pool_probes, the bottom endpoint and the level
+        # guess: once those lift the lower bound (payload_bound) to the
+        # best level any of them certifies, no later candidate is theirs.
+        # A certificate the solve makes itself never joins, for the same
+        # reason.
         pool: list = []
+        pool_probes: tuple = ()
         # Per-solve telemetry counters (docs/OBSERVABILITY.md); the
         # CubisResult fields are read straight off them.
         milp_counter = meter.counter("repro_cubis_milp_solves_total")
@@ -588,11 +608,11 @@ def solve_cubis(
                 ))
 
             def milp_oracle(c: float):
-                # Certificate pool -> hull screen -> LP screen -> session
-                # (or fresh-build) MILP -> fresh-build fallback; each
-                # counter ticks just before the action it counts, so a
-                # raise leaves exact totals behind.
-                if pool:
+                # Certificate pool (its two probes) -> hull screen -> LP
+                # screen -> session (or fresh-build) MILP -> fresh-build
+                # fallback; each counter ticks just before the action it
+                # counts, so a raise leaves exact totals behind.
+                if pool and c in pool_probes:
                     hit = certificate_answer(c)
                     if hit is not None:
                         hit_counter.inc()
@@ -742,10 +762,13 @@ def solve_cubis(
         # Warm-start intake: screened strategies make up the certificate
         # pool (the last _CERTIFICATE_POOL_LIMIT of them) and contribute one
         # proven-feasible guess (the best level any of them certifies,
-        # computed without any MILP); the carried bracket's ends are probed
-        # as ordinary oracle candidates.  Everything is verified against *this* game, so stale
-        # warm starts cannot corrupt the result.
-        guesses: list[float] = []
+        # computed without any MILP); the carried bracket goes in as one
+        # (lb, ub) guess: its ends are probed as ordinary oracle
+        # candidates, skipped once the lower bound has passed them, and a
+        # bracket the lower bound passes starts the gallop.  Everything is
+        # verified against *this* game, so stale warm starts cannot
+        # corrupt the result.
+        guesses: list = []
         if warm_start is not None:
             if pipeline:
                 level = -float("inf")
@@ -762,13 +785,12 @@ def solve_cubis(
                     level = max(level, cert.guaranteed_level(lo, hi))
                     pool.append(cert)
                 del pool[:-_CERTIFICATE_POOL_LIMIT]
+                pool_probes = (lo, level)
                 if np.isfinite(level):
                     guesses.append(level)
             if warm_start.bracket is not None:
                 prev_lb, prev_ub = warm_start.bracket
-                for value in (float(prev_ub), float(prev_lb)):
-                    if np.isfinite(value):
-                        guesses.append(value)
+                guesses.append((float(prev_lb), float(prev_ub)))
 
         ladder: OracleLadder | None = None
         if resilience is not None:

@@ -20,9 +20,21 @@ Two warm-start hooks cut oracle calls on repeated, related searches:
   strategy certifies).  When it exceeds the probed candidate, the lower
   bound jumps there directly, skipping the midpoints in between.
 
+A guess may also be a carried bracket ``(lower, upper)``.  When both of
+its ends lie at or below the lower bound once the bracket is done (they
+already did, or the upper end proved feasible), the answer moved up
+past the bracket, most likely by a little.  With a ``payload_bound``
+(so the lower bound is a certified level, not just a probed value) the
+search then gallops up from the lower bound instead of halving down
+from ``hi``: it probes ``lo + tolerance * 4**k``, never past the
+midpoint, until a probe is infeasible, then bisects the bracket that
+probe closed.
+
 Every oracle call is traced as a ``binary_search.step`` span carrying
-the candidate ``c`` and the verdict (see docs/OBSERVABILITY.md).  With
-no active telemetry context the spans are no-ops.
+the candidate ``c``, the verdict and the search ``phase`` that chose it
+(``endpoint``, ``guess``, ``gallop`` or ``bisect``; see
+docs/OBSERVABILITY.md).  With no active telemetry context the spans are
+no-ops.
 """
 
 from __future__ import annotations
@@ -35,6 +47,9 @@ from repro import telemetry
 from repro.utils.validation import check_positive
 
 __all__ = ["BinarySearchResult", "binary_search_max"]
+
+#: A gallop's probe offsets grow by this factor: ``tolerance * 4**k``.
+_GALLOP_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -61,8 +76,9 @@ class BinarySearchResult:
         when ``max_iterations`` was exhausted first (a warning is emitted)
         or when nothing in the interval was proven feasible.
     guess_probes:
-        ``initial_guesses`` entries actually probed (guesses outside the
-        open bracket are skipped and not counted).  Lets warm-start
+        ``initial_guesses`` values actually probed (guesses outside the
+        open bracket are skipped and not counted; a carried bracket
+        counts each end it probes).  Lets warm-start
         callers — notably the drift re-solve engine
         (:mod:`repro.solvers.resolve`) — report what a carried bracket
         cost to re-validate.
@@ -90,7 +106,7 @@ def binary_search_max(
     tolerance: float = 1e-3,
     max_iterations: int = 200,
     check_endpoints: bool = True,
-    initial_guesses: Sequence[float] = (),
+    initial_guesses: Sequence[float | tuple[float, float]] = (),
     payload_bound: Callable[[Any], float] | None = None,
 ) -> BinarySearchResult:
     """Find the largest ``c`` in ``[lo, hi]`` for which ``oracle(c)`` is
@@ -116,7 +132,17 @@ def binary_search_max(
     initial_guesses:
         Warm-start candidates probed (in order) before bisection begins.
         Guesses outside the current open bracket are skipped; each probe
-        is a normal oracle call recorded in the trace.
+        is a normal oracle call recorded in the trace.  An entry may be a
+        carried bracket ``(lower, upper)``, a tuple whose ends are probed
+        upper first.  If both ends lie at or below the lower bound once
+        they are done (skipped as already passed, or the upper end probed
+        feasible) and ``payload_bound`` is given, then once the guesses
+        are done the search gallops up from the lower bound: it probes
+        ``lo + tolerance * 4**k`` (``k = 0, 1, ...``, each from the lower
+        bound as lifted so far) until a probe is infeasible or the next
+        one would reach the midpoint of ``[lo, hi]``, and bisects from
+        there.  A bracket whose upper end proves infeasible is an
+        ordinary pair of guesses.
     payload_bound:
         Optional ``payload -> proven-feasible value``.  After every
         feasible verdict, the lower bound is raised to
@@ -133,11 +159,13 @@ def binary_search_max(
     iterations = 0
     proven_feasible = False
 
-    def probe(candidate: float) -> tuple[bool, Any]:
-        # One traced oracle call: the span carries the candidate and, on
-        # a clean return, the verdict (an oracle exception propagates and
-        # marks the span status "error").
-        with telemetry.span("binary_search.step", c=float(candidate)) as sp:
+    def probe(candidate: float, phase: str) -> tuple[bool, Any]:
+        # One traced oracle call: the span carries the candidate, the
+        # phase that chose it and, on a clean return, the verdict (an
+        # oracle exception propagates and marks the span status "error").
+        with telemetry.span(
+            "binary_search.step", c=float(candidate), phase=phase
+        ) as sp:
             feasible, probe_payload = oracle(candidate)
             sp.set(feasible=bool(feasible))
         return feasible, probe_payload
@@ -154,12 +182,12 @@ def binary_search_max(
         return candidate
 
     if check_endpoints:
-        feasible_hi, payload_hi = probe(hi)
+        feasible_hi, payload_hi = probe(hi, "endpoint")
         trace.append((hi, feasible_hi))
         iterations += 1
         if feasible_hi:
             return BinarySearchResult(hi, hi, payload_hi, iterations, tuple(trace), True)
-        feasible_lo, payload_lo = probe(lo)
+        feasible_lo, payload_lo = probe(lo, "endpoint")
         trace.append((lo, feasible_lo))
         iterations += 1
         if not feasible_lo:
@@ -171,26 +199,49 @@ def binary_search_max(
         lo = raise_lower(lo, payload_lo)
 
     guess_probes = 0
-    for guess in initial_guesses:
+    gallop = False
+    for entry in initial_guesses:
         if iterations >= max_iterations or hi - lo <= tolerance:
             break
-        guess = float(guess)
-        if not (lo < guess < hi):
-            continue
-        feasible, guess_payload = probe(guess)
-        trace.append((guess, feasible))
+        pair = isinstance(entry, tuple)
+        ends = (float(entry[1]), float(entry[0])) if pair else (float(entry),)
+        for guess in ends:
+            if iterations >= max_iterations or hi - lo <= tolerance:
+                break
+            if not (lo < guess < hi):
+                continue
+            feasible, guess_payload = probe(guess, "guess")
+            trace.append((guess, feasible))
+            iterations += 1
+            guess_probes += 1
+            if feasible:
+                payload = guess_payload
+                proven_feasible = True
+                lo = raise_lower(guess, guess_payload)
+            else:
+                hi = guess
+        if pair and payload_bound is not None and all(end <= lo for end in ends):
+            gallop = True
+
+    offset = tolerance
+    while gallop and hi - lo > tolerance and iterations < max_iterations:
+        candidate = lo + offset
+        if not lo < candidate < 0.5 * (lo + hi):
+            break  # capped at the midpoint: bisection takes over
+        feasible, gallop_payload = probe(candidate, "gallop")
+        trace.append((candidate, feasible))
         iterations += 1
-        guess_probes += 1
-        if feasible:
-            payload = guess_payload
-            proven_feasible = True
-            lo = raise_lower(guess, guess_payload)
-        else:
-            hi = guess
+        if not feasible:
+            hi = candidate
+            break
+        payload = gallop_payload
+        proven_feasible = True
+        lo = raise_lower(candidate, gallop_payload)
+        offset *= _GALLOP_GROWTH
 
     while hi - lo > tolerance and iterations < max_iterations:
         mid = 0.5 * (lo + hi)
-        feasible, mid_payload = probe(mid)
+        feasible, mid_payload = probe(mid, "bisect")
         trace.append((mid, feasible))
         iterations += 1
         if feasible:

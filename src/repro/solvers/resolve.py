@@ -25,7 +25,9 @@ solve** per instance:
     joins the certificate pool.  The bracket is *probed, never trusted*
     (``binary_search_max``'s ``initial_guesses`` contract): the
     certificate re-validation usually confirms the prior level without
-    any MILP solve.  Any widening falls back to the full utility-range
+    any MILP solve, and once that level (or a feasible probe of the
+    prior upper end) passes the bracket the search gallops up from it
+    instead of bisecting the whole utility range (docs/ONLINE.md).  Any widening falls back to the full utility-range
     bracket; the prior strategy still rides along (screened, so it can
     never corrupt the result).  Each solve's MILP session lives and
     dies inside its ``solve_cubis`` call; only the shape cache outlives

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.behavior import BandScaledModel
 from repro.behavior.interval import IntervalSUQR
 from repro.core.cubis import _CERTIFICATE_POOL_LIMIT, WarmStart, solve_cubis
@@ -366,6 +367,42 @@ class TestPerformanceLayer:
         assert scanned
         assert max(scanned.values()) <= len(strategies)
         assert sum(scanned.values()) <= len(strategies) * warm.iterations
+
+    def test_pool_answers_only_the_bottom_probe_and_the_level_guess(
+        self, monkeypatch
+    ):
+        """Once those two probes lift the lower bound to the best level any
+        warm certificate proves, no later candidate is theirs, so the
+        pool is not rescanned; its miss counter counts only the probes
+        that consulted it."""
+        game = random_interval_game(30, seed=3)
+        model = default_uncertainty(game.payoffs)
+        options = {"num_segments": 10, "epsilon": 1e-3}
+        first = solve_cubis(game, model, **options)
+        strategies = (first.strategy, game.strategy_space.uniform())
+        drifted = BandScaledModel(model, 0.7)
+        grid = SegmentGrid(10)
+        skeleton = CubisMilpSkeleton(
+            *step_grids(game, drifted, grid), game.num_resources, grid
+        )
+        lo, hi = game.utility_range()
+        level = max(
+            skeleton.certificate(s).guaranteed_level(lo, hi) for s in strategies
+        )
+        scanned = self._spy_pool_scans(monkeypatch)
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            warm = solve_cubis(
+                game, drifted, warm_start=WarmStart(strategies=strategies),
+                **options,
+            )
+        assert warm.iterations > 5
+        assert warm.cache_hits > 0
+        assert scanned and set(scanned) <= {lo, level}
+        counts = {m.name: m.value for m in tele.metrics if m.kind == "counter"}
+        assert (counts["repro_cubis_cache_hits_total"]
+                + counts.get("repro_cubis_cache_misses_total", 0)
+                == len(scanned))
 
     def test_ladder_answers_through_the_screens_not_a_pool(self):
         """A named-backend ladder rung screens every step; its trace is

@@ -1,8 +1,11 @@
 """Unit tests for repro.solvers.binary_search."""
 
+import math
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.solvers.binary_search import binary_search_max
@@ -298,3 +301,145 @@ class TestWarmStartHooks:
             payload_bound=lambda payload: -100.0,
         )
         assert res.lower == pytest.approx(0.6, abs=1e-4)
+
+
+def certified_oracle(threshold, level):
+    """Feasible exactly on (-inf, threshold]; a probe at or below
+    ``level`` (<= threshold) returns ``level`` as its payload, the value
+    it certifies, as a warm certificate does; any other feasible probe
+    certifies only itself."""
+
+    def oracle(c):
+        if c > threshold:
+            return False, None
+        return True, max(c, level)
+
+    return oracle
+
+
+def identity(payload):
+    return payload
+
+
+def phases(tele):
+    return [s.attributes["phase"] for s in tele.spans
+            if s.name == "binary_search.step"]
+
+
+class TestCarriedBracket:
+    """A ``(lower, upper)`` guess the lower bound passes (both ends at or
+    below it, skipped or probed) starts a gallop up from that bound; one
+    whose upper end proves infeasible is probed end by end exactly as two
+    float guesses were."""
+
+    def test_passed_bracket_gallops_up_from_the_lower_bound(self):
+        oracle = certified_oracle(0.515, 0.5)
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            res = binary_search_max(
+                oracle, -10.0, 10.0, tolerance=1e-3,
+                initial_guesses=((0.4, 0.401),), payload_bound=identity,
+            )
+        cold = binary_search_max(
+            oracle, -10.0, 10.0, tolerance=1e-3, payload_bound=identity,
+        )
+        assert res.lower <= 0.515 <= res.upper
+        assert res.gap <= 1e-3
+        assert [c for c, _ in res.trace[2:5]] == pytest.approx(
+            [0.501, 0.505, 0.521]
+        )
+        assert phases(tele)[:5] == ["endpoint", "endpoint", "gallop",
+                                    "gallop", "gallop"]
+        assert set(phases(tele)[5:]) == {"bisect"}
+        assert res.guess_probes == 0
+        assert res.iterations < cold.iterations
+
+    def test_bracket_still_bounding_the_answer_is_probed_as_before(self):
+        """An upper end that proves infeasible keeps the bracket ahead
+        of the lower bound: the two ends are plain guesses."""
+        oracle = certified_oracle(0.515, 0.5)
+        pair = binary_search_max(
+            oracle, -10.0, 10.0, tolerance=1e-3,
+            initial_guesses=((0.45, 0.52),), payload_bound=identity,
+        )
+        floats = binary_search_max(
+            oracle, -10.0, 10.0, tolerance=1e-3,
+            initial_guesses=(0.52, 0.45), payload_bound=identity,
+        )
+        assert pair == floats
+        assert pair.guess_probes == 1
+
+    def test_feasible_upper_end_starts_the_gallop(self):
+        """The lower bound passes the bracket when its upper end proves
+        feasible: the search gallops up from there."""
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            res = binary_search_max(
+                certified_oracle(0.515, 0.5), -10.0, 10.0, tolerance=1e-3,
+                initial_guesses=((0.45, 0.51),), payload_bound=identity,
+            )
+        assert res.trace[2] == (0.51, True)
+        assert phases(tele)[2:4] == ["guess", "gallop"]
+        assert res.trace[3][0] == pytest.approx(0.511)
+        assert res.guess_probes == 1
+        assert res.lower <= 0.515 <= res.upper
+
+    def test_no_gallop_without_payload_bound(self):
+        """Without a payload certificate the lower bound is only the
+        probed bottom; a bracket below it is skipped, as before."""
+        oracle = threshold_oracle(0.515)
+        pair = binary_search_max(
+            oracle, 0.0, 10.0, tolerance=1e-3, initial_guesses=((-2.0, -1.0),),
+        )
+        cold = binary_search_max(oracle, 0.0, 10.0, tolerance=1e-3)
+        assert pair == cold
+
+    def test_gallop_stops_at_the_midpoint(self):
+        """An answer near the top: the gallop hands over to bisection
+        before its offset would pass the midpoint."""
+        tele = telemetry.Telemetry()
+        with telemetry.use(tele):
+            res = binary_search_max(
+                certified_oracle(0.99, 0.0), 0.0, 1.0, tolerance=1e-3,
+                initial_guesses=((-0.5, -0.4),), payload_bound=identity,
+            )
+        gallops = [c for (c, _), phase in zip(res.trace, phases(tele))
+                   if phase == "gallop"]
+        assert gallops == pytest.approx([1e-3, 5e-3, 21e-3, 85e-3, 341e-3])
+        assert res.lower <= 0.99 <= res.upper
+
+    @given(
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(1e-3, 25.0),
+        tolerance=st.floats(1e-4, 0.5),
+        answer=st.floats(0.0, 1.0),
+        certified=st.floats(0.0, 1.0),
+        ends=st.tuples(st.floats(-1.5, 2.5), st.floats(-1.5, 2.5)),
+    )
+    def test_any_bracket_finds_the_threshold(
+        self, lo, width, tolerance, answer, certified, ends
+    ):
+        """Threshold oracles, any ``c*`` in ``[lo, hi]``, any carried
+        bracket: the result brackets ``c*`` within the tolerance, every
+        verdict is ``c <= c*``, and the gallop costs at most
+        ``ceil(log4(range / tolerance)) + 1`` calls over plain
+        bisection."""
+        hi = lo + width
+        c_star = min(lo + answer * width, hi)
+        level = lo + certified * (c_star - lo)
+        bracket = tuple(sorted(lo + e * width for e in ends))
+        oracle = certified_oracle(c_star, level)
+        res = binary_search_max(
+            oracle, lo, hi, tolerance=tolerance,
+            initial_guesses=(level, bracket), payload_bound=identity,
+        )
+        plain = binary_search_max(
+            oracle, lo, hi, tolerance=tolerance, payload_bound=identity,
+        )
+        assert res.converged
+        assert res.lower <= c_star <= res.upper
+        assert res.upper - res.lower <= tolerance
+        for c, feasible in res.trace:
+            assert feasible == (c <= c_star)
+        slack = max(0, math.ceil(math.log((hi - lo) / tolerance, 4))) + 1
+        assert res.iterations <= plain.iterations + slack

@@ -292,6 +292,19 @@ class TestSolveFleetMilp:
             )
 
 
+    def test_continuation_costs_no_more_calls_than_independent_solves(self):
+        """Eight independent T=50 games: a neighbour's bracket and
+        strategy are probed, never trusted, and a bracket the certified
+        level has passed starts a gallop only then, so carrying them
+        costs no oracle calls overall."""
+        games, models = make_fleet(8, num_targets=50, seed=0)
+        options = {"num_segments": 10, "epsilon": 1e-3}
+        carried = solve_fleet(games, models, continuation=True, **options)
+        independent = solve_fleet(games, models, continuation=False, **options)
+        assert (carried.totals()["oracle_calls"]
+                <= independent.totals()["oracle_calls"])
+
+
 class TestSolveFleetDp:
     def test_matches_independent_dp_solves(self):
         games, models = make_fleet(3)

@@ -27,7 +27,10 @@ from repro.behavior.interval import (
     FunctionIntervalModel,
     IntervalSUQR,
 )
+from repro.behavior.sampling import estimated_drift_sequence, shrink_factors
 from repro.core.cubis import WarmStart, solve_cubis
+from repro.experiments.quality import default_uncertainty
+from repro.game.generator import random_interval_game
 from repro.game.payoffs import IntervalPayoffs
 from repro.game.ssg import IntervalSecurityGame
 from repro.resilience.certificate import theorem_slack
@@ -223,6 +226,36 @@ class TestResolveDrifts:
             previous = value
         assert handle.resolves == 3
         assert handle.bracket_reuses == 3
+
+
+class TestShrinkReentryCost:
+    """The online PAC loop at T=50 (docs/ONLINE.md): a standing solve on
+    each PAC interval estimate, re-entered down a four-step shrink
+    ladder.  On each step the prior strategy's certified level passes
+    the carried bracket, so the search gallops up from it instead of
+    halving down from the top of the utility range (15-16 calls)."""
+
+    def test_every_shrink_step_takes_at_most_ten_calls(self):
+        rng = np.random.default_rng(0)
+        game = random_interval_game(50, seed=0)
+        truth = default_uncertainty(game.payoffs).midpoint_model()
+        coverage = rng.uniform(0.05, 1.0, size=(4, 50))
+        coverage = np.clip(
+            coverage * game.num_resources / coverage.sum(axis=1, keepdims=True),
+            0.0, 1.0,
+        )
+        estimates = estimated_drift_sequence(truth, coverage, [200, 400], seed=0)
+        for estimate in estimates:
+            handle = start_resolve(
+                game, estimate.model, num_segments=10, epsilon=1e-3
+            )
+            for factor in shrink_factors(4):
+                drifted = BandScaledModel(estimate.model, float(factor))
+                outcome = resolve(handle, drifted)
+                assert outcome.drift.kind == "shrink"
+                assert outcome.result.iterations <= 10
+                assert outcome.result.converged
+                assert_bit_identical(handle, outcome, drifted)
 
 
 # The 1e-3 coefficient quantisation shared with tests/test_verify_properties.py.

@@ -5,15 +5,17 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.analysis.sweep import run_grid
-from repro.behavior import BandScaledModel
+from repro.behavior import BandScaledModel, estimated_drift_sequence
 from repro.behavior.interval import IntervalSUQR
 from repro.core.cubis import solve_cubis
 from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game, table1_game
+from repro.solvers.resolve import resolve, start_resolve
 from repro.telemetry import Telemetry
 
 
@@ -110,6 +112,42 @@ class TestSolveTracing:
         r2 = solve_cubis(game, uncertainty, num_segments=10, epsilon=1e-3)
         assert r1.milp_solves == r2.milp_solves
         assert r1.oracle_calls == r2.oracle_calls
+
+
+class TestSearchPhases:
+    """Every ``binary_search.step`` span names the phase that chose its
+    candidate; only a warm start whose bracket the certified level has
+    passed gallops."""
+
+    @staticmethod
+    def step_phases(tele) -> list:
+        return [s.attributes["phase"] for s in tele.spans
+                if s.name == "binary_search.step"]
+
+    def test_shrink_resolve_gallops_and_cold_solve_does_not(self):
+        game = random_interval_game(50, seed=0)
+        truth = default_uncertainty(game.payoffs).midpoint_model()
+        coverage = np.full((1, 50), game.num_resources / 50)
+        estimate = estimated_drift_sequence(truth, coverage, [200], seed=0)[0]
+        cold_tele, shrink_tele = Telemetry(), Telemetry()
+        with telemetry.use(cold_tele):
+            handle = start_resolve(
+                game, estimate.model, num_segments=10, epsilon=1e-3
+            )
+        cold_calls = handle.result.iterations
+        with telemetry.use(shrink_tele):
+            outcome = resolve(handle, BandScaledModel(estimate.model, 0.8))
+        assert outcome.drift.kind == "shrink"
+
+        cold = self.step_phases(cold_tele)
+        assert len(cold) == cold_calls
+        assert "gallop" not in cold
+        assert set(cold) <= {"endpoint", "bisect"}
+        shrink = self.step_phases(shrink_tele)
+        assert len(shrink) == outcome.result.iterations
+        assert "gallop" in shrink
+        assert shrink[:2] == ["endpoint", "endpoint"]
+        assert set(shrink) <= {"endpoint", "guess", "gallop", "bisect"}
 
 
 _COUNT_FIELDS = ("milp_solves", "lp_solves", "hull_screens", "cache_hits")
