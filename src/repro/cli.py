@@ -524,9 +524,7 @@ def _run_solve(args) -> str:
             f"iterations        {result.iterations}"
             f"  ({result.solve_seconds:.3f}s)",
             f"converged         {result.converged}",
-            f"session           {result.session_mode}"
-            f"  patches={result.session_patches}"
-            f"  fallbacks={result.session_fallbacks}",
+            f"session           {result.session_mode}",
         ]
     if result.resilience is not None:
         rep = result.resilience

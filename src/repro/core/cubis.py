@@ -47,8 +47,7 @@ from repro.solvers.milp_backend import (
     solve_milp,
 )
 from repro.solvers.piecewise import SegmentGrid
-from repro.solvers.session import MilpSession
-from repro.resilience.events import SolveEventLog, StepEvent
+from repro.resilience.events import SolveEventLog
 from repro.resilience.policy import (
     LadderExhaustedError,
     OracleLadder,
@@ -173,17 +172,10 @@ class CubisResult:
         solve has such certificates, and they answer only the
         bottom-endpoint probe and the level guess; 0 otherwise.
     session_mode:
-        ``"incremental"`` when the MILP steps ran through the solve's
-        :class:`~repro.solvers.session.MilpSession` (in-place coefficient
-        patches on one live model), ``"fresh"`` when every step rebuilt
-        its model.
-    session_patches:
-        In-place sparse coefficient patches the solve's session applied
-        (excludes its full builds).
-    session_fallbacks:
-        Steps whose session solve failed and was answered by a one-shot
-        fresh-build fallback (each also emits a ``resilience.attempt``
-        telemetry event).
+        ``"incremental"`` for the ``memoise=True`` MILP pipeline (pool,
+        screens, then a MILP on the assembled skeleton's
+        ``skeleton.patch(c)``), ``"fresh"`` for every other path.  Only
+        a label: both build each step's model fresh.
     guess_probes:
         Warm-start guesses (certificate level + carried bracket ends)
         actually probed by the binary search — what a
@@ -217,8 +209,6 @@ class CubisResult:
     hull_screens: int = 0
     cache_hits: int = 0
     session_mode: str = "fresh"
-    session_patches: int = 0
-    session_fallbacks: int = 0
     guess_probes: int = 0
 
     @property
@@ -312,10 +302,11 @@ def solve_cubis(
         ``memoise=True`` with the ``"milp"`` oracle and no resilience
         policy runs every step through the hull and LP-relaxation screens
         (named backends; a warm start's certificate pool answers the
-        bottom-endpoint probe and the level guess before them), a
-        per-solve :class:`~repro.solvers.session.MilpSession` and, if the
-        session solve fails, one fresh-build fallback (see
-        docs/PERFORMANCE.md).
+        bottom-endpoint probe and the level guess before them), then a
+        MILP on ``skeleton.patch(c)`` of the skeleton assembled once per
+        solve (see docs/PERFORMANCE.md).  A backend failure propagates,
+        exactly as under ``memoise=False``; a resilience policy is the
+        recovery path.
         Feasibility *verdicts* are unchanged — a certificate only fires
         when the MILP would also have reported feasible — but the
         certifying strategy may replace the MILP maximiser as the step's
@@ -326,11 +317,10 @@ def solve_cubis(
         once at the end for the strategy; verdicts, bracket, trace and
         strategy stay bit-identical to ``memoise=False``.  Under a
         resilience policy, ``memoise=True`` gives every MILP rung with a
-        named backend the hull and LP screens (no session; the
-        MILP patches one assembled skeleton), so the bisection trace
-        equals the ``memoise=False`` ladder's while most steps skip the
-        MILP; callable rungs and the ``dp`` rung keep one exact solve
-        per step.
+        named backend the same screens and skeleton (no pool), so the
+        bisection trace equals the ``memoise=False`` ladder's while most
+        steps skip the MILP; callable rungs and the ``dp`` rung keep one
+        exact solve per step.
     warm_start:
         Optional :class:`WarmStart` from a neighbouring solve (same game
         with a different ``K``/``epsilon``, or a similar game in a sweep).
@@ -345,9 +335,8 @@ def solve_cubis(
         spellings of the two pipelines and must agree with them:
         ``"incremental"`` requires ``memoise=True``, the ``"milp"``
         oracle and no resilience policy; ``"fresh"`` requires
-        ``memoise=False``.  The pipeline's
-        :class:`~repro.solvers.session.MilpSession` lives exactly as
-        long as this call, so a session object is rejected.
+        ``memoise=False``.  Any other value, a session object included,
+        is rejected.
     speculation:
         Must be 1: the search is plain bisection, one oracle call per
         step (docs/PERFORMANCE.md explains why).  Accepted so callers and
@@ -369,10 +358,10 @@ def solve_cubis(
             f"speculation must be 1 (plain bisection), got {speculation!r}"
         )
     # memoise alone picks the MILP pipeline: certificate pool (two
-    # probes) -> hull screen -> LP screen -> session -> fresh-build
-    # fallback, or a fresh build per step.  For the dp oracle it puts the grid hull screen in
-    # front of the kernel.  Ladder rungs with a named MILP backend get
-    # the same screens without the session (make_milp_oracle).
+    # probes) -> hull screen -> LP screen -> MILP on skeleton.patch(c),
+    # or build_cubis_milp per step.  For the dp oracle it puts the grid
+    # hull screen in front of the kernel.  Ladder rungs with a named MILP
+    # backend get the same screens without the pool (make_milp_oracle).
     pipeline = memoise and oracle == "milp" and resilience is None
     grid_screen = memoise and oracle == "dp" and resilience is None
     session_mode = "incremental" if pipeline else "fresh"
@@ -427,13 +416,12 @@ def solve_cubis(
             )
 
         # --- performance layer -------------------------------------------- #
-        # The pipeline assembles the MILP structure once and patches it per
-        # step through one live MilpSession; a warm start's certificates
-        # answer the steps they still certify in O(T).  Memoised ladder
-        # rungs with a named backend answer through the same hull screen
-        # and LP screen, then solve a fresh skeleton.patch(c) (no
-        # session); callable and dp rungs keep one exact solve per step
-        # (see docs/PERFORMANCE.md).
+        # memoise assembles the MILP structure once and builds each step's
+        # model with skeleton.patch(c); a warm start's certificates answer
+        # the steps they still certify in O(T).  Memoised ladder rungs
+        # with a named backend answer through the same hull and LP
+        # screens (no pool); callable and dp rungs keep one exact solve
+        # per step (see docs/PERFORMANCE.md).
         needs_milp = (
             any(r.oracle == "milp" for r in resilience.rungs)
             if resilience is not None
@@ -467,9 +455,6 @@ def solve_cubis(
                     equality_resources=equality_resources,
                     coverage_constraints=coverage_constraints,
                 )
-        milp_session = (
-            MilpSession(skeleton, backend=backend) if pipeline else None
-        )
         # The Lagrangian hull screen needs the separable budget polytope;
         # side constraints couple the targets, so they skip it.
         hull = (
@@ -498,7 +483,6 @@ def solve_cubis(
         lp_counter = meter.counter("repro_cubis_lp_screens_total")
         hit_counter = meter.counter("repro_cubis_cache_hits_total")
         miss_counter = meter.counter("repro_cubis_cache_misses_total")
-        fallback_counter = meter.counter("repro_session_fallbacks_total")
         hull_counters = {
             verdict: meter.counter("repro_cubis_hull_screens_total", verdict=verdict)
             for verdict in ("infeasible", "feasible", "fallthrough")
@@ -557,8 +541,6 @@ def solve_cubis(
             return None
 
         def make_milp_oracle(milp_backend, *, validate: bool = True):
-            # The pipeline runs through milp_session; without one (memoise
-            # off, ladder rungs) a step that needs a model builds it fresh.
             label = backend_label(milp_backend)
             # Callable backends (fault injectors, custom solvers) skip the
             # screens, so each step they answer is one solve; only a warm
@@ -567,13 +549,25 @@ def solve_cubis(
             hull_screen = lp_screen and hull is not None
             # The highs LP screens of this solve share one live HiGHS
             # model, warm-started from the previous screen's basis.  It
-            # lives in this closure only, so it dies with the solve, as
-            # the session does.
+            # lives in this closure only, so it dies with the solve.
             live_lp = LiveLp()
-            session_log = SolveEventLog()
 
-            def build_fresh(c: float):
-                return (
+            def milp_oracle(c: float):
+                # Certificate pool (its two probes) -> hull screen -> LP
+                # screen -> MILP, every model built fresh for c; each
+                # counter ticks just before the action it counts, so a
+                # raise leaves exact totals behind.
+                if pool and c in pool_probes:
+                    hit = certificate_answer(c)
+                    if hit is not None:
+                        hit_counter.inc()
+                        return hit
+                    miss_counter.inc()
+                if hull_screen:
+                    answer = hull_screened(c, hull_answer)
+                    if answer is not None:
+                        return answer
+                model = (
                     skeleton.patch(c)
                     if skeleton is not None
                     else build_cubis_milp(
@@ -586,45 +580,6 @@ def solve_cubis(
                         equality_resources=equality_resources,
                         coverage_constraints=coverage_constraints,
                     )
-                )
-
-            def note_session_fallback(c, exc, wall_seconds: float) -> None:
-                # Mirror the resilience ladder's per-attempt event so a
-                # degraded session surfaces in the same telemetry stream
-                # (resilience.attempt + outcome counter) operators already
-                # watch; session fallbacks additionally tick their own
-                # counter.
-                session_log.record(StepEvent(
-                    step=state["step"],
-                    c=float(c),
-                    rung=0,
-                    oracle="milp",
-                    backend=label,
-                    attempt=1,
-                    outcome="error",
-                    feasible=None,
-                    wall_seconds=wall_seconds,
-                    message=f"session solve failed, retrying fresh build: {exc}",
-                ))
-
-            def milp_oracle(c: float):
-                # Certificate pool (its two probes) -> hull screen -> LP
-                # screen -> session (or fresh-build) MILP -> fresh-build
-                # fallback; each counter ticks just before the action it
-                # counts, so a raise leaves exact totals behind.
-                if pool and c in pool_probes:
-                    hit = certificate_answer(c)
-                    if hit is not None:
-                        hit_counter.inc()
-                        return hit
-                    miss_counter.inc()
-                if hull_screen:
-                    answer = hull_screened(c, hull_answer)
-                    if answer is not None:
-                        return answer
-                model = (
-                    milp_session.prepare(c) if milp_session is not None
-                    else build_fresh(c)
                 )
                 if lp_screen:
                     # LP-relaxation screen.  The relaxation's optimum bounds
@@ -656,40 +611,16 @@ def solve_cubis(
                             else:
                                 return True, cert
                 milp_counter.inc()
-                t0 = time.perf_counter()
-                try:
-                    result = (
-                        milp_session.solve() if milp_session is not None
-                        else solve_milp(model.problem, backend=milp_backend)
+                result = solve_milp(model.problem, backend=milp_backend)
+                if not result.optimal:
+                    # The MILP is always feasible in (x, v, q, h) — x =
+                    # anything feasible, q = 1, v at its forced value — so
+                    # a non-optimal status signals a solver failure, not
+                    # (P1) infeasibility.
+                    raise OracleStepError(
+                        f"CUBIS MILP solve failed at c={c:.6g} with backend "
+                        f"{label!r}: {result.status} {result.message}"
                     )
-                    if not result.optimal:
-                        # The MILP is always feasible in (x, v, q, h) — x =
-                        # anything feasible, q = 1, v at its forced value — so
-                        # a non-optimal status signals a solver failure, not
-                        # (P1) infeasibility.
-                        raise OracleStepError(
-                            f"CUBIS MILP solve failed at c={c:.6g} with backend "
-                            f"{label!r}: {result.status} {result.message}"
-                        )
-                except Exception as exc:
-                    if milp_session is None:
-                        raise
-                    # Session failure semantics: invalidate the live model
-                    # (in-place state may be implicated) and answer this
-                    # step with exactly one fresh-build solve; a second
-                    # failure propagates like the fresh-build path.
-                    fallback_counter.inc()
-                    milp_session.invalidate()
-                    note_session_fallback(c, exc, time.perf_counter() - t0)
-                    model = build_fresh(c)
-                    milp_counter.inc()
-                    result = solve_milp(model.problem, backend=milp_backend)
-                    if not result.optimal:
-                        raise OracleStepError(
-                            f"CUBIS MILP fresh-build fallback failed at "
-                            f"c={c:.6g} with backend {label!r}: "
-                            f"{result.status} {result.message}"
-                        ) from exc
                 g_bar = model.g_bar_from_objective(result.objective)
                 strategy = model.strategy_from_solution(result.x)
                 if validate:
@@ -700,7 +631,7 @@ def solve_cubis(
                         )
                     validate_step(strategy, f"backend {label!r}")
                 feasible = g_bar >= -feasibility_tolerance
-                if feasible and milp_session is not None:
+                if feasible and pipeline:
                     # The pipeline's payload_bound reads the level off it.
                     return True, skeleton.certificate(strategy)
                 return feasible, strategy
@@ -880,11 +811,6 @@ def solve_cubis(
         lp_solves = int(lp_counter.value)
         cache_hits = int(hit_counter.value)
         hull_screens = int(sum(counter.value for counter in hull_counters.values()))
-        session_patches = (
-            milp_session.patches_applied if milp_session is not None else 0
-        )
-        if pipeline:
-            meter.counter("repro_session_patches").inc(session_patches)
         solve_span.set(
             iterations=search.iterations,
             converged=search.converged,
@@ -893,7 +819,6 @@ def solve_cubis(
             hull_screens=hull_screens,
             cache_hits=cache_hits,
             session_mode=session_mode,
-            session_patches=session_patches,
             worst_case_value=float(worst.value),
         )
         return CubisResult(
@@ -915,7 +840,5 @@ def solve_cubis(
             hull_screens=hull_screens,
             cache_hits=cache_hits,
             session_mode=session_mode,
-            session_patches=session_patches,
-            session_fallbacks=int(fallback_counter.value),
             guess_probes=search.guess_probes,
         )

@@ -30,9 +30,12 @@ candidates and emits a :class:`SkeletonPatch` — the *sparse* set of
 coefficient updates taking the ``c_old`` model to the ``c_new`` model.
 Both :meth:`~CubisMilpSkeleton.patch` and
 :meth:`~CubisMilpSkeleton.diff` tabulate through the same private
-helper, so an in-place application of the patch set (see
-:class:`~repro.solvers.session.MilpSession`) reproduces a fresh build
-bit for bit.
+helper, so an in-place application of the patch set reproduces a
+fresh build bit for bit.  No solve path applies one: every
+CUBIS step builds its model with :meth:`~CubisMilpSkeleton.patch`.
+``diff``, ``diff_from``, :class:`SkeletonPatch` and
+``entry_data_slots`` stay because perfbench's probes
+(``perfbench/tracing.py``) resolve ``diff`` and ``diff_from`` by name.
 
 Structure sharing also extends *across games*: every structural array
 depends only on the shape ``(T, K, R, constraint set)``, never on the
@@ -472,8 +475,9 @@ class CubisMilpSkeleton:
 
         ``entry_data_slots[e]`` is the slot of COO entry ``e`` (assembly
         order, the order :class:`SkeletonPatch.vals_index` uses) in the
-        built CSR ``data`` array.  Computed lazily and cached; sessions
-        use it to write patch values straight into a live matrix.
+        built CSR ``data`` array.  Computed lazily and cached;
+        :class:`~repro.solvers.session.MilpSession` uses it to write patch
+        values straight into a live matrix.
         """
         slots = self._entry_data_slots
         if slots is None:

@@ -7,7 +7,7 @@ The ROADMAP's "millions of users" front door (docs/SERVICE.md):
 * :mod:`repro.service.admission` — per-tenant token-bucket quotas and
   the bounded work queue (the 429 machinery).
 * :mod:`repro.service.engine` — coalescing, the response cache, the
-  warm-start bank, and the session-backed worker pool.
+  warm-start bank, and the worker pool.
 * :mod:`repro.service.daemon` — the stdlib asyncio HTTP front end,
   mounting ``/healthz`` ``/metrics`` ``/progress`` from
   :mod:`repro.obs.routes`.

@@ -26,8 +26,8 @@ Worker threads drain the queue.  Each runs its job under a private
 thread-safe) whose metrics are merged into the engine's registry under
 the engine lock, shares one :class:`~repro.solvers.fleet.SkeletonShapeCache`
 across requests (the only solver structure that outlives a request:
-each solve's MILP session lives and dies inside its ``solve_cubis``
-call), and seeds each solve's :class:`StrategyCertificate` pool
+each solve builds its MILP models inside its ``solve_cubis`` call),
+and seeds each solve's :class:`StrategyCertificate` pool
 from the warm bank of earlier results on the same instance — the
 cross-request certificate reuse the response cache cannot provide when
 options differ.

@@ -64,8 +64,8 @@ class RequestError(ValueError):
 #: allowed values or None).  Defaults are applied *before* hashing, so a
 #: request that spells out a default coalesces with one that omits it.
 #: ``session`` selects nothing: every ``milp`` request without resilience
-#: runs ``solve_cubis``'s memoised pipeline, whose session lives only as
-#: long as that solve.  The key and its ``"auto"`` default stay so
+#: runs ``solve_cubis``'s memoised pipeline, which keeps no MILP state
+#: past that solve.  The key and its ``"auto"`` default stay so
 #: existing request bodies keep their canonical hash.
 SOLVE_OPTION_SPEC: dict[str, tuple[type, Any, tuple | None]] = {
     "num_segments": (int, 10, None),

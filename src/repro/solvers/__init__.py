@@ -7,7 +7,6 @@ from repro.solvers.lp import LPResult, solve_lp
 from repro.solvers.milp_backend import MILPProblem, MILPResult, solve_milp
 from repro.solvers.nonconvex import MultiStartResult, maximize_multistart
 from repro.solvers.piecewise import SegmentGrid
-from repro.solvers.session import MilpSession
 
 __all__ = [
     "BinarySearchResult",
@@ -15,7 +14,6 @@ __all__ = [
     "LPResult",
     "MILPProblem",
     "MILPResult",
-    "MilpSession",
     "MultiStartResult",
     "SegmentGrid",
     "VariableLayout",

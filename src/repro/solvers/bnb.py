@@ -55,9 +55,8 @@ def solve_bnb(
     gap_tol:
         Absolute bound-vs-incumbent gap below which a node is pruned.
     incumbent:
-        Optional MIP start — a candidate solution from a related solve
-        (e.g. the previous binary-search step of an incremental
-        session).  It is *probed, never trusted*: integer values are
+        Optional MIP start — a candidate solution from a related
+        solve.  It is *probed, never trusted*: integer values are
         rounded, feasibility is re-checked against this problem's
         constraints, and an infeasible start is silently ignored, so a
         stale incumbent can only tighten the initial pruning bound,

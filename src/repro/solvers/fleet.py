@@ -29,8 +29,8 @@ shared across the whole fleet.  This module provides the two pieces:
     Continuation changes which candidates are probed (it is a
     different, cheaper schedule), so it is a *mode*:
     ``continuation=False`` reproduces the independent per-game results
-    bit for bit.  Every solve's MILP session lives and dies inside its
-    own ``solve_cubis`` call; the shape cache is all the games share.
+    bit for bit.  Every solve builds its own MILP models inside its
+    ``solve_cubis`` call; the shape cache is all the games share.
 
 ``oracle="dp"`` fleets run the same per-game loop without continuation:
 the grid hull screen leaves each memoised game about one knapsack
@@ -240,7 +240,6 @@ class FleetResult:
             "milp_solves": sum(r.milp_solves for r in self.results),
             "lp_solves": sum(r.lp_solves for r in self.results),
             "cache_hits": sum(r.cache_hits for r in self.results),
-            "session_patches": sum(r.session_patches for r in self.results),
         }
 
 

@@ -165,8 +165,7 @@ def solve_milp(
     resilience layer to interpose fault injectors and custom solvers.
 
     ``warm_start`` is a candidate solution (a MIP start) from a related
-    solve, typically the previous binary-search step's optimum carried
-    by a :class:`~repro.solvers.session.MilpSession`.  It is advisory:
+    solve; no CUBIS solve path passes one.  It is advisory:
     only backends with a MIP-start hook receive it — ``"bnb"`` seeds its
     incumbent after re-validating feasibility; ``scipy.optimize.milp``
     exposes no warm-start parameter, so the ``"highs"`` MILP path (and

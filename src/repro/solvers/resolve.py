@@ -29,9 +29,8 @@ solve** per instance:
     prior upper end) passes the bracket the search gallops up from it
     instead of bisecting the whole utility range (docs/ONLINE.md).  Any widening falls back to the full utility-range
     bracket; the prior strategy still rides along (screened, so it can
-    never corrupt the result).  Each solve's MILP session lives and
-    dies inside its ``solve_cubis`` call; only the shape cache outlives
-    it.
+    never corrupt the result).  Each solve builds its own MILP models
+    inside its ``solve_cubis`` call; only the shape cache outlives it.
 
 Every resolve emits a ``resolve.solve`` telemetry span and ticks
 ``repro_resolve_solves_total`` plus the two engine counters

@@ -1,41 +1,20 @@
-"""The per-solve incremental MILP session of the CUBIS oracle.
+"""An incremental CUBIS MILP session that no solve path uses.
 
-A cold CUBIS run pays ``O(log(1/eps))`` MILP solves per game, and every
-solve used to re-assemble the model — template copies plus a CSR
-construction — even though only the ``c``-dependent coefficients change
-between binary-search steps.  :class:`MilpSession` keeps **one live
-model** for the whole search: the first candidate builds it via
+:class:`MilpSession` keeps **one live model** across binary-search
+candidates: the first :meth:`~MilpSession.prepare` builds it via
 :meth:`~repro.core.milp.CubisMilpSkeleton.patch`, every later candidate
 applies the sparse :class:`~repro.core.milp.SkeletonPatch` from
-:meth:`~repro.core.milp.CubisMilpSkeleton.diff` *in place* — writing
-straight into the live CSR ``data`` array through the skeleton's
-``entry_data_slots`` permutation.  Patched and freshly built models are
-bit-identical (property-tested), so the session changes nothing about
-the answers, only what they cost.
+:meth:`~repro.core.milp.CubisMilpSkeleton.diff` *in place*, through the
+skeleton's ``entry_data_slots`` permutation.  Patched and freshly built
+models are bit-identical (property-tested).
 
-A session lives exactly as long as the
-:func:`~repro.core.cubis.solve_cubis` call that creates it: fleets,
-standing re-solves and service workers share skeleton structure through
-the shape cache (:mod:`repro.solvers.fleet`), never a live model.
-
-The previous step's optimal solution is carried as an incumbent and
-forwarded to backends that accept a MIP start (the pure-Python ``bnb``
-backend; ``scipy.optimize.milp`` exposes no MIP-start hook, so the
-HiGHS MILP path ignores it — see
-:func:`~repro.solvers.milp_backend.solve_milp`).  The LP screens that
-:mod:`repro.core.cubis` runs on the session's model *are* warm-started
-on HiGHS, from the previous screen's optimal basis, by a
-:class:`~repro.solvers.milp_backend.LiveLp` that belongs to the solve,
-not to the session: a session holds only numpy arrays, never solver
-state.
-
-Failure semantics: a session never owns correctness.  When a backend
-errors mid-sequence the caller calls :meth:`MilpSession.invalidate` and
-re-solves that step from a fresh build; the next :meth:`prepare`
-rebuilds the live model from the skeleton templates (which in-place
-patching never touches), so one corrupted solve cannot poison the rest
-of the search.  :mod:`repro.core.cubis` wires this into a
-``resilience.attempt`` telemetry event per fallback.
+No solve path creates a session: every CUBIS step builds its model with
+``skeleton.patch(c)`` (:func:`~repro.core.cubis.solve_cubis`), which is
+cheaper than a sparse in-place patch at T=50-200.  The class
+stays only because perfbench's probes (``perfbench/tracing.py``,
+``install_probes``) resolve ``MilpSession.prepare``, ``solve`` and
+``retarget`` and this module's ``solve_milp`` by name; it goes when
+those probes stop naming it.
 """
 
 from __future__ import annotations

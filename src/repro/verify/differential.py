@@ -49,12 +49,13 @@ __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 
 #: The solver paths the differential checker knows, in execution order.
 #: ``milp-highs`` and ``milp-bnb`` run the default memoised pipeline
-#: (certificate pool, LP screen, incremental session; docs/PERFORMANCE.md).
+#: (certificate pool, hull and LP screens, MILP on the solve's skeleton;
+#: docs/PERFORMANCE.md).
 #: ``milp-reference`` is the fresh-build reference (``memoise=False``:
-#: one freshly assembled MILP per step, no pool, no screen, no session);
+#: one freshly assembled MILP per step, no pool, no screen);
 #: the pipeline arms must agree with it within the Theorem 1 tolerance,
-#: which pins the in-place patch machinery to the reference semantics on
-#: every battery run.
+#: which pins the screens and the skeleton patch to the reference
+#: semantics on every battery run.
 #: ``milp-fleet`` routes the instance through a single-game
 #: :func:`repro.solvers.fleet.solve_fleet` (shared-structure skeleton
 #: lease), which must land inside the same theorem slack as the plain
@@ -187,7 +188,6 @@ def run_paths(
             "lower_bound": float(result.lower_bound),
             "upper_bound": float(result.upper_bound),
             "shape_misses": fleet_result.shape_stats["misses"],
-            "session_patches": result.session_patches,
         }
 
     def resolve_path():
@@ -212,7 +212,6 @@ def run_paths(
             "drift": outcome.drift.kind,
             "bracket_reused": outcome.bracket_reused,
             "warm_hit": outcome.warm_hit,
-            "session_patches": result.session_patches,
         }
 
     def exact():

@@ -442,8 +442,8 @@ class TestPerformanceLayer:
 
 
 class TestSessionLayer:
-    """The incremental-session oracle may only change cost, never answers — and a mid-sequence backend failure must
-    degrade to exactly one fresh-build retry per failing step."""
+    """The ``session`` keyword only spells out the two pipelines, and no
+    solve path builds a :class:`~repro.solvers.session.MilpSession`."""
 
     def solve(self, game, unc, **kw):
         kw.setdefault("num_segments", 8)
@@ -454,9 +454,7 @@ class TestSessionLayer:
         memo = self.solve(small_interval_game, small_uncertainty, memoise=True)
         cold = self.solve(small_interval_game, small_uncertainty, memoise=False)
         assert memo.session_mode == "incremental"
-        assert memo.session_patches > 0
         assert cold.session_mode == "fresh"
-        assert cold.session_patches == 0
         # The explicit spellings of the two pipelines change nothing.
         spelled = self.solve(small_interval_game, small_uncertainty,
                              session="incremental")
@@ -508,6 +506,44 @@ class TestSessionLayer:
             self.solve(small_interval_game, small_uncertainty,
                        session=MilpSession(skeleton))
 
+    def test_no_solve_path_builds_a_session(
+        self, monkeypatch, small_interval_game, small_uncertainty
+    ):
+        from repro.behavior.interval import BandScaledModel
+        from repro.game.constraints import CoverageConstraints
+        from repro.resilience import ResiliencePolicy
+        from repro.resilience.policy import Rung
+        from repro.solvers.fleet import solve_fleet
+        from repro.solvers.resolve import resolve, start_resolve
+        from repro.solvers.session import MilpSession
+
+        made = []
+        original_init = MilpSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MilpSession, "__init__", counting_init)
+        game, unc = small_interval_game, small_uncertainty
+        t = game.num_targets
+        zones = CoverageConstraints.zone_caps(
+            t, [range(t // 2), range(t // 2, t)], [game.num_resources * 0.6] * 2
+        )
+        ladder = ResiliencePolicy(
+            rungs=(Rung("milp", "highs"), Rung("milp", "bnb"), Rung("dp"))
+        )
+        self.solve(game, unc)
+        self.solve(game, unc, memoise=False)
+        self.solve(game, unc, coverage_constraints=zones)
+        self.solve(game, unc, resilience=ladder)
+        self.solve(game, unc, oracle="dp")
+        solve_fleet([game, game], [unc, BandScaledModel(unc, 0.9)],
+                    num_segments=8, epsilon=0.01)
+        handle = start_resolve(game, unc, num_segments=8, epsilon=0.01)
+        resolve(handle, BandScaledModel(unc, 0.9))
+        assert made == []
+
     def test_bnb_session_matches_highs_session(
         self, small_interval_game, small_uncertainty
     ):
@@ -520,11 +556,10 @@ class TestSessionLayer:
 
 
 class TestSessionFailureSemantics:
-    """A backend error mid-sequence must trigger a fresh-build fallback
-    exactly once for that step, surface as a ``resilience.attempt``
-    event, and leave the answer identical to an unfailing run.  Callable
-    backends take the default pipeline (session, fallback) but skip the
-    hull and LP screens, so every backend call is a MILP solve."""
+    """A backend error in the memoised pipeline propagates, exactly as on
+    ``memoise=False``; the resilience ladder is the recovery path.
+    Callable backends skip the hull and LP screens, so every backend call
+    is a MILP solve."""
 
     def _flaky_backend(self, fail_on_call=None):
         from repro.solvers.milp_backend import solve_milp
@@ -539,53 +574,38 @@ class TestSessionFailureSemantics:
 
         return flaky, calls
 
-    def test_fallback_exactly_once_and_answer_unchanged(
+    def test_injected_failure_propagates_and_ladder_retry_recovers(
         self, small_interval_game, small_uncertainty
     ):
-        from repro import telemetry
+        from repro.resilience import ResiliencePolicy
+        from repro.resilience.policy import Rung
 
+        options = dict(num_segments=8, epsilon=0.01)
         steady, _ = self._flaky_backend()
         ref = solve_cubis(small_interval_game, small_uncertainty,
-                          num_segments=8, epsilon=0.01, backend=steady)
+                          backend=steady, **options)
+        assert ref.milp_solves >= 4
         flaky, calls = self._flaky_backend(fail_on_call=4)
-        counters = {
-            "milp_solves": "repro_cubis_milp_solves_total",
-            "lp_solves": "repro_cubis_lp_screens_total",
-            "session_fallbacks": "repro_session_fallbacks_total",
-        }
-        tele = telemetry.Telemetry()
-        with telemetry.use(tele):
-            # A memoised solve first, so the counters enter the flaky
-            # solve nonzero and only per-solve deltas can match.
+        with pytest.raises(RuntimeError, match="injected backend failure"):
             solve_cubis(small_interval_game, small_uncertainty,
-                        num_segments=8, epsilon=0.01)
-            before = {field: tele.metrics.counter(name).value
-                      for field, name in counters.items()}
-            assert before["milp_solves"] + before["lp_solves"] > 0
-            result = solve_cubis(small_interval_game, small_uncertainty,
-                                 num_segments=8, epsilon=0.01, backend=flaky)
+                        backend=flaky, **options)
+        assert calls["n"] == 4
 
-        # Exactly one fallback: the failing step was re-solved from a
-        # fresh build once, every other step stayed incremental.
-        assert result.session_mode == "incremental"
-        assert result.session_fallbacks == 1
-        assert result.lp_solves == 0
-        assert calls["n"] == result.milp_solves
-        assert result.milp_solves == ref.milp_solves + 1
-        for field, name in counters.items():
-            delta = tele.metrics.counter(name).value - before[field]
-            assert getattr(result, field) == delta, field
-        np.testing.assert_array_equal(result.strategy, ref.strategy)
-        assert result.lower_bound == ref.lower_bound
-        assert result.upper_bound == ref.upper_bound
+        # The same failure on a ladder rung with a retry is absorbed.
+        def one_rung(backend):
+            return ResiliencePolicy(rungs=(Rung("milp", backend),),
+                                    max_retries=1)
 
-        attempts = [r for r in tele.spans if r.name == "resilience.attempt"]
-        errors = [r for r in attempts if r.attributes["outcome"] == "error"]
-        assert len(errors) == 1
-        assert "injected backend failure" in errors[0].attributes["message"]
-        fallback_counters = [m for m in tele.metrics
-                             if m.name == "repro_session_fallbacks_total"]
-        assert sum(m.value for m in fallback_counters) == 1
+        steady_ladder = solve_cubis(small_interval_game, small_uncertainty,
+                                    resilience=one_rung(steady), **options)
+        flaky, calls = self._flaky_backend(fail_on_call=4)
+        recovered = solve_cubis(small_interval_game, small_uncertainty,
+                                resilience=one_rung(flaky), **options)
+        assert recovered.resilience.failed_attempts == 1
+        assert not recovered.degraded
+        np.testing.assert_array_equal(recovered.strategy, steady_ladder.strategy)
+        assert recovered.lower_bound == steady_ladder.lower_bound
+        assert recovered.upper_bound == steady_ladder.upper_bound
 
     def test_persistent_failure_propagates_like_non_session_path(
         self, small_interval_game, small_uncertainty

@@ -183,41 +183,40 @@ class TestSolveFleetMilp:
 
     def test_structure_is_assembled_once_per_shape(self, monkeypatch):
         import repro.core.cubis as cubis_mod
-        from repro.solvers.session import MilpSession
+        from repro.core.milp import CubisMilpSkeleton
 
-        made = []
+        patched = []
+        original_patch = CubisMilpSkeleton.patch
 
-        class RecordingSession(MilpSession):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
+        def patch_spy(self, c):
+            patched.append(self)
+            return original_patch(self, c)
 
         per_game = []
         original = cubis_mod.solve_cubis
 
         def solve_spy(*args, **kwargs):
-            before = len(made)
+            before = len(patched)
             result = original(*args, **kwargs)
-            per_game.append((result, made[before:]))
+            per_game.append((result, patched[before:]))
             return result
 
-        monkeypatch.setattr(cubis_mod, "MilpSession", RecordingSession)
+        monkeypatch.setattr(CubisMilpSkeleton, "patch", patch_spy)
         monkeypatch.setattr(cubis_mod, "solve_cubis", solve_spy)
         games, models = make_fleet(5)
         fleet = solve_fleet(games, models, **SOLVE)
         assert fleet.shape_stats["misses"] == 1
         assert fleet.shape_stats["hits"] == 4
-        # Every game's solve made its own session over a skeleton leased
-        # from the one assembly; a session builds its model at most once
-        # (at the first LP screen) and nothing carries it to the next game.
+        # Every game's solve patches a skeleton leased from the one
+        # assembly, one fresh model per LP screen (a MILP fall-through
+        # solves its LP screen's model), and nothing carries a model to
+        # the next game.
         assert [r for r, _ in per_game] == list(fleet.results)
-        proto = per_game[0][1][0].skeleton
-        for result, sessions in per_game:
-            assert len(sessions) == 1
-            session = sessions[0]
-            assert session.skeleton.shares_structure(proto)
-            assert session.fresh_builds == int(result.lp_solves > 0)
-            assert session.patches_applied == result.session_patches
+        proto = next(skeletons[0] for _, skeletons in per_game if skeletons)
+        for result, skeletons in per_game:
+            assert len(skeletons) == result.lp_solves
+            for skeleton in skeletons:
+                assert skeleton.shares_structure(proto)
 
     def test_mixed_shapes_in_one_fleet(self):
         games4, models4 = make_fleet(2, num_targets=4)

@@ -38,7 +38,6 @@ from repro.solvers.milp_backend import (
 )
 from repro.solvers.piecewise import SegmentGrid
 from repro.solvers.resolve import resolve, start_resolve
-from repro.solvers.session import MilpSession
 from tests.test_imports import assert_ran, run_python
 
 HIGHS = milp_backend.highs_binding()
@@ -178,13 +177,12 @@ class TestParity:
     @pytest.mark.parametrize("t,k,seed", [(6, 5, 1), (12, 8, 2), (20, 10, 3)])
     def test_warm_chain_matches_scipy_along_a_bisection(self, t, k, seed):
         skeleton = random_skeleton(t, k, seed)
-        session = MilpSession(skeleton)
         live = LiveLp()
         lo, hi = -10.0, 10.0
         warm_flags = []
         for _ in range(14):
             c = 0.5 * (lo + hi)
-            model = session.prepare(c)
+            model = skeleton.patch(c)
             problem = relax_integrality(model.problem)
             want = _solve_highs(problem)
             got, warm, _ = live.solve(problem)

@@ -230,11 +230,10 @@ class TestPerSolveCounters:
             return sum(getattr(r, field) for r in results)
 
         # The raising solve reached the MILP on every backend call (a
-        # callable backend skips the screens) and fell back once.
+        # callable backend skips the screens).
         assert total("repro_cubis_milp_solves_total") == (
             summed("milp_solves") + calls["n"]
         )
-        assert total("repro_session_fallbacks_total") == 1
         assert total("repro_cubis_lp_screens_total") == summed("lp_solves")
         assert total("repro_cubis_hull_screens_total") == summed("hull_screens")
         assert total("repro_cubis_cache_hits_total") == summed("cache_hits")
