@@ -18,7 +18,6 @@ engine replaces the pool and re-runs the cells that had not finished.
 
 from __future__ import annotations
 
-import contextlib
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -27,7 +26,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.obs import progress
-from repro.solvers.fleet import process_shape_cache, use_shape_cache
 from repro.store.hashing import plain_data
 from repro.telemetry import Telemetry
 from repro.utils.rng import spawn_seed_sequences
@@ -211,7 +209,6 @@ def _execute_cell(
     params: dict,
     cell_index: int,
     capture: bool,
-    fleet: bool,
 ) -> dict:
     """Run one cell, catching trial exceptions into a structured failure
     dict.
@@ -229,32 +226,23 @@ def _execute_cell(
     context variable, so this per-trial context is what carries spans and
     metrics back across the process boundary; the serial path uses the
     *same* mechanism so serial and parallel sweeps merge identically.
-
-    With ``fleet=True`` the trial runs under the process-wide
-    :class:`~repro.solvers.fleet.SkeletonShapeCache`, so every
-    ``solve_cubis`` call inside it leases its MILP skeleton structure
-    from one per-shape prototype instead of re-assembling it.  Rebound
-    skeleton views are bit-identical to fresh builds, so the sweep's
-    records do not depend on the flag — only its throughput does.
     """
     try:
         rng = np.random.default_rng(seq)
-        with (use_shape_cache(process_shape_cache()) if fleet
-              else contextlib.nullcontext()):
-            if not capture:
+        if not capture:
+            records = [
+                dict(record)
+                for record in trial(rng=rng, trial_index=trial_index, **params)
+            ]
+            return {"status": "ok", "records": records, "export": None}
+        tele = Telemetry()
+        with telemetry.use(tele):
+            with tele.span("sweep.trial", cell=cell_index, trial=trial_index):
                 records = [
                     dict(record)
                     for record in trial(rng=rng, trial_index=trial_index, **params)
                 ]
-                return {"status": "ok", "records": records, "export": None}
-            tele = Telemetry()
-            with telemetry.use(tele):
-                with tele.span("sweep.trial", cell=cell_index, trial=trial_index):
-                    records = [
-                        dict(record)
-                        for record in trial(rng=rng, trial_index=trial_index, **params)
-                    ]
-            return {"status": "ok", "records": records, "export": tele.export()}
+        return {"status": "ok", "records": records, "export": tele.export()}
     except Exception as exc:
         return {
             "status": "failed",
@@ -283,7 +271,6 @@ def run_grid(
     seed=0,
     workers: int | None = None,
     on_error: str = "raise",
-    fleet: bool = False,
 ) -> ResultTable:
     """Run ``trial`` over a parameter grid with seeded repetitions.
 
@@ -321,18 +308,6 @@ def run_grid(
         original traceback.  ``"record"``: the failure becomes a
         :class:`CellFailure` on ``table.failures`` and its siblings run
         to completion.
-    fleet:
-        Run every trial under the process-wide skeleton shape cache
-        (:func:`~repro.solvers.fleet.process_shape_cache`): the first
-        trial to need a MILP skeleton of a given ``(T, K, R)`` shape
-        assembles it once, and every later ``solve_cubis`` call in any
-        cell of this sweep — same process or same pool worker — leases
-        a rebound view of that structure instead of re-assembling it.
-        Results are bit-identical to ``fleet=False`` (rebound views
-        tabulate to the same models); only throughput changes.  Cache
-        hit/miss counters surface as
-        ``repro_skeleton_shape_{hits,misses}_total`` in each trial's
-        telemetry.
 
     When a telemetry context is active (``repro.telemetry.use``), every
     trial — serial or pooled — runs under its own per-trial context
@@ -356,12 +331,6 @@ def run_grid(
         for t, trial_seq in enumerate(config_seq.spawn(num_trials)):
             jobs.append(_Job(len(jobs), cell, params, t, trial_seq))
 
-    span_attributes = {
-        "cells": len(grid), "trials": num_trials, "workers": workers or 1,
-    }
-    if fleet:
-        span_attributes["fleet"] = True
-
     outcomes: list[dict | None] = [None] * len(jobs)
     ok_count = 0
     failed_count = 0
@@ -373,7 +342,6 @@ def run_grid(
         "sweep",
         total=len(jobs), done=0, ok=0, failed=0,
         cells=len(grid), trials=num_trials, workers=workers or 1,
-        fleet=fleet,
     )
 
     def _finalize(job: _Job, outcome: dict) -> None:
@@ -400,7 +368,8 @@ def run_grid(
         if on_error == "raise":
             raise SweepCellError(failure)
 
-    with tele.span("sweep.run_grid", **span_attributes):
+    with tele.span("sweep.run_grid", cells=len(grid), trials=num_trials,
+                   workers=workers or 1):
         if workers is not None and workers > 1 and len(jobs) > 1:
             from concurrent.futures import ProcessPoolExecutor
             from concurrent.futures.process import BrokenProcessPool
@@ -413,7 +382,7 @@ def run_grid(
                     submitted = [
                         (job, pool.submit(
                             _execute_cell, trial, job.seq, job.trial,
-                            job.params, job.cell, capture, fleet,
+                            job.params, job.cell, capture,
                         ))
                         for job in pending
                     ]
@@ -443,8 +412,7 @@ def run_grid(
         else:
             for job in jobs:
                 _finalize(job, _execute_cell(
-                    trial, job.seq, job.trial, job.params, job.cell,
-                    capture, fleet,
+                    trial, job.seq, job.trial, job.params, job.cell, capture,
                 ))
 
         # -- assemble in stable job order ------------------------------ #

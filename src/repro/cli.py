@@ -14,7 +14,7 @@ Each command prints the same table its benchmark counterpart produces.
 
 ``sweep`` runs any experiment grid through ``run_grid`` and can write
 the result table as canonical JSON, byte-identical across ``--workers``
-and ``--fleet`` settings::
+settings::
 
     python -m repro sweep smoke --workers 2 --out table.json
 
@@ -178,11 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "failures and keep the siblings")
     sw.add_argument("--out", type=str, default=None, metavar="FILE",
                     help="write the result table as canonical JSON "
-                         "(byte-comparable across --workers/--fleet runs)")
-    sw.add_argument("--fleet", action="store_true",
-                    help="share one MILP skeleton structure per (T, K, R) "
-                         "shape across all cells (bit-identical results, "
-                         "docs/PERFORMANCE.md)")
+                         "(byte-comparable across --workers runs)")
     sw.add_argument("--telemetry", type=str, default=None, metavar="PATH",
                     help="write the sweep's merged span tree and metrics "
                          "as JSONL (feeds `repro trace`)")
@@ -406,7 +402,7 @@ def _run_landscape(args) -> str:
 
 def _table_json(table) -> str:
     """Canonical JSON for a result table: sorted keys, fixed layout —
-    the byte-comparable artifact the serial/pooled/fleet identity checks
+    the byte-comparable artifact the serial/pooled identity checks
     diff."""
     import json
 
@@ -436,7 +432,6 @@ def _run_sweep(args) -> str:
         seed=args.seed,
         workers=args.workers,
         on_error=args.on_error,
-        fleet=args.fleet,
         **kwargs,
     )
     lines = [

@@ -39,7 +39,7 @@ from repro.core.worst_case import WorstCaseSolution, evaluate_worst_case
 from repro.game.ssg import IntervalSecurityGame
 from repro.obs import progress
 from repro.solvers.binary_search import binary_search_max
-from repro.solvers.fleet import active_shape_cache
+from repro.solvers.fleet import process_shape_cache
 from repro.solvers.milp_backend import (
     LiveLp,
     backend_label,
@@ -429,15 +429,13 @@ def solve_cubis(
         )
         skeleton = None
         if memoise and needs_milp:
-            # An active shape cache (run_grid(fleet=True), solve_fleet,
-            # resolve handles, service workers) leases a structure-sharing
+            # The process-wide shape cache leases a structure-sharing
             # skeleton instead of assembling one; rebinding is
             # bit-identical to a fresh build, so this only changes cost.
             # Side constraints embed their matrix in the structure, so
             # constrained games always build fresh.
-            shape_cache = active_shape_cache()
-            if shape_cache is not None and coverage_constraints is None:
-                skeleton = shape_cache.lease(
+            if coverage_constraints is None:
+                skeleton = process_shape_cache().lease(
                     ud_grid,
                     lower_grid,
                     upper_grid,

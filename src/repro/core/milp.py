@@ -41,7 +41,7 @@ Structure sharing also extends *across games*: every structural array
 depends only on the shape ``(T, K, R, constraint set)``, never on the
 payoff grids, so :meth:`CubisMilpSkeleton.rebind` produces a skeleton
 for a different game of the same shape by sharing the assembly and
-swapping only the bound grids — the mechanism behind the fleet solver's
+swapping only the bound grids — the mechanism behind the process-wide
 shape cache (:mod:`repro.solvers.fleet`).
 :meth:`CubisMilpSkeleton.diff_from` is the general form of ``diff``: the
 sparse patch from a sibling's model at one candidate to this skeleton's
@@ -570,7 +570,7 @@ class CubisMilpSkeleton:
         The resource budget and constraint set are inherited: rebinding
         is only valid across games of identical shape (same ``T``, ``K``,
         ``R``, and equality/coverage structure) — exactly the grouping
-        the fleet shape cache keys on.
+        the process-wide shape cache keys on.
         """
         ud = np.asarray(defender_utility_grid, dtype=np.float64)
         lo = np.asarray(lower_grid, dtype=np.float64)

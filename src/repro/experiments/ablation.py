@@ -85,7 +85,7 @@ def run_ablation_k(
 ) -> ResultTable:
     """Sweep the segment count ``K`` at a fixed tight ``epsilon``.
 
-    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    Extra keyword arguments (``on_error=``) pass through to
     :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [
@@ -108,7 +108,7 @@ def run_ablation_epsilon(
 ) -> ResultTable:
     """Sweep the binary-search tolerance at a fixed large ``K``.
 
-    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    Extra keyword arguments (``on_error=``) pass through to
     :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [

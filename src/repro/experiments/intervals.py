@@ -76,7 +76,7 @@ def run_intervals(
 ) -> ResultTable:
     """Run the F3 sweep over uncertainty scales.
 
-    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    Extra keyword arguments (``on_error=``) pass through to
     :func:`repro.analysis.sweep.run_grid`.
 
     ``scale=0`` collapses the weight boxes to their midpoints (payoff

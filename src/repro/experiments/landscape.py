@@ -115,7 +115,7 @@ def run_landscape(
 ) -> ResultTable:
     """Run the landscape comparison; one record per (trial, algorithm).
 
-    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    Extra keyword arguments (``on_error=``) pass through to
     :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [

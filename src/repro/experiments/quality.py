@@ -102,7 +102,7 @@ def run_quality(
 ) -> ResultTable:
     """Run the F1 sweep; returns one record per (size, trial, algorithm).
 
-    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    Extra keyword arguments (``on_error=``) pass through to
     :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [

@@ -71,7 +71,7 @@ def run_runtime(
 
     ``workers > 1`` fans the (size, trial) cells out over a process pool;
     results are bit-identical to the serial run at the same seed.  Extra
-    keyword arguments (``on_error=``, ``fleet=``) pass through to
+    keyword arguments (``on_error=``) pass through to
     :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [

@@ -4,8 +4,8 @@ The real experiment drivers record wall-clock fields (``seconds``), which
 legitimately differ between two runs of the same cell — useless for
 proving *bit-identity*.  This driver solves small random interval games
 and records only solver-deterministic quantities, so a pooled
-(``--workers``) or fleet-mode sweep must reproduce its table **byte for
-byte** against the serial reference.  ``repro sweep smoke`` runs it.
+(``--workers``) sweep must reproduce its table **byte for byte** against
+the serial reference.  ``repro sweep smoke`` runs it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def run_smoke(
 ) -> ResultTable:
     """Run the deterministic smoke sweep.
 
-    Extra keyword arguments (``on_error=``, ``fleet=``) pass through to
+    Extra keyword arguments (``on_error=``) pass through to
     :func:`repro.analysis.sweep.run_grid`.
     """
     grid = [

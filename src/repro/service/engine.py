@@ -24,9 +24,9 @@ call runs the whole admission pipeline under a single lock:
 Worker threads drain the queue.  Each runs its job under a private
 :class:`~repro.telemetry.runtime.Telemetry` (the parent tracer is not
 thread-safe) whose metrics are merged into the engine's registry under
-the engine lock, shares one :class:`~repro.solvers.fleet.SkeletonShapeCache`
-across requests (the only solver structure that outlives a request:
-each solve builds its MILP models inside its ``solve_cubis`` call),
+the engine lock, leases skeletons from the process-wide
+:class:`~repro.solvers.fleet.SkeletonShapeCache` like every other solve
+(each solve builds its MILP models inside its ``solve_cubis`` call),
 and seeds each solve's :class:`StrategyCertificate` pool
 from the warm bank of earlier results on the same instance — the
 cross-request certificate reuse the response cache cannot provide when
@@ -286,9 +286,6 @@ class SolveEngine:
         # Standing resolve handles for POST /v1/resolve, keyed by
         # (tenant, game, pinned options); bounded LRU of handles.
         self._standing = _LruBytes(max(4, workers * 2))
-        from repro.solvers.fleet import SkeletonShapeCache
-
-        self._shape_cache = SkeletonShapeCache(capacity=max(4, workers * 2))
         self._closed = False
         self._threads = [
             threading.Thread(target=self._worker_loop, args=(index,),
@@ -532,8 +529,6 @@ class SolveEngine:
         return outcome.result, info
 
     def _run_job(self, job: _Job) -> None:
-        from repro.solvers.fleet import use_shape_cache
-
         t0 = self._clock()
         worker_tele = Telemetry()
         error: Exception | None = None
@@ -550,7 +545,7 @@ class SolveEngine:
                 game, uncertainty, options = build_instance(job.canonical)
                 policy = self._policy_factory(options)
                 warm = self._lookup_warm(job.canonical)
-                with use_telemetry(worker_tele), use_shape_cache(self._shape_cache):
+                with use_telemetry(worker_tele):
                     with worker_tele.span("service.solve", request=job.request_id,
                                           redispatch=job.redispatched):
                         result = self._solve_fn(

@@ -7,23 +7,23 @@ of near-identical instances — solve thousands of games that share one
 *structural* array in that assembly (sparsity pattern, templates,
 bounds, integrality, variable layout) depends only on the shape, never
 on the payoffs, so the assembly can be paid **once per shape** and
-shared across the whole fleet.  This module provides the two pieces:
+shared across the whole process.  This module provides the two pieces:
 
 :class:`SkeletonShapeCache`
     A bounded LRU of prototype skeletons keyed by shape.  ``lease()``
     returns a :meth:`~repro.core.milp.CubisMilpSkeleton.rebind` view —
     the shared assembly bound to the requesting game's payoff grids —
     and ticks the ``repro_skeleton_shape_hits_total`` /
-    ``repro_skeleton_shape_misses_total`` counters.  Activate it for a
-    region of code with :func:`use_shape_cache`; ``solve_cubis`` (and
-    therefore every sweep cell under ``run_grid(fleet=True)``) consults
-    the active cache at its skeleton-build site.  Rebinding is
-    bit-identical to a fresh build, so the cache changes only cost,
-    never answers.
+    ``repro_skeleton_shape_misses_total`` counters.  There is one
+    instance per process (:func:`process_shape_cache`): every memoised
+    MILP ``solve_cubis`` without side constraints leases from it — plain
+    solves, sweep cells, fleets, resolve handles and service workers
+    alike.  Rebinding is bit-identical to a fresh build, so the cache
+    changes only cost, never answers.
 
 :func:`solve_fleet`
-    The batched solver: a loop of ``solve_cubis`` calls under one shape
-    cache, with **δ-continuation** between neighbouring games: each
+    The batched solver: a loop of ``solve_cubis`` calls with
+    **δ-continuation** between neighbouring games: each
     solve's final bracket and strategy seed the next solve's binary
     search (as a probed :class:`~repro.core.cubis.WarmStart`).
     Continuation changes which candidates are probed (it is a
@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +56,8 @@ from repro.utils.timing import Timer
 __all__ = [
     "FleetResult",
     "SkeletonShapeCache",
-    "active_shape_cache",
     "process_shape_cache",
     "solve_fleet",
-    "use_shape_cache",
 ]
 
 
@@ -159,55 +155,19 @@ class SkeletonShapeCache:
             }
 
 
-_active_cache: ContextVar[SkeletonShapeCache | None] = ContextVar(
-    "repro_shape_cache", default=None
-)
-
-_process_cache: SkeletonShapeCache | None = None
-_process_cache_lock = threading.Lock()
-
-
-def active_shape_cache() -> SkeletonShapeCache | None:
-    """The shape cache active in this context, or ``None``.
-
-    ``solve_cubis`` consults this at its skeleton-build site: with a
-    cache active (and no side constraints), the skeleton is leased
-    instead of assembled.
-    """
-    return _active_cache.get()
-
-
-@contextmanager
-def use_shape_cache(cache: SkeletonShapeCache | None = None):
-    """Activate ``cache`` (or a fresh one) for the enclosed block.
-
-    Yields the active cache.  Context-local, so nested sweeps and
-    library callers compose; worker threads spawned inside the block do
-    *not* inherit it (contextvars do not cross thread starts), which is
-    what keeps skeleton sharing single-threaded by construction.
-    """
-    if cache is None:
-        cache = SkeletonShapeCache()
-    token = _active_cache.set(cache)
-    try:
-        yield cache
-    finally:
-        _active_cache.reset(token)
+_process_cache = SkeletonShapeCache()
 
 
 def process_shape_cache() -> SkeletonShapeCache:
-    """The lazily created process-global cache.
+    """The process-wide cache every memoised MILP solve leases from.
 
-    ``run_grid(fleet=True)`` activates this one around each cell it
-    executes — in the serial loop and inside every pool worker process —
-    so skeleton sharing survives across cells without shipping cache
-    objects (and their live skeletons) through the pool.
+    Its lock is held only around dictionary operations, so a process
+    pool that forks mid-sweep hands each worker a usable copy (with the
+    parent's prototypes already in it) and never a held lock.  Threads
+    share it: a lease is a fresh build or a ``rebind`` view, and both
+    are bit-identical, so which thread built a prototype never shows.
     """
-    global _process_cache
-    with _process_cache_lock:
-        if _process_cache is None:
-            _process_cache = SkeletonShapeCache()
-        return _process_cache
+    return _process_cache
 
 
 @dataclass(frozen=True)
@@ -222,6 +182,9 @@ class FleetResult:
     oracle: str
     continuation: bool
     solve_seconds: float
+    #: :meth:`SkeletonShapeCache.stats` of the process-wide cache when the
+    #: fleet finished: cumulative over every lease in the process, not
+    #: just this fleet's.
     shape_stats: dict
     #: Always 0: DP fleets no longer run lockstep kernel rounds.  Kept
     #: because perfbench's frozen probes still read it.
@@ -250,7 +213,6 @@ def solve_fleet(
     oracle: str = "milp",
     backend="highs",
     continuation: bool = True,
-    cache: SkeletonShapeCache | None = None,
     **solve_options,
 ) -> FleetResult:
     """Solve a fleet of games through one shared solver substrate.
@@ -274,16 +236,11 @@ def solve_fleet(
         results must match ``solve_cubis`` bit for bit.  Ignored by the
         ``"dp"`` oracle, whose games carry nothing between them and so
         stay bit-identical to independent ``solve_cubis`` calls.
-    cache:
-        The :class:`SkeletonShapeCache` every game leases its skeleton
-        from, one assembly per shape (default: a fresh one, whose stats
-        land in the result).  Leasing is bit-identical to fresh per-game
-        builds — property-tested — so it changes only cost.
     **solve_options:
         Forwarded to every :func:`~repro.core.cubis.solve_cubis` call
-        (``num_segments``, ``epsilon``, ``memoise``, …).  ``session``,
-        ``warm_start`` and ``oracle`` are owned by the fleet driver and
-        must not be passed.
+        (``num_segments``, ``epsilon``, ``memoise``, …).  ``session`` and
+        ``warm_start`` are owned by the fleet driver and must not be
+        passed.
 
     Returns
     -------
@@ -300,14 +257,13 @@ def solve_fleet(
         )
     if oracle not in ("milp", "dp"):
         raise ValueError(f"oracle must be 'milp' or 'dp', got {oracle!r}")
-    for owned in ("session", "warm_start", "oracle"):
+    for owned in ("session", "warm_start"):
         if owned in solve_options:
             raise TypeError(
                 f"solve_fleet() owns the {owned!r} argument; configure the "
                 "fleet through continuation=/oracle= instead"
             )
-    if cache is None:
-        cache = SkeletonShapeCache()
+    cache = process_shape_cache()
 
     timer = Timer()
     with telemetry.span(
@@ -321,45 +277,49 @@ def solve_fleet(
             "fleet",
             total=len(games), done=0, oracle=oracle,
             continuation=bool(continuation),
-            shape_hits=0, shape_misses=0, shape_hit_rate=None,
+            **_shape_fields(cache.stats()),
         )
         carries = continuation and oracle == "milp"
         results = []
         carry = None
         for game, uncertainty in zip(games, uncertainties):
-            with use_shape_cache(cache):
-                result = solve_cubis(
-                    game,
-                    uncertainty,
-                    oracle=oracle,
-                    backend=backend,
-                    warm_start=carry,
-                    **solve_options,
-                )
+            result = solve_cubis(
+                game,
+                uncertainty,
+                oracle=oracle,
+                backend=backend,
+                warm_start=carry,
+                **solve_options,
+            )
             results.append(result)
             if carries:
                 carry = result.as_warm_start()
-            stats = cache.stats()
-            leases = stats["hits"] + stats["misses"]
             progress.bump(
                 "fleet", 1,
-                shape_hits=stats["hits"],
-                shape_misses=stats["misses"],
-                shape_hit_rate=(
-                    round(stats["hits"] / leases, 4) if leases else None
-                ),
+                **_shape_fields(cache.stats()),
                 continuation_carried=max(0, len(results) - 1) if carries else 0,
                 oracle_calls=sum(r.oracle_calls for r in results),
             )
+        shape_stats = cache.stats()
         span.set(
-            shape_hits=cache.stats()["hits"],
-            shape_misses=cache.stats()["misses"],
+            shape_hits=shape_stats["hits"],
+            shape_misses=shape_stats["misses"],
         )
     return FleetResult(
         results=tuple(results),
         oracle=oracle,
         continuation=bool(continuation),
         solve_seconds=timer.elapsed,
-        shape_stats=cache.stats(),
+        shape_stats=shape_stats,
     )
+
+
+def _shape_fields(stats: dict) -> dict:
+    """The shape-cache columns of the ``fleet`` progress row."""
+    leases = stats["hits"] + stats["misses"]
+    return {
+        "shape_hits": stats["hits"],
+        "shape_misses": stats["misses"],
+        "shape_hit_rate": round(stats["hits"] / leases, 4) if leases else None,
+    }
 

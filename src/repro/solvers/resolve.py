@@ -9,11 +9,11 @@ solve** per instance:
 
 :func:`start_resolve`
     Performs the initial cold solve and returns a :class:`ResolveHandle`
-    holding the game, the pinned solve options, the current result, a
-    private :class:`~repro.solvers.fleet.SkeletonShapeCache` whose
-    prototype skeleton every post-drift skeleton is a
-    :meth:`~repro.core.milp.CubisMilpSkeleton.rebind` sibling of, and
+    holding the game, the pinned solve options, the current result and
     the raw (unscaled) interval grids used to classify the next drift.
+    Like every memoised solve, each one leases its skeleton from the
+    process-wide :class:`~repro.solvers.fleet.SkeletonShapeCache`, so a
+    re-entry pays no structure assembly.
 
 :func:`resolve`
     Drift classification plus one warm-started
@@ -30,7 +30,7 @@ solve** per instance:
     instead of bisecting the whole utility range (docs/ONLINE.md).  Any widening falls back to the full utility-range
     bracket; the prior strategy still rides along (screened, so it can
     never corrupt the result).  Each solve builds its own MILP models
-    inside its ``solve_cubis`` call; only the shape cache outlives it.
+    inside its ``solve_cubis`` call.
 
 Every resolve emits a ``resolve.solve`` telemetry span and ticks
 ``repro_resolve_solves_total`` plus the two engine counters
@@ -68,7 +68,6 @@ from repro import telemetry
 from repro.behavior.interval import UncertaintyModel
 from repro.core.cubis import CubisResult, WarmStart, solve_cubis
 from repro.game.ssg import IntervalSecurityGame
-from repro.solvers.fleet import SkeletonShapeCache, use_shape_cache
 from repro.solvers.piecewise import SegmentGrid
 
 __all__ = [
@@ -190,12 +189,9 @@ class ResolveOutcome:
 class ResolveHandle:
     """A standing CUBIS solve that drifted intervals re-enter.
 
-    Created by :func:`start_resolve`; advanced by :func:`resolve`.  The
-    handle owns a private single-shape
-    :class:`~repro.solvers.fleet.SkeletonShapeCache`, so consecutive
-    drifts reuse the MILP assembly.  A ``threading.Lock`` serialises
-    re-solves — the service keeps one handle per (tenant, instance) and
-    may route concurrent drifts at it.
+    Created by :func:`start_resolve`; advanced by :func:`resolve`.  A
+    ``threading.Lock`` serialises re-solves — the service keeps one
+    handle per (tenant, instance) and may route concurrent drifts at it.
 
     Attributes
     ----------
@@ -212,7 +208,6 @@ class ResolveHandle:
         uncertainty: UncertaintyModel,
         result: CubisResult,
         options: dict,
-        cache: SkeletonShapeCache,
         lower_grid: np.ndarray,
         upper_grid: np.ndarray,
     ) -> None:
@@ -220,7 +215,6 @@ class ResolveHandle:
         self.uncertainty = uncertainty
         self.result = result
         self.options = dict(options)
-        self.cache = cache
         self._lower = lower_grid
         self._upper = upper_grid
         self._lock = threading.Lock()
@@ -249,7 +243,6 @@ class ResolveHandle:
             "resolves": int(self.resolves),
             "warm_hits": int(self.warm_hits),
             "bracket_reuses": int(self.bracket_reuses),
-            "shape_cache": self.cache.stats(),
         }
 
 
@@ -286,8 +279,8 @@ def start_resolve(
     not supported — side constraints embed their matrix in the MILP
     structure, which the standing skeleton lease cannot share.
 
-    The initial solve already leases its skeleton from the handle's
-    shape cache, so the first drift pays no structure assembly.
+    The initial solve leases its skeleton from the process-wide shape
+    cache, so the first drift pays no structure assembly.
     """
     unknown = set(options) - set(_RESOLVE_OPTIONS)
     if unknown:
@@ -298,11 +291,7 @@ def start_resolve(
     options.setdefault("num_segments", 10)
     options.setdefault("epsilon", 1e-3)
     options.setdefault("backend", "highs")
-    cache = SkeletonShapeCache(capacity=1)
-    with use_shape_cache(cache):
-        result = solve_cubis(
-            game, uncertainty, warm_start=warm_start, **options
-        )
+    result = solve_cubis(game, uncertainty, warm_start=warm_start, **options)
     grid = SegmentGrid(int(options["num_segments"]))
     realised = np.maximum(
         grid.breakpoints - float(options.get("execution_alpha", 0.0)), 0.0
@@ -312,7 +301,6 @@ def start_resolve(
         uncertainty=uncertainty,
         result=result,
         options=options,
-        cache=cache,
         lower_grid=uncertainty.lower_on_grid(realised),
         upper_grid=uncertainty.upper_on_grid(realised),
     )
@@ -357,13 +345,12 @@ def resolve(
             changed_targets=int(drift.changed_targets),
             bracket_reused=bool(drift.bracket_reusable),
         ) as span:
-            with use_shape_cache(handle.cache):
-                result = solve_cubis(
-                    handle.game,
-                    uncertainty,
-                    warm_start=warm,
-                    **handle.options,
-                )
+            result = solve_cubis(
+                handle.game,
+                uncertainty,
+                warm_start=warm,
+                **handle.options,
+            )
             warm_hit = result.cache_hits > 0
             span.set(
                 warm_hit=bool(warm_hit),

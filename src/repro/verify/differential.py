@@ -64,7 +64,7 @@ __all__ = ["PathOutcome", "DEFAULT_PATHS", "run_paths", "differential_check"]
 #: the instance's intervals and re-enters it with the actual intervals
 #: via :func:`repro.solvers.resolve.resolve` — the answer it lands on is
 #: a genuine shrink re-solve (warm bracket probed, skeleton leased from
-#: the handle's shape cache) and must agree with every cold path within
+#: the process-wide shape cache) and must agree with every cold path within
 #: the same theorem slack, pinning the re-entry machinery to the
 #: reference semantics on every battery run.
 DEFAULT_PATHS = (

@@ -42,6 +42,21 @@ from tests import fixtures_games
 
 
 @pytest.fixture
+def fresh_shape_cache(monkeypatch):
+    """An empty process-wide skeleton shape cache for one test.
+
+    Every memoised MILP solve leases from the one process cache, so
+    earlier tests leave prototypes in it; tests that count its hits and
+    misses start from a cold one.
+    """
+    from repro.solvers import fleet
+
+    cache = fleet.SkeletonShapeCache()
+    monkeypatch.setattr(fleet, "_process_cache", cache)
+    return cache
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -233,7 +233,7 @@ class TestSweepSubcommand:
         args = build_parser().parse_args(["sweep", "smoke"])
         assert args.driver == "smoke"
         assert args.trials == 2 and args.seed == 2016
-        assert args.on_error == "raise" and args.fleet is False
+        assert args.on_error == "raise"
 
     def test_parser_rejects_unknown_driver(self):
         with pytest.raises(SystemExit):
@@ -247,16 +247,16 @@ class TestSweepSubcommand:
         assert len(payload["rows"]) == 2 and payload["failures"] == []
         assert "2 rows" in capsys.readouterr().out
 
-    def test_workers_and_fleet_match_serial_bytes(self, capsys, tmp_path):
+    def test_workers_match_serial_bytes(self, capsys, tmp_path):
         """The canonical table is byte-identical across execution modes:
-        serial, process pool, and shared skeleton shapes."""
+        serial and process pool."""
         outputs = []
-        for mode in ([], ["--workers", "2"], ["--fleet"]):
+        for mode in ([], ["--workers", "2"]):
             out = tmp_path / f"table{len(outputs)}.json"
             assert main(["--no-manifest", *self.SMOKE, *mode,
                          "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[1] == outputs[0]
 
 
 class TestTraceSubcommand:

@@ -238,7 +238,7 @@ class TestSolveProgressWiring:
 
 
 class TestFleetProgressWiring:
-    def test_games_and_shape_stats_published(self):
+    def test_games_and_shape_stats_published(self, fresh_shape_cache):
         from repro.experiments.quality import default_uncertainty
         from repro.game.generator import random_interval_game
         from repro.solvers.fleet import solve_fleet

@@ -1,11 +1,13 @@
 """Tests for repro.solvers.fleet — shape cache, solve_fleet."""
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import telemetry
 from repro.core.cubis import solve_cubis
@@ -13,10 +15,8 @@ from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game
 from repro.solvers.fleet import (
     SkeletonShapeCache,
-    active_shape_cache,
     process_shape_cache,
     solve_fleet,
-    use_shape_cache,
 )
 from tests.test_core_milp import assert_models_identical, small_data
 
@@ -115,50 +115,84 @@ class TestSkeletonShapeCache:
 
 
 class TestUseShapeCache:
-    def test_context_activation_and_reset(self):
-        assert active_shape_cache() is None
-        with use_shape_cache() as cache:
-            assert active_shape_cache() is cache
-            inner = SkeletonShapeCache(capacity=2)
-            with use_shape_cache(inner):
-                assert active_shape_cache() is inner
-            assert active_shape_cache() is cache
-        assert active_shape_cache() is None
-
-    def test_threads_do_not_inherit_the_cache(self):
-        seen = []
-        with use_shape_cache():
-            thread = threading.Thread(
-                target=lambda: seen.append(active_shape_cache())
-            )
-            thread.start()
-            thread.join()
-        assert seen == [None]
+    """The one process-wide cache every memoised MILP solve leases from."""
 
     def test_process_cache_is_a_singleton(self):
         assert process_shape_cache() is process_shape_cache()
 
-    def test_solve_cubis_leases_from_active_cache(self):
+    def test_solve_cubis_leases_from_active_cache(self, fresh_shape_cache):
         games, models = make_fleet(3)
-        cache = SkeletonShapeCache()
-        with use_shape_cache(cache):
-            results = [
-                solve_cubis(g, m, **SOLVE) for g, m in zip(games, models)
-            ]
-        stats = cache.stats()
+        results = [solve_cubis(g, m, **SOLVE) for g, m in zip(games, models)]
+        stats = fresh_shape_cache.stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
-        # Cached-structure solves equal fresh-structure solves bit for bit.
+        # Re-solves on the warm cache equal the first solves bit for bit.
         for game, model, shared in zip(games, models, results):
             assert_results_identical(
                 shared, solve_cubis(game, model, **SOLVE)
             )
+        assert fresh_shape_cache.stats()["hits"] == 5
+
+    def test_constrained_solves_do_not_lease(self, fresh_shape_cache):
+        from repro.game.constraints import CoverageConstraints
+
+        (game,), (model,) = make_fleet(1)
+        vacuous = CoverageConstraints(
+            np.ones((1, game.num_targets)), np.array([10.0])
+        )
+        solve_cubis(game, model, coverage_constraints=vacuous, **SOLVE)
+        assert fresh_shape_cache.stats()["hits"] == 0
+        assert fresh_shape_cache.stats()["misses"] == 0
 
 
+class TestSharedCacheAcrossThreads:
+    def test_concurrent_leases_match_sequential_solves(
+        self, fresh_shape_cache
+    ):
+        """Four threads solve distinct same-shape games through the one
+        cache, three times each: every result equals its sequential
+        solve bit for bit, and every lease is counted once."""
+        games, models = make_fleet(4, num_targets=30, seed=300)
+        options = {"num_segments": 6, "epsilon": 1e-2}
+        rounds = 3
+        got = [[] for _ in games]
+        errors = []
+        start = threading.Barrier(len(games))
+
+        def work(index):
+            try:
+                start.wait()
+                for _ in range(rounds):
+                    got[index].append(
+                        solve_cubis(games[index], models[index], **options)
+                    )
+            except Exception as exc:  # noqa: BLE001 — asserted empty below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(len(games))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        stats = fresh_shape_cache.stats()
+        assert stats["hits"] + stats["misses"] == len(games) * rounds
+        assert stats["misses"] >= 1 and stats["shapes"] == 1
+        for game, model, results in zip(games, models, got):
+            want = solve_cubis(game, model, **options)
+            assert len(results) == rounds
+            for result in results:
+                assert_results_identical(result, want)
+                assert result.trace == want.trace
+
+
+@pytest.mark.usefixtures("fresh_shape_cache")
 class TestSolveFleetMilp:
     def test_without_continuation_matches_independent_solves(self):
-        # The fleet leases every game's skeleton from one shape cache;
-        # each independent solve assembles its own.
+        # Fleet games and independent solves lease their skeletons from
+        # the same process-wide cache.
         games, models = make_fleet(4)
         fleet = solve_fleet(games, models, continuation=False, **SOLVE)
         for game, model, got in zip(games, models, fleet):
@@ -167,19 +201,19 @@ class TestSolveFleetMilp:
         assert fleet.shape_stats["hits"] == 3
 
     def test_share_axis_is_bit_identical(self):
-        # Every fleet shares skeletons through its cache; leasing them
-        # from a cache another fleet already populated changes only cost.
+        # A fleet on a cold cache assembles its shape once; the same
+        # fleet on the warm cache leases every game's skeleton from that
+        # prototype, which changes only cost.  shape_stats is the
+        # process cache's cumulative count.
         games, models = make_fleet(4)
-        warm = SkeletonShapeCache()
-        solve_fleet(*make_fleet(4, seed=7), cache=warm, **SOLVE)
-        fresh = solve_fleet(games, models, **SOLVE)
-        leased = solve_fleet(games, models, cache=warm, **SOLVE)
-        for a, b in zip(fresh, leased):
+        cold = solve_fleet(games, models, **SOLVE)
+        warm = solve_fleet(games, models, **SOLVE)
+        for a, b in zip(cold, warm):
             assert_results_identical(a, b)
-        assert fresh.shape_stats["hits"] == 3
-        assert fresh.shape_stats["misses"] == 1
-        assert leased.shape_stats["hits"] == 7
-        assert leased.shape_stats["misses"] == 1
+        assert cold.shape_stats["hits"] == 3
+        assert cold.shape_stats["misses"] == 1
+        assert warm.shape_stats["hits"] == 7
+        assert warm.shape_stats["misses"] == 1
 
     def test_structure_is_assembled_once_per_shape(self, monkeypatch):
         import repro.core.cubis as cubis_mod
@@ -375,3 +409,77 @@ class TestFleetPropertyBitIdentity:
         want = solve_cubis(game, model, session="incremental", **SOLVE)
         for got in fleet:
             assert_results_identical(got, want)
+
+
+# -- SkeletonShapeCache against a reference LRU ------------------------- #
+
+#: Capped tier for the stateful cache check: each miss assembles a
+#: skeleton, so examples and steps stay few.
+STATE_MACHINE_SETTINGS = settings(
+    max_examples=40, stateful_step_count=15, deadline=None
+)
+
+#: Four shapes: a base, and one per key component (R, K, equality).
+_SHAPES = {
+    "base": (5, 1.0, False),
+    "resources": (5, 2.0, False),
+    "segments": (7, 1.0, False),
+    "equality": (5, 1.0, True),
+}
+
+
+class ShapeCacheModel(RuleBasedStateMachine):
+    """:class:`SkeletonShapeCache` at capacity 2 against an
+    ``OrderedDict`` LRU of the prototypes each miss returned.
+
+    A hit must hand back a fresh view sharing its shape's prototype and
+    no other retained prototype's structure; a miss must share nothing
+    retained.  ``stats()`` must equal the reference counts throughout.
+    """
+
+    CAPACITY = 2
+
+    def __init__(self):
+        super().__init__()
+        self.cache = SkeletonShapeCache(capacity=self.CAPACITY)
+        self.reference = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    @rule(shape=st.sampled_from(sorted(_SHAPES)),
+          scale=st.sampled_from([1.0, 1.5, 2.0]))
+    def lease(self, shape, scale):
+        k, resources, equality = _SHAPES[shape]
+        ud, lo, hi, grid, *_ = small_data(k=k)
+        leased = self.cache.lease(
+            ud * scale, lo, hi, resources, grid, equality_resources=equality
+        )
+        assert leased.num_resources == resources
+        if shape in self.reference:
+            self.reference.move_to_end(shape)
+            self.hits += 1
+            proto = self.reference[shape]
+            assert leased is not proto and leased.shares_structure(proto)
+        else:
+            self.misses += 1
+            self.reference[shape] = leased
+            if len(self.reference) > self.CAPACITY:
+                self.reference.popitem(last=False)
+                self.evictions += 1
+        for other, proto in self.reference.items():
+            if other != shape:
+                assert not leased.shares_structure(proto)
+
+    @invariant()
+    def stats_match_reference(self):
+        assert self.cache.stats() == {
+            "shapes": len(self.reference),
+            "capacity": self.CAPACITY,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+        assert len(self.cache) == len(self.reference)
+
+
+TestShapeCacheModel = ShapeCacheModel.TestCase
+TestShapeCacheModel.settings = STATE_MACHINE_SETTINGS

@@ -153,8 +153,7 @@ class TestStartResolve:
         )
         stats = handle.stats()
         assert stats["resolves"] == 0
-        assert set(stats) == {"resolves", "warm_hits", "bracket_reuses",
-                              "shape_cache"}
+        assert set(stats) == {"resolves", "warm_hits", "bracket_reuses"}
 
 
 class TestResolveDrifts:

@@ -1,17 +1,20 @@
-"""Fleet-mode sweeps.
+"""Sweeps over the process-wide skeleton shape cache.
 
-``run_grid(fleet=True)`` is bit-identical to the plain per-game path,
-serially and through the process pool (the shape cache is a cost knob,
+Every sweep cell leases its MILP skeletons from the one process cache.
+A sweep on a cold cache and the same sweep on a warm one write the same
+table, serially and through the process pool (the cache is a cost knob,
 never an answer knob), and pooled fleet traces adopt into the same span
 tree the serial run records.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import ResultTable, run_grid
+from repro.solvers import fleet as fleet_mod
 from repro.core.cubis import solve_cubis
 from repro.experiments.quality import default_uncertainty
 from repro.game.generator import random_interval_game
@@ -55,24 +58,34 @@ def _rows_json(table: ResultTable) -> str:
 
 
 class TestFleetRunGridBitIdentity:
-    def test_fleet_serial_matches_plain_serial(self):
-        plain = _solve_run()
-        fleet = _solve_run(fleet=True)
-        assert _rows_json(fleet) == _rows_json(plain)
+    """A cold-cache sweep and a warm-cache sweep write the same table."""
 
-    def test_fleet_pooled_matches_plain_serial(self):
-        plain = _solve_run()
-        pooled = _solve_run(fleet=True, workers=2)
-        assert _rows_json(pooled) == _rows_json(plain)
+    def test_fleet_serial_matches_plain_serial(self, fresh_shape_cache):
+        cold = _solve_run()
+        assert fresh_shape_cache.stats()["misses"] == len(GRID)
+        warm = _solve_run()
+        assert fresh_shape_cache.stats()["misses"] == len(GRID)
+        assert _rows_json(warm) == _rows_json(cold)
+
+    def test_fleet_pooled_matches_plain_serial(self, fresh_shape_cache):
+        # Pool workers start from the parent's cache: cold before the
+        # serial run, warm after it.
+        cold = _solve_run(workers=2)
+        serial = _solve_run()
+        warm = _solve_run(workers=2)
+        assert _rows_json(cold) == _rows_json(serial)
+        assert _rows_json(warm) == _rows_json(serial)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=3, deadline=None)
     def test_fleet_property_bit_identity_across_seeds(self, seed):
         grid = GRID[:1]
-        plain = run_grid(_bench_trial, grid, num_trials=1, seed=seed)
-        fleet = run_grid(_bench_trial, grid, num_trials=1, seed=seed,
-                         fleet=True)
-        assert _rows_json(fleet) == _rows_json(plain)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fleet_mod, "_process_cache",
+                          fleet_mod.SkeletonShapeCache())
+            cold = run_grid(_bench_trial, grid, num_trials=1, seed=seed)
+            warm = run_grid(_bench_trial, grid, num_trials=1, seed=seed)
+        assert _rows_json(warm) == _rows_json(cold)
 
 
 def _fleet_dp_trial(rng, trial_index, *, num_targets, **params):
@@ -102,7 +115,7 @@ class TestFleetTraceAdoption:
         ctx = Telemetry()
         with telemetry.use(ctx):
             table = run_grid(_fleet_dp_trial, self.GRID, num_trials=2,
-                             seed=3, fleet=True, **kwargs)
+                             seed=3, **kwargs)
         # The root span honestly records its ``workers`` count — the one
         # attribute that *should* differ.  Everything else must match.
         sig = tuple(
