@@ -155,10 +155,10 @@ class CubisResult:
         constraints, pipeline or ladder rung) ``min B(lam)`` over the hull
         vertices bounds the MILP optimum from above and the hull witness
         proves feasibility, and the rest fall through to the LP screen;
-        on a ``memoise=True`` ``"dp"`` solve without a resilience policy
-        every step is screened on the grid ``0..K`` and only
+        on a ``memoise=True`` ``"dp"`` solve, and on a memoised ladder's
+        ``dp`` rung, every step is screened on the grid ``0..K`` and only
         fall-throughs run the knapsack kernel.  0 under
-        ``memoise=False``; a ladder's ``dp`` rung is never screened.
+        ``memoise=False``.
     lp_solves:
         LP-relaxation screens performed (``memoise=True`` with a named
         backend only, ladder rungs included).  The
@@ -319,8 +319,9 @@ def solve_cubis(
         resilience policy, ``memoise=True`` gives every MILP rung with a
         named backend the same screens and skeleton (no pool), so the
         bisection trace equals the ``memoise=False`` ladder's while most
-        steps skip the MILP; callable rungs and the ``dp`` rung keep one
-        exact solve per step.
+        steps skip the MILP, and the ``dp`` rung the same grid hull screen
+        as the ``"dp"`` oracle; callable rungs keep one exact solve per
+        step.
     warm_start:
         Optional :class:`WarmStart` from a neighbouring solve (same game
         with a different ``K``/``epsilon``, or a similar game in a sweep).
@@ -359,11 +360,12 @@ def solve_cubis(
         )
     # memoise alone picks the MILP pipeline: certificate pool (two
     # probes) -> hull screen -> LP screen -> MILP on skeleton.patch(c),
-    # or build_cubis_milp per step.  For the dp oracle it puts the grid
-    # hull screen in front of the kernel.  Ladder rungs with a named MILP
-    # backend get the same screens without the pool (make_milp_oracle).
+    # or build_cubis_milp per step.  For the dp oracle, and a ladder's dp
+    # rung, it puts the grid hull screen in front of the kernel.  Ladder
+    # rungs with a named MILP backend get the MILP screens without the
+    # pool (make_milp_oracle).
     pipeline = memoise and oracle == "milp" and resilience is None
-    grid_screen = memoise and oracle == "dp" and resilience is None
+    grid_screen = memoise
     session_mode = "incremental" if pipeline else "fresh"
     if session not in (None, "incremental", "fresh"):
         raise ValueError(
@@ -420,8 +422,9 @@ def solve_cubis(
         # model with skeleton.patch(c); a warm start's certificates answer
         # the steps they still certify in O(T).  Memoised ladder rungs
         # with a named backend answer through the same hull and LP
-        # screens (no pool); callable and dp rungs keep one exact solve
-        # per step (see docs/PERFORMANCE.md).
+        # screens (no pool), dp rungs through the grid hull screen;
+        # callable rungs keep one exact solve per step (see
+        # docs/PERFORMANCE.md).
         needs_milp = (
             any(r.oracle == "milp" for r in resilience.rungs)
             if resilience is not None

@@ -124,7 +124,7 @@ class FaultInjector:
         ``backend`` (usable anywhere ``solve_milp`` accepts a backend)."""
         injector = self
 
-        def faulty_backend(problem: MILPProblem, **options) -> MILPResult:
+        def faulty_backend(problem: MILPProblem) -> MILPResult:
             mode = injector._draw()
             if mode == "error":
                 return MILPResult(
@@ -136,7 +136,7 @@ class FaultInjector:
                 )
             if mode == "slow":
                 time.sleep(injector.slow_seconds)
-            result = solve_milp(problem, backend=backend, **options)
+            result = solve_milp(problem, backend=backend)
             if mode == "nan" and result.optimal:
                 return MILPResult(
                     "optimal", result.x, float("nan"),

@@ -191,18 +191,15 @@ def _default_solve(game, uncertainty, options, *, warm_start=None,
                    policy=None):
     from repro.core.cubis import solve_cubis
 
+    # The canonical options are solve_cubis keywords, except the
+    # service's session selector and resilience flag (the policy).
+    solve_options = {
+        name: value for name, value in options.items()
+        if name not in ("session", "resilience")
+    }
     return solve_cubis(
-        game,
-        uncertainty,
-        num_segments=options["num_segments"],
-        epsilon=options["epsilon"],
-        backend=options["backend"],
-        oracle=options["oracle"],
-        equality_resources=options["equality_resources"],
-        execution_alpha=options["execution_alpha"],
-        speculation=options["speculation"],
-        resilience=policy,
-        warm_start=warm_start,
+        game, uncertainty, resilience=policy, warm_start=warm_start,
+        **solve_options,
     )
 
 

@@ -230,17 +230,15 @@ def canonicalize_request(body: Mapping) -> dict:
     }
 
 
-#: Canonical option names a standing resolve pins into its handle.  The
-#: remaining solve options are either forced (``oracle='milp'``,
-#: ``resilience=false`` — a resolve runs the memoised pipeline, which
-#: owns its failure semantics) or picked by that pipeline (``session``).
-RESOLVE_OPTION_KEYS: tuple[str, ...] = (
-    "num_segments",
-    "epsilon",
-    "backend",
-    "equality_resources",
-    "execution_alpha",
-    "speculation",
+#: Solve options a resolve request may not set: a resolve runs the
+#: memoised ``milp`` pipeline (``oracle='milp'``, ``resilience=false``),
+#: which owns its failure semantics and picks its own ``session``.
+_RESOLVE_REJECTED: frozenset[str] = frozenset({"oracle", "resilience", "session"})
+
+#: Canonical option names a standing resolve pins into its handle: every
+#: solve option the resolve endpoint accepts.
+RESOLVE_OPTION_KEYS: tuple[str, ...] = tuple(
+    name for name in SOLVE_OPTION_SPEC if name not in _RESOLVE_REJECTED
 )
 
 
@@ -258,7 +256,7 @@ def canonicalize_resolve_request(body: Mapping) -> dict:
         raise RequestError(f"request body must be an object, got {type(body).__name__}")
     options = body.get("options")
     if options is not None and isinstance(options, Mapping):
-        unsupported = sorted(set(options) & {"oracle", "resilience", "session"})
+        unsupported = sorted(_RESOLVE_REJECTED.intersection(options))
         if unsupported:
             raise RequestError(
                 f"options {unsupported} are not supported by the resolve "

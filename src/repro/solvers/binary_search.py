@@ -60,7 +60,7 @@ class BinarySearchResult:
     ----------
     lower:
         Final lower bound ``lb`` — the largest value proven feasible
-        (``-inf`` when nothing in the interval was proven feasible).
+        (``-inf`` when the lower endpoint ``lo`` probed infeasible).
     upper:
         Final upper bound ``ub`` — the smallest value proven infeasible
         (or the initial ``hi`` if even that was feasible).
@@ -74,7 +74,7 @@ class BinarySearchResult:
     converged:
         True iff the final gap is within the requested tolerance.  False
         when ``max_iterations`` was exhausted first (a warning is emitted)
-        or when nothing in the interval was proven feasible.
+        or when the lower endpoint probed infeasible.
     guess_probes:
         ``initial_guesses`` values actually probed (guesses outside the
         open bracket are skipped and not counted; a carried bracket
@@ -105,7 +105,6 @@ def binary_search_max(
     *,
     tolerance: float = 1e-3,
     max_iterations: int = 200,
-    check_endpoints: bool = True,
     initial_guesses: Sequence[float | tuple[float, float]] = (),
     payload_bound: Callable[[Any], float] | None = None,
 ) -> BinarySearchResult:
@@ -118,17 +117,17 @@ def binary_search_max(
         Maps a candidate value to ``(feasible, payload)``.  Feasibility
         must be monotone: feasible at ``c`` implies feasible below ``c``.
     lo, hi:
-        Search interval.  ``lo`` is expected to be feasible (CUBIS: the
-        bottom of the utility range always is, see DESIGN.md §5); if it is
-        not — or if no candidate is ever proven feasible — the result
-        reports ``lower = -inf`` and ``converged = False``.
+        Search interval.  Both ends are probed first: ``hi`` (the search
+        returns at once when the whole interval is feasible), then
+        ``lo``, which is expected to be feasible (CUBIS: the bottom of
+        the utility range always is, see DESIGN.md §5).  If it is not,
+        the result reports ``lower = -inf``, ``payload = None`` and
+        ``converged = False``.
     tolerance:
         Terminate once ``hi - lo <= tolerance`` (the paper's ``epsilon``).
     max_iterations:
-        Hard cap on oracle calls (excluding endpoint checks).
-    check_endpoints:
-        If true, first test ``hi`` (returning immediately when the whole
-        interval is feasible) and then ``lo``.
+        Hard cap on oracle calls.  The two endpoint probes count toward
+        it but always run.
     initial_guesses:
         Warm-start candidates probed (in order) before bisection begins.
         Guesses outside the current open bracket are skipped; each probe
@@ -157,7 +156,6 @@ def binary_search_max(
     trace: list[tuple[float, bool]] = []
     payload = None
     iterations = 0
-    proven_feasible = False
 
     def probe(candidate: float, phase: str) -> tuple[bool, Any]:
         # One traced oracle call: the span carries the candidate, the
@@ -181,22 +179,21 @@ def binary_search_max(
             return min(float(bound), hi)
         return candidate
 
-    if check_endpoints:
-        feasible_hi, payload_hi = probe(hi, "endpoint")
-        trace.append((hi, feasible_hi))
-        iterations += 1
-        if feasible_hi:
-            return BinarySearchResult(hi, hi, payload_hi, iterations, tuple(trace), True)
-        feasible_lo, payload_lo = probe(lo, "endpoint")
-        trace.append((lo, feasible_lo))
-        iterations += 1
-        if not feasible_lo:
-            return BinarySearchResult(
-                -float("inf"), lo, None, iterations, tuple(trace), False
-            )
-        payload = payload_lo
-        proven_feasible = True
-        lo = raise_lower(lo, payload_lo)
+    feasible_hi, payload_hi = probe(hi, "endpoint")
+    trace.append((hi, feasible_hi))
+    iterations += 1
+    if feasible_hi:
+        return BinarySearchResult(hi, hi, payload_hi, iterations, tuple(trace), True)
+    feasible_lo, payload_lo = probe(lo, "endpoint")
+    trace.append((lo, feasible_lo))
+    iterations += 1
+    if not feasible_lo:
+        return BinarySearchResult(
+            -float("inf"), lo, None, iterations, tuple(trace), False
+        )
+    # From here on the lower bound is always a proven-feasible value.
+    payload = payload_lo
+    lo = raise_lower(lo, payload_lo)
 
     guess_probes = 0
     gallop = False
@@ -216,7 +213,6 @@ def binary_search_max(
             guess_probes += 1
             if feasible:
                 payload = guess_payload
-                proven_feasible = True
                 lo = raise_lower(guess, guess_payload)
             else:
                 hi = guess
@@ -235,7 +231,6 @@ def binary_search_max(
             hi = candidate
             break
         payload = gallop_payload
-        proven_feasible = True
         lo = raise_lower(candidate, gallop_payload)
         offset *= _GALLOP_GROWTH
 
@@ -246,18 +241,9 @@ def binary_search_max(
         iterations += 1
         if feasible:
             payload = mid_payload
-            proven_feasible = True
             lo = raise_lower(mid, mid_payload)
         else:
             hi = mid
-    if not proven_feasible:
-        # Nothing in the interval was ever proven feasible (possible only
-        # without endpoint checks): mirror the check_endpoints=True
-        # contract rather than reporting the unproven `lo` as feasible.
-        return BinarySearchResult(
-            -float("inf"), hi, None, iterations, tuple(trace), False,
-            guess_probes,
-        )
     converged = hi - lo <= tolerance
     if not converged:
         warnings.warn(

@@ -18,6 +18,9 @@ Classic LP-based branch and bound:
    children with tightened bounds (``<= floor`` / ``>= ceil``);
 5. explore nodes in order of best relaxation bound (a heap), which makes
    the first incumbent good and keeps the global bound tight.
+
+Every solve starts with no incumbent: CUBIS solves each step's MILP on
+its own, so there is no MIP start to seed the pruning bound with.
 """
 
 from __future__ import annotations
@@ -33,14 +36,14 @@ from repro.solvers.milp_backend import MILPProblem, MILPResult
 __all__ = ["solve_bnb"]
 
 _INT_TOL = 1e-6
+#: Absolute bound-vs-incumbent gap below which a node is pruned.
+_GAP_TOL = 1e-9
 
 
 def solve_bnb(
     problem: MILPProblem,
     *,
     max_nodes: int = 100_000,
-    gap_tol: float = 1e-9,
-    incumbent: np.ndarray | None = None,
 ) -> MILPResult:
     """Solve a :class:`~repro.solvers.milp_backend.MILPProblem` by branch
     and bound.
@@ -52,15 +55,6 @@ def solve_bnb(
     max_nodes:
         Safety cap on explored nodes; exceeding it returns status
         ``"error"`` with a message rather than silently truncating.
-    gap_tol:
-        Absolute bound-vs-incumbent gap below which a node is pruned.
-    incumbent:
-        Optional MIP start — a candidate solution from a related
-        solve.  It is *probed, never trusted*: integer values are
-        rounded, feasibility is re-checked against this problem's
-        constraints, and an infeasible start is silently ignored, so a
-        stale incumbent can only tighten the initial pruning bound,
-        never corrupt the optimum.
     """
     int_idx = np.flatnonzero(problem.integrality > 0)
     if np.any(~np.isfinite(problem.lb[int_idx])) or np.any(~np.isfinite(problem.ub[int_idx])):
@@ -71,15 +65,11 @@ def solve_bnb(
     heap = [root]
     incumbent_x: np.ndarray | None = None
     incumbent_obj = np.inf
-    start = _validated_start(problem, incumbent)
-    if start is not None:
-        incumbent_x = start
-        incumbent_obj = float(problem.c @ start)
     nodes = 0
 
     while heap:
         bound, _, lb, ub = heapq.heappop(heap)
-        if bound >= incumbent_obj - gap_tol:
+        if bound >= incumbent_obj - _GAP_TOL:
             continue  # cannot improve on the incumbent
         nodes += 1
         if nodes > max_nodes:
@@ -100,7 +90,7 @@ def solve_bnb(
         )
         if not res.success:
             continue  # infeasible node (unbounded cannot appear below a bounded root)
-        if res.objective >= incumbent_obj - gap_tol:
+        if res.objective >= incumbent_obj - _GAP_TOL:
             continue
         x = res.x
         frac = np.abs(x[int_idx] - np.round(x[int_idx]))
@@ -128,36 +118,3 @@ def solve_bnb(
     if incumbent_x is None:
         return MILPResult("infeasible", None, None, nodes=nodes)
     return MILPResult("optimal", incumbent_x, incumbent_obj, nodes=nodes)
-
-
-def _validated_start(
-    problem: MILPProblem, incumbent: np.ndarray | None
-) -> np.ndarray | None:
-    """Round and feasibility-check a MIP start; ``None`` if unusable.
-
-    The tolerance mirrors the node integrality tolerance: a start only
-    seeds the pruning bound when it satisfies bounds and constraints to
-    ``_INT_TOL`` after rounding its integer coordinates, which keeps the
-    exactness guarantee — an accepted start is a genuinely feasible
-    point, so pruning against its objective never cuts the optimum.
-    """
-    if incumbent is None:
-        return None
-    x = np.asarray(incumbent, dtype=np.float64)
-    if x.shape != (problem.num_variables,) or not np.all(np.isfinite(x)):
-        return None
-    x = x.copy()
-    int_idx = np.flatnonzero(problem.integrality > 0)
-    x[int_idx] = np.round(x[int_idx])
-    if np.any(x < problem.lb - _INT_TOL) or np.any(x > problem.ub + _INT_TOL):
-        return None
-    x = np.clip(x, problem.lb, problem.ub)
-    if problem.A_ub is not None and np.any(
-        problem.A_ub @ x > problem.b_ub + _INT_TOL
-    ):
-        return None
-    if problem.A_eq is not None and np.any(
-        np.abs(problem.A_eq @ x - problem.b_eq) > _INT_TOL
-    ):
-        return None
-    return x

@@ -238,9 +238,9 @@ def solve_fleet(
         stay bit-identical to independent ``solve_cubis`` calls.
     **solve_options:
         Forwarded to every :func:`~repro.core.cubis.solve_cubis` call
-        (``num_segments``, ``epsilon``, ``memoise``, …).  ``session`` and
-        ``warm_start`` are owned by the fleet driver and must not be
-        passed.
+        (``num_segments``, ``epsilon``, ``memoise``, …).  ``warm_start``
+        belongs to the fleet driver (``continuation`` carries it), so
+        passing it raises :class:`TypeError`.
 
     Returns
     -------
@@ -257,12 +257,6 @@ def solve_fleet(
         )
     if oracle not in ("milp", "dp"):
         raise ValueError(f"oracle must be 'milp' or 'dp', got {oracle!r}")
-    for owned in ("session", "warm_start"):
-        if owned in solve_options:
-            raise TypeError(
-                f"solve_fleet() owns the {owned!r} argument; configure the "
-                "fleet through continuation=/oracle= instead"
-            )
     cache = process_shape_cache()
 
     timer = Timer()

@@ -12,6 +12,9 @@ interchangeable substitutes behind one interface:
 
 Both receive a :class:`MILPProblem` (minimisation form) and return a
 :class:`MILPResult`; cross-backend equality is asserted in the test suite.
+Every solve stands alone: CUBIS solves each binary-search step's MILP on
+its own, so no MIP start or backend option passes from one solve to the
+next, and a callable backend is called as ``backend(problem)``.
 
 LP-relaxation screens on the ``"highs"`` backend can instead run through
 a :class:`LiveLp`: one HiGHS instance from scipy's private binding
@@ -154,23 +157,15 @@ def solve_milp(
     problem: MILPProblem,
     *,
     backend="highs",
-    warm_start: np.ndarray | None = None,
     live: LiveLp | None = None,
-    **backend_options,
 ) -> MILPResult:
     """Solve a :class:`MILPProblem` with the selected backend.
 
     ``backend`` is a name (``"highs"`` / ``"bnb"``) or any callable
-    ``(problem, **options) -> MILPResult`` — the hook used by the
-    resilience layer to interpose fault injectors and custom solvers.
-
-    ``warm_start`` is a candidate solution (a MIP start) from a related
-    solve; no CUBIS solve path passes one.  It is advisory:
-    only backends with a MIP-start hook receive it — ``"bnb"`` seeds its
-    incumbent after re-validating feasibility; ``scipy.optimize.milp``
-    exposes no warm-start parameter, so the ``"highs"`` MILP path (and
-    any callable backend) silently drops it.  The optimum is identical
-    either way.
+    ``backend(problem) -> MILPResult`` — the hook used by the resilience
+    layer to interpose fault injectors and custom solvers.  The callable
+    receives the problem alone: each call is a solve on its own, with no
+    MIP start and no options.
 
     ``live`` is a :class:`LiveLp` owned by the caller.  An LP (no
     integrality marks) on the ``"highs"`` backend is then solved by that
@@ -186,10 +181,7 @@ def solve_milp(
     live LP answers also carry ``warm`` (whether a basis was accepted)
     and ``simplex_iterations`` span attributes.
     """
-    label = backend_label(backend)
-    if warm_start is not None and backend == "bnb":
-        backend_options["incumbent"] = warm_start
-    kind = ("lp:" if problem.num_integer == 0 else "milp:") + label
+    kind = ("lp:" if problem.num_integer == 0 else "milp:") + backend_label(backend)
     t0 = time.perf_counter()
     with telemetry.span(
         "milp.solve", kind=kind, variables=problem.num_variables,
@@ -202,7 +194,7 @@ def solve_milp(
                 result, warm, iterations = answered
                 span.set(warm=warm, simplex_iterations=iterations)
         if result is None:
-            result = _dispatch(problem, backend, backend_options)
+            result = _dispatch(problem, backend)
         span.set(status=result.status, nodes=result.nodes)
     telemetry.histogram("repro_oracle_seconds", kind=kind).observe(
         time.perf_counter() - t0
@@ -210,9 +202,9 @@ def solve_milp(
     return result
 
 
-def _dispatch(problem: MILPProblem, backend, backend_options) -> MILPResult:
+def _dispatch(problem: MILPProblem, backend) -> MILPResult:
     if callable(backend):
-        result = backend(problem, **backend_options)
+        result = backend(problem)
         if not isinstance(result, MILPResult):
             raise TypeError(
                 f"callable backend must return a MILPResult, got "
@@ -224,7 +216,7 @@ def _dispatch(problem: MILPProblem, backend, backend_options) -> MILPResult:
     if backend == "bnb":
         from repro.solvers.bnb import solve_bnb
 
-        return solve_bnb(problem, **backend_options)
+        return solve_bnb(problem)
     raise ValueError(
         f"unknown MILP backend {backend!r}; use 'highs', 'bnb', or a callable"
     )

@@ -208,15 +208,12 @@ class ResolveHandle:
         uncertainty: UncertaintyModel,
         result: CubisResult,
         options: dict,
-        lower_grid: np.ndarray,
-        upper_grid: np.ndarray,
     ) -> None:
         self.game = game
         self.uncertainty = uncertainty
         self.result = result
         self.options = dict(options)
-        self._lower = lower_grid
-        self._upper = upper_grid
+        self._lower, self._upper = self.raw_grids(uncertainty)
         self._lock = threading.Lock()
         self.resolves = 0
         self.warm_hits = 0
@@ -292,18 +289,7 @@ def start_resolve(
     options.setdefault("epsilon", 1e-3)
     options.setdefault("backend", "highs")
     result = solve_cubis(game, uncertainty, warm_start=warm_start, **options)
-    grid = SegmentGrid(int(options["num_segments"]))
-    realised = np.maximum(
-        grid.breakpoints - float(options.get("execution_alpha", 0.0)), 0.0
-    )
-    return ResolveHandle(
-        game=game,
-        uncertainty=uncertainty,
-        result=result,
-        options=options,
-        lower_grid=uncertainty.lower_on_grid(realised),
-        upper_grid=uncertainty.upper_on_grid(realised),
-    )
+    return ResolveHandle(game, uncertainty, result, options)
 
 
 def resolve(

@@ -14,7 +14,9 @@ cheaper than a sparse in-place patch at T=50-200.  The class
 stays only because perfbench's probes (``perfbench/tracing.py``,
 ``install_probes``) resolve ``MilpSession.prepare``, ``solve`` and
 ``retarget`` and this module's ``solve_milp`` by name; it goes when
-those probes stop naming it.
+those probes stop naming it.  Each :meth:`~MilpSession.solve` is a
+solve on its own: nothing but the live model carries from one candidate
+to the next.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class MilpSession:
         self.backend = backend
         self._model = None
         self._c: float | None = None
-        self._incumbent = None
         self.fresh_builds = 0
         self.patches_applied = 0
         self.solves = 0
@@ -69,7 +70,7 @@ class MilpSession:
         return self._model
 
     def invalidate(self) -> None:
-        """Drop the live model (and incumbent); the next
+        """Drop the live model; the next
         :meth:`prepare` rebuilds from the skeleton templates.  Callers
         invoke this after a backend failure so a possibly-corrupted
         in-place state cannot carry into later steps."""
@@ -77,16 +78,14 @@ class MilpSession:
             self.fallbacks += 1
         self._model = None
         self._c = None
-        self._incumbent = None
 
     # Unused here; perfbench's frozen probes still resolve this name.
     def retarget(self, skeleton) -> None:
-        """Point the session at ``skeleton`` and drop its live model and
-        incumbent, so the next :meth:`prepare` is a fresh build."""
+        """Point the session at ``skeleton`` and drop its live model, so
+        the next :meth:`prepare` is a fresh build."""
         self.skeleton = skeleton
         self._model = None
         self._c = None
-        self._incumbent = None
 
     def prepare(self, c: float):
         """Point the live model at candidate ``c`` and return it.
@@ -132,22 +131,11 @@ class MilpSession:
         self._c = c
         return model
 
-    def solve(self, **backend_options) -> MILPResult:
-        """Solve the currently prepared model with the session backend.
-
-        The previous step's optimum rides along as ``warm_start`` (the
-        backend decides whether it can use it); an optimal result
-        becomes the next incumbent.
-        """
+    def solve(self) -> MILPResult:
+        """Solve the currently prepared model with the session backend."""
         if self._model is None:
             raise RuntimeError("MilpSession.solve() requires a prepared model; "
                                "call prepare(c) first")
-        if self._incumbent is not None:
-            backend_options.setdefault("warm_start", self._incumbent)
-        result = solve_milp(
-            self._model.problem, backend=self.backend, **backend_options
-        )
+        result = solve_milp(self._model.problem, backend=self.backend)
         self.solves += 1
-        if result.optimal:
-            self._incumbent = result.x
         return result

@@ -412,17 +412,24 @@ class TestDpScreen:
         kernel_runs = tele.metrics.histogram("repro_oracle_seconds", kind="dp").count
         assert kernel_runs == result.iterations
 
-    def test_ladder_dp_rung_is_not_screened(self):
-        game = random_interval_game(8, seed=11)
-        model = default_uncertainty(game.payoffs)
-        options = {"num_segments": 5, "epsilon": 1e-3}
-        result = solve_cubis(game, model, resilience=ResiliencePolicy(
-            rungs=(Rung("dp"),)
-        ), **options)
-        assert result.hull_screens == 0
-        reference = solve_cubis(game, model, oracle="dp", memoise=False,
-                                **options)
-        assert_same_solve(result, reference)
+    def test_ladder_dp_rung_is_screened(self):
+        # A memoised ladder's dp rung takes the same grid hull screen as
+        # oracle="dp": its verdicts are the kernel's own, so the solve
+        # equals the unscreened ladder's and the plain dp solve.
+        ladder = ResiliencePolicy(rungs=(Rung("dp"),))
+        for t, k, seed in [(8, 5, 11), (25, 10, 3), (60, 40, 7)]:
+            game = random_interval_game(t, seed=seed)
+            model = default_uncertainty(game.payoffs)
+            options = {"num_segments": k, "epsilon": 1e-3}
+            result = solve_cubis(game, model, resilience=ladder, **options)
+            unscreened = solve_cubis(game, model, resilience=ladder,
+                                     memoise=False, **options)
+            plain = solve_cubis(game, model, oracle="dp", **options)
+            assert_same_solve(result, unscreened)
+            assert_same_solve(result, plain)
+            assert result.hull_screens > 0
+            assert result.hull_screens == plain.hull_screens
+            assert unscreened.hull_screens == 0
 
 
 def assert_same_screen(got, want):

@@ -1,7 +1,6 @@
 """Unit tests for repro.solvers.binary_search."""
 
 import math
-import warnings
 
 import pytest
 from hypothesis import given
@@ -87,13 +86,6 @@ class TestBinarySearchMax:
                 binary_search_max(threshold_oracle(0.0), 0.0, 1.0,
                                   tolerance=tolerance)
 
-    def test_no_endpoint_checks(self):
-        """Without endpoint checks, the search assumes lo feasible."""
-        res = binary_search_max(
-            threshold_oracle(0.6), 0.0, 1.0, tolerance=1e-4, check_endpoints=False
-        )
-        assert res.lower == pytest.approx(0.6, abs=1e-3)
-
     def test_gap_property(self):
         res = binary_search_max(threshold_oracle(0.3), 0.0, 1.0, tolerance=0.01)
         assert res.gap == res.upper - res.lower
@@ -107,36 +99,21 @@ class TestBinarySearchMax:
 
 
 class TestNothingFeasibleContract:
-    """Regression: with ``check_endpoints=False`` the search used to report
-    ``lower=lo, converged=True`` when no candidate was ever feasible, even
-    though ``lo`` was never probed.  Both flag values must now agree on
-    ``lower=-inf, converged=False, payload=None``."""
+    """An infeasible lower endpoint is reported as ``lower=-inf,
+    converged=False, payload=None``, never as a feasible ``lo``, with or
+    without warm-start guesses."""
 
-    @pytest.mark.parametrize("check_endpoints", [True, False])
-    def test_always_infeasible_oracle(self, check_endpoints):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_always_infeasible_oracle(self, warm):
+        hints = dict(initial_guesses=[0.5, (0.2, 0.8)],
+                     payload_bound=lambda _: 0.0) if warm else {}
         res = binary_search_max(
-            threshold_oracle(-5.0), 0.0, 1.0,
-            tolerance=1e-3, check_endpoints=check_endpoints,
+            threshold_oracle(-5.0), 0.0, 1.0, tolerance=1e-3, **hints,
         )
         assert res.lower == -float("inf")
         assert res.payload is None
         assert not res.converged
         assert all(not feasible for _, feasible in res.trace)
-
-    def test_unproven_lo_is_not_reported_feasible(self):
-        """The returned lower bound must never be a value the oracle did
-        not confirm."""
-        probed = []
-
-        def oracle(c):
-            probed.append(c)
-            return False, None
-
-        res = binary_search_max(
-            oracle, 0.0, 1.0, tolerance=1e-3, check_endpoints=False
-        )
-        assert 0.0 not in probed  # lo genuinely never tested
-        assert res.lower == -float("inf")
 
 
 class TestOracleFailurePaths:
@@ -197,24 +174,6 @@ class TestOracleFailurePaths:
             self.failing_at(-99.0), 0.0, 1.0, tolerance=1e-4
         )
         assert clean.lower == pytest.approx(0.5, abs=1e-3)
-
-    def test_nothing_feasible_exhaustion_no_spurious_warning(self):
-        """The nothing-feasible return path (check_endpoints=False) must
-        not also emit the max_iterations warning — it reports
-        ``lower=-inf, converged=False`` directly."""
-
-        def never_feasible(c):
-            return False, None
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = binary_search_max(
-                never_feasible, 0.0, 1.0,
-                tolerance=1e-12, max_iterations=3, check_endpoints=False,
-            )
-        assert res.lower == -float("inf")
-        assert res.payload is None
-        assert not res.converged
 
 
 class TestWarmStartHooks:

@@ -279,7 +279,9 @@ class TestSolveFleetMilp:
         with pytest.raises(ValueError, match="oracle"):
             solve_fleet(games, models, oracle="cplex", **SOLVE)
 
-    @pytest.mark.parametrize("owned", ["session", "warm_start"])
+    # Only warm_start is the fleet's own (continuation carries it);
+    # session=None is an ordinary solve_cubis option the fleet forwards.
+    @pytest.mark.parametrize("owned", ["warm_start"])
     def test_owned_kwargs_rejected(self, owned):
         games, models = make_fleet(1)
         with pytest.raises(TypeError, match=owned):

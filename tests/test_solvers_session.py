@@ -85,13 +85,13 @@ class TestMilpSession:
         assert session.solves == 3
 
     def test_incumbent_carried_between_solves(self):
+        """A solve keeps the live model; no MIP start is carried."""
         skeleton, _ = make_skeleton()
         session = MilpSession(skeleton, backend="bnb")
         session.prepare(0.0)
         first = session.solve()
         assert first.optimal
-        assert session._incumbent is not None
-        np.testing.assert_array_equal(session._incumbent, first.x)
+        assert session.live
 
     def test_invalidate_drops_model_and_counts_fallback(self):
         skeleton, _ = make_skeleton()
@@ -113,7 +113,7 @@ class TestMilpSession:
         session.prepare(0.0)
         session.solve()
         session.invalidate()
-        assert session._incumbent is None
+        assert not session.live
 
     def test_prepare_emits_patch_spans(self):
         skeleton, _ = make_skeleton()
@@ -142,7 +142,7 @@ class TestMilpSession:
 
 class TestRetarget:
     """``retarget`` points the session at another skeleton and drops the
-    live model and incumbent: no model crosses a skeleton boundary."""
+    live model: no model crosses a skeleton boundary."""
 
     def test_retarget_chain_stays_bit_identical(self):
         skeleton, (ud, lo, hi, grid) = make_skeleton()
@@ -175,9 +175,9 @@ class TestRetarget:
         session = MilpSession(skeleton, backend="bnb")
         session.prepare(0.0)
         session.solve()
-        assert session._incumbent is not None
+        assert session.live
         session.retarget(sibling)
-        assert session._incumbent is None
+        assert not session.live
 
 
 class SessionModel(RuleBasedStateMachine):
